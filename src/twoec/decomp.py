@@ -172,9 +172,6 @@ class CoverDecomposition:
             return False
         return True
 
-    def block_tree(self, comp: Component) -> "BlockTree":
-        return BlockTree(self.g, comp)
-
     def c4_edge_count(self) -> int:
         return sum(len(c.edges) for c in self.components if c.tag == C4)
 

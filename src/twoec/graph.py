@@ -82,20 +82,10 @@ class MultiGraph:
     def simple_pairs(self) -> set[tuple[int, int]]:
         return {(u, v) for u, v in self.edges if u != v}
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.simple_pairs()
-
     def edge_ids_between(self, u: int, v: int) -> list[int]:
         if u > v:
             u, v = v, u
         return [i for i, e in enumerate(self.edges) if e == (u, v)]
-
-    def subgraph_edges(self, vertices: set[int]) -> list[int]:
-        """Edge ids with both endpoints inside ``vertices``."""
-        return [i for i, (u, v) in enumerate(self.edges)
-                if u in vertices and v in vertices]
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"

@@ -135,9 +135,11 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
         pipeline_stats.setdefault("inner_calls", []).append(stats)
         return sol
 
+    opt: Optional[int] = None       # set when the solve itself is exact
     if config.mode == "exact":
         sol = oracle.exact_min_2ecss(g, limit=max(params.oracle_limit, g.n))
         report.branch = "exact"
+        opt = len(sol)
     elif config.mode in ("few", "many"):
         sol, stats = cover_pipeline(g, params, mode=config.mode, strict=False)
         pipeline_stats["main"] = stats
@@ -145,6 +147,8 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
     else:
         sol, trace = red(g, params, inner=inner)
         report.trace = trace.to_json()
+        if trace.step == "BruteForce":
+            opt = len(sol)
         # audit sidecar: exercise the cover machinery on the whole instance
         # and keep its solution when it happens to win
         try:
@@ -176,12 +180,15 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
         raise RuntimeError(f"solver produced an infeasible solution: {ver}")
     report.solution_size = len(sol)
     if config.with_oracle:
-        try:
-            report.opt = len(oracle.exact_min_2ecss(
-                g, limit=max(params.oracle_limit, g.n)))
-            report.ratio = Fraction(len(sol), report.opt)
-        except oracle.TooLarge:
-            report.opt = None
+        if opt is None:
+            try:
+                opt = len(oracle.exact_min_2ecss(
+                    g, limit=max(params.oracle_limit, g.n)))
+            except oracle.TooLarge:
+                pass
+        report.opt = opt
+        if opt is not None:
+            report.ratio = Fraction(len(sol), opt)
     report.wall_time = time.time() - t0
     return sol, report
 

@@ -3,7 +3,7 @@ preprocessing base cases."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .graph import (MultiGraph, connected_components, find_bridges,
                     is_two_edge_connected)
@@ -71,6 +71,73 @@ def _two_ec_on(g: MultiGraph, eids: Iterable[int]) -> bool:
     return not find_bridges(g, eids)
 
 
+def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
+            leaf_ok: Callable[[list[int]], bool], exhausted: str,
+            node_budget: int) -> Optional[set[int]]:
+    """Smallest ``leaf_ok`` subset of ``pool`` that contains ``forced``, by
+    branch and bound over ``free`` (include first, in list order).
+
+    Each node does O(1) bookkeeping.  ``need`` is the total degree deficit
+    sum(max(0, 2 - deg[v])), and every included edge lowers it by at most 2,
+    which gives the bound.  ``slack[v]`` is deg[v] plus the undecided edges
+    at v; a node is infeasible once some slack is below 2.  Including an
+    edge leaves every slack unchanged and excluding it lowers two, so only
+    the exclude step can make a node infeasible, and only at its endpoints.
+    """
+    best: Optional[set[int]] = None
+    best_size = len(pool) + 1
+    if leaf_ok(pool):
+        best = set(pool)
+        best_size = len(pool)
+
+    chosen = sorted(forced)
+    deg = [0] * g.n
+    for eid in chosen:
+        u, v = g.edges[eid]
+        deg[u] += 1
+        deg[v] += 1
+    ends = [g.edges[eid] for eid in free]
+    slack = list(deg)
+    for u, v in ends:
+        slack[u] += 1
+        slack[v] += 1
+    nodes = 0
+
+    def rec(i: int, need: int, feasible: bool) -> None:
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise TooLarge(exhausted)
+        size = len(chosen)
+        if size + (need + 1) // 2 >= best_size:
+            return
+        if i == len(free):
+            if need == 0 and leaf_ok(chosen):
+                best = set(chosen)
+                best_size = size
+            return
+        if not feasible:
+            return
+        u, v = ends[i]
+        # include first: with ids ascending this explores lexicographically
+        lifted = (deg[u] < 2) + (deg[v] < 2)
+        deg[u] += 1
+        deg[v] += 1
+        chosen.append(free[i])
+        rec(i + 1, need - lifted, True)
+        chosen.pop()
+        deg[u] -= 1
+        deg[v] -= 1
+        slack[u] -= 1
+        slack[v] -= 1
+        rec(i + 1, need, slack[u] >= 2 and slack[v] >= 2)
+        slack[u] += 1
+        slack[v] += 1
+
+    rec(0, sum(max(0, 2 - d) for d in deg), all(s >= 2 for s in slack))
+    return best
+
+
 def exact_min_2ecss(g: MultiGraph, limit: int = DEFAULT_LIMIT,
                     node_budget: int = 4_000_000) -> set[int]:
     """Minimum-cardinality 2EC spanning subgraph by branch and bound.
@@ -95,66 +162,39 @@ def exact_min_2ecss(g: MultiGraph, limit: int = DEFAULT_LIMIT,
     if g.n > limit and len(free) > MAX_FREE_EDGES:
         raise TooLarge(f"n={g.n} with {len(free)} free edges exceeds the oracle cap")
 
-    adj_count = [0] * g.n
-
-    best: Optional[set[int]] = None
-    best_size = len(pool) + 1
-    if _two_ec_on(g, pool):
-        best = set(pool)
-        best_size = len(pool)
-
-    base = sorted(forced)
-    nodes = 0
-
-    def lower_bound(deg: list[int]) -> int:
-        need = sum(max(0, 2 - d) for d in deg)
-        return (need + 1) // 2
-
-    def rec(i: int, chosen: list[int], deg: list[int]) -> None:
-        nonlocal best, best_size, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise TooLarge("oracle search budget exhausted")
-        size = len(chosen)
-        if size + lower_bound(deg) >= best_size:
-            return
-        if i == len(free):
-            if all(d >= 2 for d in deg) and _two_ec_on(g, chosen):
-                best = set(chosen)
-                best_size = size
-            return
-        remaining = free[i:]
-        # feasibility: remaining edges must be able to lift all deficits
-        deficit = [max(0, 2 - d) for d in deg]
-        if sum(deficit) > 0:
-            gain = [0] * g.n
-            for eid in remaining:
-                u, v = g.edges[eid]
-                gain[u] += 1
-                gain[v] += 1
-            if any(gain[v] < deficit[v] for v in range(g.n)):
-                return
-        eid = free[i]
-        u, v = g.edges[eid]
-        # include first: with ids ascending this explores lexicographically
-        deg[u] += 1
-        deg[v] += 1
-        chosen.append(eid)
-        rec(i + 1, chosen, deg)
-        chosen.pop()
-        deg[u] -= 1
-        deg[v] -= 1
-        rec(i + 1, chosen, deg)
-
-    deg0 = [0] * g.n
-    for eid in base:
-        u, v = g.edges[eid]
-        deg0[u] += 1
-        deg0[v] += 1
-    rec(0, list(base), deg0)
+    best = _search(g, pool, forced, free, lambda eids: _two_ec_on(g, eids),
+                   "oracle search budget exhausted", node_budget)
     if best is None:
         raise NotTwoEdgeConnected("no 2EC spanning subgraph found")
     return best
+
+
+def _cover_ok(g: MultiGraph, forbidden: frozenset[int], eids: list[int]) -> bool:
+    """Every vertex has degree >= 2 in ``eids`` and no component is a cycle
+    whose length is in ``forbidden``."""
+    deg = [0] * g.n
+    for eid in eids:
+        u, v = g.edges[eid]
+        deg[u] += 1
+        deg[v] += 1
+    if any(d < 2 for d in deg):
+        return False
+    if forbidden:
+        comps = connected_components(g, eids)
+        edge_count: dict[int, int] = {}
+        comp_of = [0] * g.n
+        for ci, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = ci
+        for eid in eids:
+            edge_count[comp_of[g.edges[eid][0]]] = \
+                edge_count.get(comp_of[g.edges[eid][0]], 0) + 1
+        for ci, comp in enumerate(comps):
+            k = len(comp)
+            if k in forbidden and edge_count.get(ci, 0) == k \
+                    and all(deg[v] == 2 for v in comp):
+                return False
+    return True
 
 
 def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozenset(),
@@ -179,80 +219,8 @@ def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozen
     if g.n > limit and len(free) > MAX_FREE_EDGES:
         raise TooLarge(f"n={g.n} with {len(free)} free edges exceeds the oracle cap")
 
-    def cover_ok(eids: list[int]) -> bool:
-        deg = [0] * g.n
-        for eid in eids:
-            u, v = g.edges[eid]
-            deg[u] += 1
-            deg[v] += 1
-        if any(d < 2 for d in deg):
-            return False
-        if forbidden:
-            comps = connected_components(g, eids)
-            edge_count: dict[int, int] = {}
-            comp_of = [0] * g.n
-            for ci, comp in enumerate(comps):
-                for v in comp:
-                    comp_of[v] = ci
-            for eid in eids:
-                edge_count[comp_of[g.edges[eid][0]]] = \
-                    edge_count.get(comp_of[g.edges[eid][0]], 0) + 1
-            for ci, comp in enumerate(comps):
-                k = len(comp)
-                if k in forbidden and edge_count.get(ci, 0) == k \
-                        and all(deg[v] == 2 for v in comp):
-                    return False
-        return True
-
-    best: Optional[set[int]] = None
-    best_size = len(pool) + 1
-    if cover_ok(pool):
-        best = set(pool)
-        best_size = len(pool)
-    base = sorted(forced)
-    nodes = 0
-
-    def rec(i: int, chosen: list[int], deg: list[int]) -> None:
-        nonlocal best, best_size, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise TooLarge("cover search budget exhausted")
-        size = len(chosen)
-        need = sum(max(0, 2 - d) for d in deg)
-        if size + (need + 1) // 2 >= best_size:
-            return
-        if i == len(free):
-            if need == 0 and cover_ok(chosen):
-                best = set(chosen)
-                best_size = size
-            return
-        remaining = free[i:]
-        deficit = [max(0, 2 - d) for d in deg]
-        if need > 0:
-            gain = [0] * g.n
-            for eid in remaining:
-                u, v = g.edges[eid]
-                gain[u] += 1
-                gain[v] += 1
-            if any(gain[v] < deficit[v] for v in range(g.n)):
-                return
-        eid = free[i]
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
-        chosen.append(eid)
-        rec(i + 1, chosen, deg)
-        chosen.pop()
-        deg[u] -= 1
-        deg[v] -= 1
-        rec(i + 1, chosen, deg)
-
-    deg0 = [0] * g.n
-    for eid in base:
-        u, v = g.edges[eid]
-        deg0[u] += 1
-        deg0[v] += 1
-    rec(0, list(base), deg0)
+    best = _search(g, pool, forced, free, lambda eids: _cover_ok(g, forbidden, eids),
+                   "cover search budget exhausted", node_budget)
     if best is None:
         raise Infeasible("no feasible cover under the forbidden-cycle rule")
     return best

@@ -41,6 +41,7 @@ def non_hub_cover(g: MultiGraph, hub_len: int) -> set[int]:
 # 1. feasibility + ratio sweep
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_1_ratio_sweep():
     t0 = time.time()
     stepped = 0
@@ -354,6 +355,7 @@ def test_criterion_8_many_bound():
 # 9. preprocessing invariant and branch coverage
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_9_preprocessing():
     from tests.test_preprocess import (EXPECTED_BRANCH, audit_invariant,
                                        branch_labels, inner_oracle)

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from twoec import harness
+from twoec import harness, oracle
 from twoec.cli import main as cli_main
 from twoec.graph import GraphError, MultiGraph
 
@@ -80,6 +81,28 @@ def test_solve_petersen():
     sol, rep = harness.solve(g, harness.SolverConfig(profile="desk",
                                                      with_oracle=True))
     assert rep.solution_size == 11 and rep.ratio == 1
+
+
+@pytest.mark.parametrize("mode", ["auto", "exact", "few"])
+def test_opt_computed_once(mode, monkeypatch):
+    """An exact solve (exact mode, or an auto-mode trace whose root is
+    BruteForce) is its own OPT; FEW still asks the oracle for it."""
+    g = harness.generate("random2ec", seed=3, n=10, p=0.3)
+    opt = len(oracle.exact_min_2ecss(g))
+    calls = []
+    real = oracle.exact_min_2ecss
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(oracle, "exact_min_2ecss", counting)
+    sol, rep = harness.solve(g, harness.SolverConfig(profile="desk", mode=mode,
+                                                     with_oracle=True))
+    assert len(calls) == 1
+    assert rep.opt == opt and rep.ratio == Fraction(len(sol), opt)
+    if mode == "auto":
+        assert rep.trace["step"] == "BruteForce"
 
 
 def test_determinism_same_seed():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoec.gadgets import random2ec
 from twoec.graph import MultiGraph, is_two_edge_connected
-from twoec.oracle import (Infeasible, NotTwoEdgeConnected, exact_min_2ecss,
-                          exact_min_cover, is_alpha_contractible,
-                          minimal_2ecss_witness, _two_ec_on)
+from twoec.oracle import (Infeasible, NotTwoEdgeConnected, TooLarge,
+                          _cover_ok, _forced_edges, _simplify, _two_ec_on,
+                          exact_min_2ecss, exact_min_cover,
+                          is_alpha_contractible, minimal_2ecss_witness)
 
 
 def cycle_graph(k):
@@ -34,6 +36,114 @@ def naive_min_2ecss(g):
             if _two_ec_on(g, comb):
                 return set(comb)
     return best
+
+
+def _reference_search(g, pool, forced, free, leaf_ok, exhausted, node_budget):
+    """The oracles' branch and bound with the deficit and the suffix gain
+    recounted at every node, O(n + m) each; the oracles must agree with it
+    exactly, TooLarge included."""
+    best = None
+    best_size = len(pool) + 1
+    if leaf_ok(pool):
+        best = set(pool)
+        best_size = len(pool)
+    nodes = 0
+
+    def rec(i, chosen, deg):
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise TooLarge(exhausted)
+        size = len(chosen)
+        need = sum(max(0, 2 - d) for d in deg)
+        if size + (need + 1) // 2 >= best_size:
+            return
+        if i == len(free):
+            if need == 0 and leaf_ok(chosen):
+                best = set(chosen)
+                best_size = size
+            return
+        deficit = [max(0, 2 - d) for d in deg]
+        if need > 0:
+            gain = [0] * g.n
+            for eid in free[i:]:
+                u, v = g.edges[eid]
+                gain[u] += 1
+                gain[v] += 1
+            if any(gain[v] < deficit[v] for v in range(g.n)):
+                return
+        eid = free[i]
+        u, v = g.edges[eid]
+        deg[u] += 1
+        deg[v] += 1
+        chosen.append(eid)
+        rec(i + 1, chosen, deg)
+        chosen.pop()
+        deg[u] -= 1
+        deg[v] -= 1
+        rec(i + 1, chosen, deg)
+
+    base = sorted(forced)
+    deg0 = [0] * g.n
+    for eid in base:
+        u, v = g.edges[eid]
+        deg0[u] += 1
+        deg0[v] += 1
+    rec(0, list(base), deg0)
+    return best
+
+
+def reference_min_2ecss(g, node_budget=4_000_000):
+    """``exact_min_2ecss`` on a 2EC graph with n >= 3, by the reference search."""
+    pool = _simplify(g)
+    forced = _forced_edges(g, pool)
+    free = [e for e in pool if e not in forced]
+    best = _reference_search(g, pool, forced, free,
+                             lambda eids: _two_ec_on(g, eids),
+                             "oracle search budget exhausted", node_budget)
+    if best is None:
+        raise NotTwoEdgeConnected("no 2EC spanning subgraph found")
+    return best
+
+
+def reference_min_cover(g, forbidden=frozenset(), node_budget=4_000_000):
+    """``exact_min_cover`` on a graph of minimum degree >= 2, by the
+    reference search."""
+    forbidden = frozenset(forbidden)
+    pool = _simplify(g)
+    forced = _forced_edges(g, pool)
+    free = [e for e in pool if e not in forced]
+    best = _reference_search(g, pool, forced, free,
+                             lambda eids: _cover_ok(g, forbidden, eids),
+                             "cover search budget exhausted", node_budget)
+    if best is None:
+        raise Infeasible("no feasible cover under the forbidden-cycle rule")
+    return best
+
+
+def outcome(f, *args, **kw):
+    try:
+        return sorted(f(*args, **kw))
+    except (TooLarge, Infeasible) as exc:
+        return type(exc).__name__, str(exc)
+
+
+DIFF_GRAPHS = [(n, p, seed) for seed, (n, p) in enumerate(
+    itertools.product(range(5, 12), (0.3, 0.6, 0.9)))]
+BUDGETS = (5, 40, 300, 4_000_000)
+
+
+@pytest.mark.parametrize("n,p,seed", DIFF_GRAPHS)
+def test_oracles_match_reference_search(n, p, seed):
+    """Same edge sets, or the same TooLarge/Infeasible outcome, as the
+    per-node reference search at every node budget."""
+    g = random2ec(n, p, seed)
+    for budget in BUDGETS:
+        assert outcome(exact_min_2ecss, g, node_budget=budget) == \
+            outcome(reference_min_2ecss, g, node_budget=budget)
+        for forbidden in (set(), {3}, {3, 4}):
+            assert outcome(exact_min_cover, g, forbidden, node_budget=budget) == \
+                outcome(reference_min_cover, g, forbidden, node_budget=budget)
 
 
 def test_c5_needs_all_edges():
