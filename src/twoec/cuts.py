@@ -1,6 +1,7 @@
 """Priority-ordered scan for the structures a reduced instance must not
 contain, reported as cut descriptors; empty means the graph is structured
-except possibly for contractible subgraphs."""
+except possibly for contractible subgraphs.  The order is the reduction's
+own, ``preprocess.DETECTORS``."""
 from __future__ import annotations
 
 import itertools
@@ -9,10 +10,8 @@ from typing import Optional
 
 from .graph import MultiGraph
 from .params import StructuredParams
-from .preprocess import (_components_without, _grouping, find_cut_vertex,
-                         find_irrelevant_edge, find_large_3vc, find_large_ck,
-                         find_large_4vc, find_loop_or_parallel,
-                         find_non_isolating_2vc)
+from .preprocess import (DETECTORS, _components_without, _grouping,
+                         find_loop_or_parallel)
 
 
 @dataclass
@@ -27,47 +26,41 @@ class CutDescriptor:
     condition: Optional[int] = None
 
 
-def enumerate_cuts(g: MultiGraph, params: StructuredParams,
-                   oracle_limit: int = 14) -> list[CutDescriptor]:
-    """First violating structure in the reduction's checking order, or []."""
-    v = find_cut_vertex(g)
-    if v is not None:
-        comps = _components_without(g, {v})
-        v1 = tuple(comps[0])
+def _sorted_sides(v1, v2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(sorted(v1)), tuple(sorted(v2))
+
+
+def _describe(kind: str, g: MultiGraph, found) -> CutDescriptor:
+    """The descriptor of the witness a detector of this kind returned."""
+    if kind == "Vertex1":
+        comps = _components_without(g, {found})
         v2 = tuple(sorted(x for c in comps[1:] for x in c))
-        return [CutDescriptor(kind="Vertex1", vertices=(v,), sides=(v1, v2))]
-    e = find_loop_or_parallel(g)
-    if e is not None:
-        return [CutDescriptor(kind="LoopOrParallel", edge=e,
-                              vertices=tuple(sorted(set(g.edges[e]))))]
-    e = find_irrelevant_edge(g)
-    if e is not None:
-        return [CutDescriptor(kind="IrrelevantEdge", edge=e,
-                              vertices=tuple(sorted(g.edges[e])))]
-    cut2 = find_non_isolating_2vc(g)
-    if cut2 is not None:
-        grouping = _grouping(g, set(cut2), 1)
-        sides = None
-        if grouping:
-            sides = (tuple(sorted(grouping[0])), tuple(sorted(grouping[1])))
-        return [CutDescriptor(kind="Vertex2", vertices=cut2, sides=sides)]
-    cut3 = find_large_3vc(g, params)
-    if cut3 is not None:
-        trip, v1, v2 = cut3
-        return [CutDescriptor(kind="Vertex3", vertices=trip, large=True,
-                              sides=(tuple(sorted(v1)), tuple(sorted(v2))))]
-    ck = find_large_ck(g, params)
-    if ck is not None:
-        cyc, v1, v2 = ck
-        return [CutDescriptor(kind="CycleCut", vertices=tuple(sorted(cyc)),
-                              cycle_order=tuple(cyc), large=True,
-                              sides=(tuple(sorted(v1)), tuple(sorted(v2))))]
-    c4v = find_large_4vc(g, params, oracle_limit)
-    if c4v is not None:
-        return [CutDescriptor(kind="Vertex4", vertices=c4v["cut"], large=True,
-                              condition=c4v["condition"],
-                              sides=(tuple(sorted(c4v["v1"])),
-                                     tuple(sorted(c4v["v2"]))))]
+        return CutDescriptor(kind, (found,), sides=(tuple(comps[0]), v2))
+    if kind in ("LoopOrParallel", "IrrelevantEdge"):
+        return CutDescriptor(kind, tuple(sorted(set(g.edges[found]))),
+                             edge=found)
+    if kind == "Vertex2":
+        grouping = _grouping(g, set(found), 1)
+        return CutDescriptor(kind, found,
+                             _sorted_sides(*grouping) if grouping else None)
+    if kind == "Vertex4":
+        return CutDescriptor(kind, found["cut"],
+                             _sorted_sides(found["v1"], found["v2"]),
+                             large=True, condition=found["condition"])
+    cut, v1, v2 = found                 # Vertex3 or CycleCut
+    return CutDescriptor(kind, tuple(sorted(cut)), _sorted_sides(v1, v2),
+                         large=True,
+                         cycle_order=tuple(cut) if kind == "CycleCut" else None)
+
+
+def enumerate_cuts(g: MultiGraph, params: StructuredParams) -> list[CutDescriptor]:
+    """First violating structure in the reduction's checking order, or []."""
+    for kind, find, _apply in DETECTORS:
+        if kind == "Contractible":
+            continue                    # not a cut
+        found = find(g, params)
+        if found is not None:
+            return [_describe(kind, g, found)]
     return []
 
 

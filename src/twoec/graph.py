@@ -71,14 +71,6 @@ class MultiGraph:
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]
 
-    def other_end(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        return w if u == v else u
-
-    def copy(self) -> "MultiGraph":
-        return MultiGraph(self.n, list(self.edges),
-                          None if self.origin is None else list(self.origin))
-
     def simple_pairs(self) -> set[tuple[int, int]]:
         return {(u, v) for u, v in self.edges if u != v}
 

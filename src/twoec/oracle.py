@@ -25,17 +25,15 @@ DEFAULT_LIMIT = 14
 MAX_FREE_EDGES = 26
 
 
-def _simplify(g: MultiGraph) -> list[int]:
-    """Edge ids of a simple skeleton: self-loops dropped, one (lowest-id)
-    copy per parallel class."""
-    seen: set[tuple[int, int]] = set()
+def _simplify(g: MultiGraph, copies: int = 1) -> list[int]:
+    """Edge ids of a skeleton: self-loops dropped, the ``copies`` lowest-id
+    edges of each parallel class kept."""
+    seen: dict[tuple[int, int], int] = {}
     keep: list[int] = []
     for eid, (u, v) in enumerate(g.edges):
-        if u == v:
+        if u == v or seen.get((u, v), 0) == copies:
             continue
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
+        seen[(u, v)] = seen.get((u, v), 0) + 1
         keep.append(eid)
     return keep
 
@@ -145,6 +143,10 @@ def exact_min_2ecss(g: MultiGraph, limit: int = DEFAULT_LIMIT,
     Edges incident to degree-2 vertices are forced up front, so sparse
     instances well beyond ``limit`` vertices still solve quickly; the hard
     cap is the number of free (unforced) edges.
+
+    The search runs on the simple skeleton first.  Only when that has no
+    2EC spanning subgraph does it run again with two copies per parallel
+    class: a minimal 2ECSS never needs a third copy.
     """
     if not is_two_edge_connected(g):
         raise NotTwoEdgeConnected(f"{g} is not 2-edge-connected")
@@ -157,16 +159,20 @@ def exact_min_2ecss(g: MultiGraph, limit: int = DEFAULT_LIMIT,
         return set(ids[:2])
 
     pool = _simplify(g)
-    forced = _forced_edges(g, pool)
-    free = [e for e in pool if e not in forced]
-    if g.n > limit and len(free) > MAX_FREE_EDGES:
-        raise TooLarge(f"n={g.n} with {len(free)} free edges exceeds the oracle cap")
-
-    best = _search(g, pool, forced, free, lambda eids: _two_ec_on(g, eids),
-                   "oracle search budget exhausted", node_budget)
-    if best is None:
-        raise NotTwoEdgeConnected("no 2EC spanning subgraph found")
-    return best
+    while True:
+        forced = _forced_edges(g, pool)
+        free = [e for e in pool if e not in forced]
+        if g.n > limit and len(free) > MAX_FREE_EDGES:
+            raise TooLarge(f"n={g.n} with {len(free)} free edges exceeds the oracle cap")
+        best = _search(g, pool, forced, free, lambda eids: _two_ec_on(g, eids),
+                       "oracle search budget exhausted", node_budget)
+        if best is not None:
+            return best
+        wider = _simplify(g, copies=2)
+        if len(wider) == len(pool):     # no parallel copy left to add
+            break
+        pool = wider
+    raise NotTwoEdgeConnected("no 2EC spanning subgraph found")
 
 
 def _cover_ok(g: MultiGraph, forbidden: frozenset[int], eids: list[int]) -> bool:

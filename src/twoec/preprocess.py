@@ -1,26 +1,28 @@
 """The recursive reduction to structured instances.
 
-``red`` checks, in order: base size, 1-vertex cuts, self-loops/parallel
-edges, small contractible subgraphs, irrelevant edges, non-isolating
-2-vertex cuts, large 3-vertex cuts, large cycle cuts (k = 4..8), and large
-4-vertex cuts; whatever survives is handed to the inner solver.  Every step
-records a trace node sufficient to audit the size invariant afterwards.
+``red`` solves an instance of base size exactly.  Above it, the first entry
+of ``DETECTORS`` (the checking order) whose finder fires reduces the graph,
+and an instance that no entry matches is handed to the inner solver.  Every
+step records a trace node sufficient to audit the size invariant afterwards.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import oracle
-from .graph import (MultiGraph, connected_components, find_bridges,
+from .graph import (MultiGraph, connected_components, contract, find_bridges,
                     is_two_edge_connected, simple_cycles_upto)
 from .params import StructuredParams
 
 # 2-vertex-cut and 3-vertex-cut solution types, strongest first
 T2_ORDER = ["A", "B", "C"]
 T3_ORDER = ["A", "B1", "B2", "C1", "C2", "C3"]
+
+# cycles of length <= 8 listed by one large-cycle-cut scan
+CYCLE_CAP = 40000
 
 
 class ReductionError(RuntimeError):
@@ -143,9 +145,9 @@ def find_large_3vc(g: MultiGraph, params: StructuredParams
     return None
 
 
-def find_large_ck(g: MultiGraph, params: StructuredParams, cycle_cap: int = 40000
+def find_large_ck(g: MultiGraph, params: StructuredParams
                   ) -> Optional[tuple[list[int], set[int], set[int]]]:
-    cycles = simple_cycles_upto(g, 8, limit=cycle_cap)
+    cycles = simple_cycles_upto(g, 8, limit=CYCLE_CAP)
     by_len = sorted((c for c in cycles if len(c) >= 4),
                     key=lambda c: (len(c), c))
     for cyc in by_len:
@@ -157,8 +159,7 @@ def find_large_ck(g: MultiGraph, params: StructuredParams, cycle_cap: int = 4000
     return None
 
 
-def find_large_4vc(g: MultiGraph, params: StructuredParams,
-                   oracle_limit: int) -> Optional[dict]:
+def find_large_4vc(g: MultiGraph, params: StructuredParams) -> Optional[dict]:
     t1 = params.four_cut_side_2
     for quad in itertools.combinations(range(g.n), 4):
         cut = set(quad)
@@ -177,9 +178,9 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams,
             continue
         # conservative condition-2 test: an optimal closure of the small side
         # plus at most 4 patch edges must fit in the alpha budget
-        g1p = _contracted_side(g, v1, quad)[0]
+        g1p = _contracted_side(g, v1, quad)
         try:
-            opt1 = len(oracle.exact_min_2ecss(g1p, limit=oracle_limit))
+            opt1 = len(oracle.exact_min_2ecss(g1p, limit=params.oracle_limit))
         except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
             continue
         if Fraction(opt1 + 4) <= params.alpha * opt1:
@@ -202,7 +203,7 @@ def find_contractible(g: MultiGraph, params: StructuredParams
         seen.add(w)
         inside = [eid for eid, (u, v) in enumerate(g.edges)
                   if u in w and v in w and u != v]
-        sub, emap = _induced_side(g, set(w), set())
+        sub = _side_graph(g, set(w), set())
         try:
             opt_local = oracle.exact_min_2ecss(sub, limit=16)
         except (oracle.NotTwoEdgeConnected, oracle.TooLarge):
@@ -210,7 +211,7 @@ def find_contractible(g: MultiGraph, params: StructuredParams
         removable = oracle.max_removable_inside(g, inside)
         min_inside = len(inside) - removable
         if Fraction(min_inside) >= Fraction(len(opt_local)) / params.alpha:
-            opt_parent = {emap[e] for e in opt_local}
+            opt_parent = {sub.origin[e] for e in opt_local}
             return set(w), opt_parent
     return None
 
@@ -219,45 +220,13 @@ def find_contractible(g: MultiGraph, params: StructuredParams
 # graph builders (children carry parent edge ids as origins; dummies None)
 # ---------------------------------------------------------------------------
 
-def _induced_side(g: MultiGraph, v1: set[int], cut: set[int],
-                  drop_cut_edges: bool = False
-                  ) -> tuple[MultiGraph, list[Optional[int]]]:
-    verts = sorted(v1 | cut)
-    idx = {v: i for i, v in enumerate(verts)}
-    edges = []
-    origin: list[Optional[int]] = []
-    for eid, (u, v) in enumerate(g.edges):
-        if u in idx and v in idx:
-            if drop_cut_edges and u in cut and v in cut:
-                continue
-            edges.append((idx[u], idx[v]))
-            origin.append(eid)
-    child = MultiGraph(len(verts), edges)
-    child.origin = origin
-    return child, origin
-
-
-def _contracted_side(g: MultiGraph, v1: set[int], cut) -> tuple[MultiGraph, dict]:
-    """G[V1 ∪ cut] | cut, with parent edge ids as origins."""
-    cut = set(cut)
-    side, _ = _induced_side(g, v1, cut)
-    sidx = sorted(v1 | cut)
-    local_cut = {i for i, v in enumerate(sidx) if v in cut}
-    from .graph import contract
-    child, _ = contract(side, local_cut)
-    # compose: contract kept side's origins
-    return child, {"side_vertices": sidx}
-
-
-def _with_dummies(g: MultiGraph, base_vertices: set[int], cut: set[int],
-                  dummy_edges: list[tuple[str, str]],
-                  drop_cut_edges: bool = True
-                  ) -> tuple[MultiGraph, dict[str, int]]:
-    """Induced side graph plus named dummy vertices and dummy edges (origin
+def _side_graph(g: MultiGraph, verts: set[int], cut: set[int],
+                dummy_edges: Sequence[tuple] = (), drop_cut_edges: bool = False
+                ) -> MultiGraph:
+    """G[verts ∪ cut] plus named dummy vertices and dummy edges (origin
     None).  Names in ``dummy_edges`` refer to cut vertices (ints) or dummy
     names (strings)."""
-    verts = sorted(base_vertices | cut)
-    idx: dict = {v: i for i, v in enumerate(verts)}
+    idx: dict = {v: i for i, v in enumerate(sorted(verts | cut))}
     edges = []
     origin: list[Optional[int]] = []
     for eid, (u, v) in enumerate(g.edges):
@@ -266,21 +235,23 @@ def _with_dummies(g: MultiGraph, base_vertices: set[int], cut: set[int],
                 continue
             edges.append((idx[u], idx[v]))
             origin.append(eid)
-    names: dict[str, int] = {}
-    nxt = len(verts)
     for a, b in dummy_edges:
         for x in (a, b):
-            if isinstance(x, str) and x not in names:
-                names[x] = nxt
-                nxt += 1
-    for a, b in dummy_edges:
-        ia = names[a] if isinstance(a, str) else idx[a]
-        ib = names[b] if isinstance(b, str) else idx[b]
-        edges.append((ia, ib))
+            if x not in idx:
+                idx[x] = len(idx)
+        edges.append((idx[a], idx[b]))
         origin.append(None)
-    child = MultiGraph(nxt, edges)
+    child = MultiGraph(len(idx), edges)
     child.origin = origin
-    return child, names
+    return child
+
+
+def _contracted_side(g: MultiGraph, v1: set[int], cut) -> MultiGraph:
+    """G[V1 ∪ cut] | cut, with parent edge ids as origins."""
+    cut = set(cut)
+    side = _side_graph(g, v1, cut)
+    local_cut = {i for i, v in enumerate(sorted(v1 | cut)) if v in cut}
+    return contract(side, local_cut)[0]
 
 
 def _map_back(child: MultiGraph, sol: set[int]) -> set[int]:
@@ -293,15 +264,11 @@ def _map_back(child: MultiGraph, sol: set[int]) -> set[int]:
     return out
 
 
-def _two_ec_subset(g: MultiGraph, eids: set[int]) -> bool:
-    return oracle._two_ec_on(g, eids)
-
-
 def min_augment_to_2ec(g: MultiGraph, base: set[int], max_size: int,
                        pool: Optional[list[int]] = None) -> Optional[set[int]]:
     """Smallest F (connect greedily, then patch up to 2 edges) such that
     base ∪ F is 2EC spanning."""
-    if _two_ec_subset(g, base):
+    if oracle._two_ec_on(g, base):
         return set()
     if pool is None:
         pool = [e for e in range(g.m) if e not in base
@@ -331,14 +298,14 @@ def min_augment_to_2ec(g: MultiGraph, base: set[int], max_size: int,
             return None
         if len(chosen) > max_size:
             return None
-    if _two_ec_subset(g, cur):
+    if oracle._two_ec_on(g, cur):
         return set(chosen)
     rest = [e for e in pool if e not in cur]
     for size in (1, 2, 3):
         if len(chosen) + size > max_size:
             break
         for comb in itertools.combinations(rest, size):
-            if _two_ec_subset(g, cur | set(comb)):
+            if oracle._two_ec_on(g, cur | set(comb)):
                 return set(chosen) | set(comb)
     return None
 
@@ -649,16 +616,49 @@ def classify_side_types(g: MultiGraph, v1: set[int], cut: list[int],
 
 
 # ---------------------------------------------------------------------------
+# the checking order
+# ---------------------------------------------------------------------------
+
+# (kind, find, apply), tried in this order: ``find(g, params)`` returns a
+# witness or None, and ``apply(reducer, g, witness)`` reduces on the first
+# witness found.  ``cuts.enumerate_cuts`` walks the same list.  The lambdas
+# look finders and reducer methods up when called, so a wrapper installed on
+# the module global or on the class sees every call.
+DETECTORS: list[tuple[str, Callable, Callable]] = [
+    ("Vertex1", lambda g, p: find_cut_vertex(g),
+     lambda r, g, v: r.split_cut_vertex(g, v)),
+    ("LoopOrParallel", lambda g, p: find_loop_or_parallel(g),
+     lambda r, g, e: r.drop_edge(g, e, "DropLoopOrParallel")),
+    ("Contractible", lambda g, p: find_contractible(g, p),
+     lambda r, g, found: r.contract_part(g, *found)),
+    ("IrrelevantEdge", lambda g, p: find_irrelevant_edge(g),
+     lambda r, g, e: r.drop_edge(g, e, "DropIrrelevant")),
+    ("Vertex2", lambda g, p: find_non_isolating_2vc(g),
+     lambda r, g, cut: r.remove_2vc(g, cut)),
+    ("Vertex3", lambda g, p: find_large_3vc(g, p),
+     lambda r, g, found: r.remove_3vc(g, *found)),
+    ("CycleCut", lambda g, p: find_large_ck(g, p),
+     lambda r, g, found: r.remove_ck_cut(g, *found)),
+    ("Vertex4", lambda g, p: find_large_4vc(g, p),
+     lambda r, g, info: r.remove_4vc(g, info)),
+]
+
+
+# ---------------------------------------------------------------------------
 # the reducer
 # ---------------------------------------------------------------------------
 
+def _step(sol: set[int], step: str, g: MultiGraph, detail: dict,
+          children: Sequence[TraceNode] = ()) -> tuple[set[int], TraceNode]:
+    """``sol`` with the trace node of the step on ``g`` that produced it."""
+    return sol, TraceNode(step, g.n, g.m, detail, list(children), len(sol))
+
+
 class Reducer:
     def __init__(self, params: StructuredParams,
-                 inner: Optional[Callable[[MultiGraph], set[int]]] = None,
-                 oracle_limit: Optional[int] = None):
+                 inner: Optional[Callable[[MultiGraph], set[int]]] = None):
         self.params = params
         self.inner = inner
-        self.oracle_limit = oracle_limit or params.oracle_limit
 
     # -- public entry -------------------------------------------------------
 
@@ -672,82 +672,65 @@ class Reducer:
     def _red(self, g: MultiGraph) -> tuple[set[int], TraceNode]:
         p = self.params
         if p.is_base_size(g.n):
-            sol = oracle.exact_min_2ecss(g, limit=max(self.oracle_limit, g.n))
-            node = TraceNode("BruteForce", g.n, g.m, {"size": len(sol)})
-            node.result_size = len(sol)
-            return sol, node
-
-        v = find_cut_vertex(g)
-        if v is not None:
-            comps = _components_without(g, {v})
-            v1 = set(comps[0])
-            v2 = {x for c in comps[1:] for x in c}
-            s1, e1 = _induced_side(g, v1, {v})
-            s2, e2 = _induced_side(g, v2, {v})
-            r1, t1 = self._red(s1)
-            r2, t2 = self._red(s2)
-            sol = _map_back(s1, r1) | _map_back(s2, r2)
-            node = TraceNode("SplitCutVertex", g.n, g.m, {"cut": [v]},
-                             [t1, t2])
-            node.result_size = len(sol)
-            return sol, node
-
-        e = find_loop_or_parallel(g)
-        if e is not None:
-            child = _drop_edge(g, e)
-            r, t = self._red(child)
-            sol = _map_back(child, r)
-            node = TraceNode("DropLoopOrParallel", g.n, g.m, {"edge": e}, [t])
-            node.result_size = len(sol)
-            return sol, node
-
-        found = find_contractible(g, p)
-        if found is not None:
-            w, opt_edges = found
-            from .graph import contract
-            child, _ = contract(g, w)
-            child.origin = list(range(g.m))   # immediate-parent edge ids
-            r, t = self._red(child)
-            sol = _map_back(child, r) | opt_edges
-            node = TraceNode("ContractContractible", g.n, g.m,
-                             {"vertices": sorted(w), "kept": len(opt_edges)}, [t])
-            node.result_size = len(sol)
-            return sol, node
-
-        e = find_irrelevant_edge(g)
-        if e is not None:
-            child = _drop_edge(g, e)
-            r, t = self._red(child)
-            sol = _map_back(child, r)
-            node = TraceNode("DropIrrelevant", g.n, g.m, {"edge": e}, [t])
-            node.result_size = len(sol)
-            return sol, node
-
-        cut2 = find_non_isolating_2vc(g)
-        if cut2 is not None:
-            return self.remove_2vc(g, cut2)
-
-        cut3 = find_large_3vc(g, p)
-        if cut3 is not None:
-            trip, v1, v2 = cut3
-            return self.remove_3vc(g, trip, v1, v2)
-
-        ck = find_large_ck(g, p)
-        if ck is not None:
-            cyc, v1, v2 = ck
-            return self.remove_ck_cut(g, cyc, v1, v2)
-
-        c4v = find_large_4vc(g, p, self.oracle_limit)
-        if c4v is not None:
-            return self.remove_4vc(g, c4v)
-
+            sol = oracle.exact_min_2ecss(g, limit=max(p.oracle_limit, g.n))
+            return _step(sol, "BruteForce", g, {"size": len(sol)})
+        for _kind, find, apply in DETECTORS:
+            found = find(g, p)
+            if found is not None:
+                return apply(self, g, found)
         if self.inner is None:
             raise ReductionError(
                 f"structured instance with n={g.n} but no inner solver")
-        sol = self.inner(g)
-        node = TraceNode("CallInner", g.n, g.m, {})
-        node.result_size = len(sol)
-        return sol, node
+        return _step(self.inner(g), "CallInner", g, {})
+
+    def _reduce_child(self, child: MultiGraph) -> tuple[set[int], TraceNode]:
+        """The child's solution in parent edge ids (dummy edges dropped), and
+        its trace."""
+        r, t = self._red(child)
+        return _map_back(child, r), t
+
+    def _split_and_rejoin(self, g: MultiGraph, cut, v1: set[int], v2: set[int],
+                          budget: Optional[int] = None, case: str = ""
+                          ) -> tuple[set[int], set[int], list[TraceNode]]:
+        """Reduce G[V1 ∪ cut] | cut and G[V2 ∪ cut] | cut, map both back
+        and, given a ``budget``, join them with at most that many edges.
+        Returns (solution, joining edges, the two child traces)."""
+        h1, t1 = self._reduce_child(_contracted_side(g, v1, cut))
+        h2, t2 = self._reduce_child(_contracted_side(g, v2, cut))
+        f: Optional[set[int]] = set()
+        if budget is not None:
+            f = min_augment_to_2ec(g, h1 | h2, budget)
+            if f is None:
+                raise ReductionError(f"no joining edges for the {case}")
+        return h1 | h2 | f, f, [t1, t2]
+
+    # -- cut vertices, dropped edges and contractible parts ------------------
+
+    def split_cut_vertex(self, g: MultiGraph, v: int
+                         ) -> tuple[set[int], TraceNode]:
+        comps = _components_without(g, {v})
+        v1 = set(comps[0])
+        v2 = {x for c in comps[1:] for x in c}
+        h1, t1 = self._reduce_child(_side_graph(g, v1, {v}))
+        h2, t2 = self._reduce_child(_side_graph(g, v2, {v}))
+        return _step(h1 | h2, "SplitCutVertex", g, {"cut": [v]}, [t1, t2])
+
+    def drop_edge(self, g: MultiGraph, e: int, step: str
+                  ) -> tuple[set[int], TraceNode]:
+        child = MultiGraph(g.n, [uv for i, uv in enumerate(g.edges) if i != e])
+        child.origin = [i for i in range(g.m) if i != e]
+        h, t = self._reduce_child(child)
+        return _step(h, step, g, {"edge": e}, [t])
+
+    def contract_part(self, g: MultiGraph, w: set[int], kept: set[int],
+                      **via) -> tuple[set[int], TraceNode]:
+        """Contract ``w`` to one vertex and add ``kept``, an optimal edge set
+        inside it, to the child's solution."""
+        child, _ = contract(g, w)
+        child.origin = list(range(g.m))   # immediate-parent edge ids
+        h, t = self._reduce_child(child)
+        return _step(h | set(kept), "ContractContractible", g,
+                     {"vertices": sorted(w), "kept": len(kept), **via}, [t])
 
     # -- algorithm 2: non-isolating 2-vertex cuts ---------------------------
 
@@ -762,21 +745,11 @@ class Reducer:
         if len(v1) > len(v2):
             v1, v2 = v2, v1
         if Fraction(len(v1)) > p.size_floor:
-            g1p, _ = _contracted_side(g, v1, {u, v})
-            g2p, _ = _contracted_side(g, v2, {u, v})
-            r1, t1 = self._red(g1p)
-            r2, t2 = self._red(g2p)
-            h1 = _map_back(g1p, r1)
-            h2 = _map_back(g2p, r2)
-            f = min_augment_to_2ec(g, h1 | h2, 2)
-            if f is None:
-                raise ReductionError("no joining edges for the 2VC both-large case")
-            sol = h1 | h2 | f
-            node = TraceNode("Remove2VC", g.n, g.m,
-                             {"cut": [u, v], "branch": "both-large",
-                              "f_edges": sorted(f)}, [t1, t2])
-            node.result_size = len(sol)
-            return sol, node
+            sol, f, children = self._split_and_rejoin(
+                g, {u, v}, v1, v2, 2, "2VC both-large case")
+            return _step(sol, "Remove2VC", g,
+                         {"cut": [u, v], "branch": "both-large",
+                          "f_edges": sorted(f)}, children)
         avail2 = side2_availability(g, v2, [u, v])
         allowed = {t for t in T2_ORDER if COMPATIBLE[t] & avail2}
         table = classify_side_types(g, v1, [u, v])
@@ -785,53 +758,27 @@ class Reducer:
             # every completion spends at least opt_1^A inside the side, so
             # the side is alpha-contractible (the short-cycle candidate scan
             # cannot see subgraphs this large)
-            return self._contract_type_a_side(g, v1, {u, v}, opt_min)
-        if t_min == "B":
-            child, names = _with_dummies(g, v2, {u, v},
-                                         [(u, "w"), (v, "w")],
-                                         drop_cut_edges=True)
-            r, t = self._red(child)
-            h2 = _map_back(child, r)
-            sol = set(opt_min) | h2
-            branch = "B"
-            f: set[int] = set()
-        elif t_min == "C":
-            child, names = _with_dummies(g, v2, {u, v}, [(u, v)],
-                                         drop_cut_edges=True)
-            r, t = self._red(child)
-            h2 = _map_back(child, r)
-            f = min_augment_to_2ec(g, set(opt_min) | h2, 1) or set()
-            sol = set(opt_min) | h2 | f
-            branch = "C"
-        else:
+            return self.contract_part(g, v1 | {u, v}, opt_min,
+                                      via="type-A-side")
+        if t_min not in ("B", "C"):
             raise ReductionError(f"2VC side admits no feasible type: {table.minima}")
-        if not _two_ec_subset(g, sol):
+        dummies = [(u, "w"), (v, "w")] if t_min == "B" else [(u, v)]
+        h2, t = self._reduce_child(
+            _side_graph(g, v2, {u, v}, dummies, drop_cut_edges=True))
+        f: set[int] = set()
+        if t_min == "C":
+            f = min_augment_to_2ec(g, set(opt_min) | h2, 1) or set()
+        sol = set(opt_min) | h2 | f
+        if not oracle._two_ec_on(g, sol):
             extra = min_augment_to_2ec(g, sol, 2)
             if extra is None:
                 raise ReductionError("2VC reassembly failed")
             sol |= extra
             f = f | extra
-        node = TraceNode("Remove2VC", g.n, g.m,
-                         {"cut": [u, v], "branch": branch,
-                          "opt1": table.opt_size(t_min),
-                          "f_edges": sorted(f)}, [t])
-        node.result_size = len(sol)
-        return sol, node
-
-    def _contract_type_a_side(self, g: MultiGraph, v1: set[int],
-                              cut: set[int], opt_a: set[int]
-                              ) -> tuple[set[int], TraceNode]:
-        w = v1 | cut
-        from .graph import contract
-        child, _ = contract(g, w)
-        child.origin = list(range(g.m))
-        r, t = self._red(child)
-        sol = _map_back(child, r) | set(opt_a)
-        node = TraceNode("ContractContractible", g.n, g.m,
-                         {"vertices": sorted(w), "kept": len(opt_a),
-                          "via": "type-A-side"}, [t])
-        node.result_size = len(sol)
-        return sol, node
+        return _step(sol, "Remove2VC", g,
+                     {"cut": [u, v], "branch": t_min,
+                      "opt1": table.opt_size(t_min),
+                      "f_edges": sorted(f)}, [t])
 
     # -- algorithm 3: large 3-vertex cuts ------------------------------------
 
@@ -842,27 +789,18 @@ class Reducer:
             v1, v2 = v2, v1
         cut = list(trip)
         if Fraction(len(v1)) > p.size_floor:
-            g1p, _ = _contracted_side(g, v1, set(cut))
-            g2p, _ = _contracted_side(g, v2, set(cut))
-            r1, t1 = self._red(g1p)
-            r2, t2 = self._red(g2p)
-            h1 = _map_back(g1p, r1)
-            h2 = _map_back(g2p, r2)
-            f = min_augment_to_2ec(g, h1 | h2, 4)
-            if f is None:
-                raise ReductionError("no joining edges for the 3VC both-large case")
-            sol = h1 | h2 | f
-            node = TraceNode("Remove3VC", g.n, g.m,
-                             {"cut": cut, "branch": "both-large",
-                              "f_edges": sorted(f)}, [t1, t2])
-            node.result_size = len(sol)
-            return sol, node
+            sol, f, children = self._split_and_rejoin(
+                g, cut, v1, v2, 4, "3VC both-large case")
+            return _step(sol, "Remove3VC", g,
+                         {"cut": cut, "branch": "both-large",
+                          "f_edges": sorted(f)}, children)
         avail2 = side2_availability(g, v2, cut)
         allowed = {t for t in T3_ORDER if COMPATIBLE[t] & avail2}
         table = classify_side_types(g, v1, cut, collect_all=True)
         t_min, opt_min = table.t_min(available=allowed)
         if t_min == "A":
-            return self._contract_type_a_side(g, v1, set(cut), opt_min)
+            return self.contract_part(g, v1 | set(cut), opt_min,
+                                      via="type-A-side")
         b1 = table.opt_size("B1") if "B1" in allowed else None
         use_b1 = (b1 is not None and opt_min is not None
                   and b1 <= len(opt_min) + 1)
@@ -880,19 +818,14 @@ class Reducer:
     def _three_vc_contract_branch(self, g, cut, v1, v2, table, typ
                                   ) -> tuple[set[int], TraceNode]:
         opt1 = table.minima[typ]
-        g2p, _ = _contracted_side(g, v2, set(cut))
-        r, t = self._red(g2p)
-        h2 = _map_back(g2p, r)
+        h2, t = self._reduce_child(_contracted_side(g, v2, cut))
         budget = {"B1": 1, "B2": 2, "C1": 2}[typ]
         f = min_augment_to_2ec(g, set(opt1) | h2, budget)
         if f is None:
             f = min_augment_to_2ec(g, set(opt1) | h2, budget + 2) or set()
-        sol = set(opt1) | h2 | f
-        node = TraceNode("Remove3VC", g.n, g.m,
-                         {"cut": list(cut), "branch": typ,
-                          "opt1": len(opt1), "f_edges": sorted(f)}, [t])
-        node.result_size = len(sol)
-        return sol, node
+        return _step(set(opt1) | h2 | f, "Remove3VC", g,
+                     {"cut": list(cut), "branch": typ,
+                      "opt1": len(opt1), "f_edges": sorted(f)}, [t])
 
     def _three_vc_c2(self, g, cut, v1, v2, table) -> tuple[set[int], TraceNode]:
         optima = table.all_optima["C2"]
@@ -923,10 +856,8 @@ class Reducer:
         else:
             subcase = "iii"
             dummies = [(u, "y"), (v, "y"), (w, "y")]
-        child, names = _with_dummies(g, v2, set(cut), dummies,
-                                     drop_cut_edges=True)
-        r, t = self._red(child)
-        h2 = _map_back(child, r)
+        h2, t = self._reduce_child(
+            _side_graph(g, v2, set(cut), dummies, drop_cut_edges=True))
         best_sol = None
         best_f = None
         for opt1 in optima:
@@ -944,15 +875,12 @@ class Reducer:
                     break
         if best_sol is None:
             raise ReductionError("C2 reassembly failed")
-        node = TraceNode("Remove3VC", g.n, g.m,
-                         {"cut": list(cut), "branch": f"C2{subcase}",
-                          "f_edges": sorted(best_f)}, [t])
-        node.result_size = len(best_sol)
-        return best_sol, node
+        return _step(best_sol, "Remove3VC", g,
+                     {"cut": list(cut), "branch": f"C2{subcase}",
+                      "f_edges": sorted(best_f)}, [t])
 
     def _three_vc_c3(self, g, cut, v1, v2, table) -> tuple[set[int], TraceNode]:
         optima = table.all_optima["C3"]
-        u, v, w = cut
         pick = None
         for opt1 in optima:
             for (a, b, c) in itertools.permutations(cut):
@@ -966,22 +894,17 @@ class Reducer:
         if pick is None:
             raise ReductionError("no C3 solution with connecting edges")
         opt1, (a, b, c), e_ab, e_bc = pick
-        child, names = _with_dummies(g, v2, set(cut),
-                                     [(a, b), (a, b), (b, c), (b, c)],
-                                     drop_cut_edges=True)
-        r, t = self._red(child)
-        h2 = _map_back(child, r)
+        h2, t = self._reduce_child(
+            _side_graph(g, v2, set(cut), [(a, b), (a, b), (b, c), (b, c)],
+                        drop_cut_edges=True))
         f = min_augment_to_2ec(g, set(opt1) | h2, 4,
                                pool=sorted({e_ab, e_bc} |
                                            set(range(g.m)) - set(opt1) - h2))
         if f is None:
             raise ReductionError("C3 reassembly failed")
-        sol = set(opt1) | h2 | f
-        node = TraceNode("Remove3VC", g.n, g.m,
-                         {"cut": list(cut), "branch": "C3",
-                          "f_edges": sorted(f)}, [t])
-        node.result_size = len(sol)
-        return sol, node
+        return _step(set(opt1) | h2 | f, "Remove3VC", g,
+                     {"cut": list(cut), "branch": "C3",
+                      "f_edges": sorted(f)}, [t])
 
     # -- algorithm 4: large cycle cuts ---------------------------------------
 
@@ -995,16 +918,10 @@ class Reducer:
             if not ids:
                 raise ReductionError("cycle cut vertices do not form a cycle")
             cyc_edges.append(ids[0])
-        g1p, _ = _contracted_side(g, v1, set(cyc))
-        g2p, _ = _contracted_side(g, v2, set(cyc))
-        r1, t1 = self._red(g1p)
-        r2, t2 = self._red(g2p)
-        sol = _map_back(g1p, r1) | _map_back(g2p, r2) | set(cyc_edges)
-        node = TraceNode("RemoveCkCut", g.n, g.m,
-                         {"cut": list(cyc), "k": k,
-                          "cycle_edges": sorted(cyc_edges)}, [t1, t2])
-        node.result_size = len(sol)
-        return sol, node
+        sol, _, children = self._split_and_rejoin(g, cyc, v1, v2)
+        return _step(sol | set(cyc_edges), "RemoveCkCut", g,
+                     {"cut": list(cyc), "k": k,
+                      "cycle_edges": sorted(cyc_edges)}, children)
 
     # -- algorithm 5: large 4-vertex cuts -------------------------------------
 
@@ -1012,51 +929,28 @@ class Reducer:
         cut = set(info["cut"])
         v1, v2 = info["v1"], info["v2"]
         if info["condition"] == 1:
-            g1p, _ = _contracted_side(g, v1, cut)
-            g2p, _ = _contracted_side(g, v2, cut)
-            r1, t1 = self._red(g1p)
-            r2, t2 = self._red(g2p)
-            h1 = _map_back(g1p, r1)
-            h2 = _map_back(g2p, r2)
-            f = min_augment_to_2ec(g, h1 | h2, 2 * 4 - 2)
-            if f is None:
-                raise ReductionError("no joining edges for the 4VC case 1")
-            sol = h1 | h2 | f
-            node = TraceNode("Remove4VC", g.n, g.m,
-                             {"cut": sorted(cut), "branch": "case1",
-                              "f_edges": sorted(f)}, [t1, t2])
-            node.result_size = len(sol)
-            return sol, node
+            sol, f, children = self._split_and_rejoin(
+                g, cut, v1, v2, 2 * 4 - 2, "4VC case 1")
+            return _step(sol, "Remove4VC", g,
+                         {"cut": sorted(cut), "branch": "case1",
+                          "f_edges": sorted(f)}, children)
         # condition 2: recurse on the big side only, close the small side
-        g1p, _ = _contracted_side(g, v1, cut)
-        opt1 = oracle.exact_min_2ecss(g1p, limit=max(self.oracle_limit, g1p.n))
+        g1p = _contracted_side(g, v1, cut)
+        opt1 = oracle.exact_min_2ecss(
+            g1p, limit=max(self.params.oracle_limit, g1p.n))
         opt1_parent = _map_back(g1p, opt1)
-        g2p, _ = _contracted_side(g, v2, cut)
-        r2, t2 = self._red(g2p)
-        h2 = _map_back(g2p, r2)
+        h2, t2 = self._reduce_child(_contracted_side(g, v2, cut))
         budget = int(self.params.alpha * len(opt1))
-        pool = sorted(set(range(g.m)) - h2)
-        z = None
-        base = h2 | opt1_parent
-        extra = min_augment_to_2ec(g, base, budget - len(opt1_parent), pool=pool)
-        if extra is not None:
-            z = opt1_parent | extra
-        if z is None or len(z) > budget:
+        extra = min_augment_to_2ec(g, h2 | opt1_parent,
+                                   budget - len(opt1_parent),
+                                   pool=sorted(set(range(g.m)) - h2))
+        if extra is None or len(opt1_parent | extra) > budget:
             raise ReductionError("no Z within the alpha budget for 4VC case 2")
-        sol = h2 | z
-        node = TraceNode("Remove4VC", g.n, g.m,
-                         {"cut": sorted(cut), "branch": "case2",
-                          "z_size": len(z), "opt1": len(opt1),
-                          "budget": budget}, [t2])
-        node.result_size = len(sol)
-        return sol, node
-
-
-def _drop_edge(g: MultiGraph, eid: int) -> MultiGraph:
-    edges = [e for i, e in enumerate(g.edges) if i != eid]
-    child = MultiGraph(g.n, edges)
-    child.origin = [i for i in range(g.m) if i != eid]
-    return child
+        z = opt1_parent | extra
+        return _step(h2 | z, "Remove4VC", g,
+                     {"cut": sorted(cut), "branch": "case2",
+                      "z_size": len(z), "opt1": len(opt1),
+                      "budget": budget}, [t2])
 
 
 def _c2_path_pair(g: MultiGraph, sol: set[int], verts: set[int],
@@ -1126,11 +1020,10 @@ def _class_connector(g: MultiGraph, sol: set[int], verts: set[int],
 
 
 def red(g: MultiGraph, params: StructuredParams,
-        inner: Optional[Callable[[MultiGraph], set[int]]] = None,
-        oracle_limit: Optional[int] = None) -> tuple[set[int], TraceNode]:
+        inner: Optional[Callable[[MultiGraph], set[int]]] = None
+        ) -> tuple[set[int], TraceNode]:
     """Reduce, solve, reassemble; returns (edge set, trace)."""
-    reducer = Reducer(params, inner, oracle_limit)
-    sol, trace = reducer.red(g)
-    if not _two_ec_subset(g, sol):
+    sol, trace = Reducer(params, inner).red(g)
+    if not oracle._two_ec_on(g, sol):
         raise ReductionError("reduction produced an infeasible solution")
     return sol, trace

@@ -8,6 +8,7 @@ from twoec import gadgets
 from twoec.cuts import CutDescriptor, enumerate_cuts, exhaustive_structured_check
 from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.params import desk_params
+from twoec.preprocess import DETECTORS, find_contractible, red
 
 P = desk_params()
 
@@ -66,3 +67,43 @@ def test_empty_iff_exhaustively_structured(n, rnd):
         # the scan found nothing: the exhaustive checker may still reject for
         # reasons outside the scan (none at this size), so require agreement
         assert certified
+
+
+# the reduction step that handles each cut kind
+STEP = {"Vertex1": "SplitCutVertex", "LoopOrParallel": "DropLoopOrParallel",
+        "IrrelevantEdge": "DropIrrelevant", "Vertex2": "Remove2VC",
+        "Vertex3": "Remove3VC", "CycleCut": "RemoveCkCut",
+        "Vertex4": "Remove4VC"}
+# the benchmark's planted gadgets: all but cycle8 and vertex4_case1, whose
+# reductions take minutes
+PLANTED = [k for k in gadgets.GADGETS if k not in ("cycle8", "vertex4_case1")]
+
+
+@pytest.mark.parametrize("case", PLANTED + [(18, 0.2, 1), (20, 0.15, 1),
+                                             (22, 0.15, 1)],
+                         ids=lambda c: c if isinstance(c, str)
+                         else "random2ec-n{}-p{}-s{}".format(*c))
+def test_cut_scan_agrees_with_reduction(case):
+    """enumerate_cuts reports the cut the reduction's root step acts on; the
+    contractible entry, which the scan skips, may act first."""
+    if isinstance(case, str):
+        g = gadgets.GADGETS[case]()
+    else:
+        n, p, seed = case
+        g = gadgets.random2ec(n, p, seed)
+    # the inner solver only has to be feasible: the root step is under test
+    _, trace = red(g, P, inner=lambda sub: set(range(sub.m)))
+    cuts = enumerate_cuts(g, P)
+    order = [kind for kind, _, _ in DETECTORS]
+    if cuts and order.index(cuts[0].kind) < order.index("Contractible"):
+        expected = STEP[cuts[0].kind]
+    elif find_contractible(g, P) is not None:
+        expected = "ContractContractible"
+    else:
+        expected = STEP[cuts[0].kind] if cuts else "CallInner"
+    assert trace.step == expected
+    if expected in STEP.values():
+        if "edge" in trace.detail:
+            assert trace.detail["edge"] == cuts[0].edge
+        else:
+            assert sorted(trace.detail["cut"]) == sorted(cuts[0].vertices)

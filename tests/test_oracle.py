@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoec import harness
 from twoec.gadgets import random2ec
 from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.oracle import (Infeasible, NotTwoEdgeConnected, TooLarge,
@@ -183,6 +185,45 @@ def test_bnb_matches_naive(n, rnd):
     sol = exact_min_2ecss(g)
     naive = naive_min_2ecss(g)
     assert len(sol) == len(naive)
+
+
+def pendant_pair():
+    """A triangle with vertex 3 hanging on a parallel pair: 2EC, and every
+    2ECSS needs both copies of the pair."""
+    return MultiGraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (0, 3)])
+
+
+def test_parallel_pair_needed():
+    assert exact_min_2ecss(pendant_pair()) == set(range(5))
+
+
+@pytest.mark.parametrize("mode", ["auto", "exact"])
+def test_solve_parallel_pair_needed(mode):
+    sol, report = harness.solve(pendant_pair(),
+                                harness.SolverConfig(profile="desk", mode=mode))
+    assert report.verified
+    assert sol == set(range(5))
+
+
+def test_multigraph_bnb_matches_naive():
+    """Seeded random 2EC multigraphs with parallel copies and self-loops,
+    n <= 6: the branch and bound returns a 2EC spanning subgraph of the
+    exhaustive minimum's size, also where the simple skeleton is not 2EC."""
+    rnd = random.Random(20251)
+    checked = needs_pair = 0
+    while checked < 300:
+        n = rnd.randint(3, 6)
+        edges = [(rnd.randrange(n), rnd.randrange(n))
+                 for _ in range(rnd.randint(n, n + 6))]
+        g = MultiGraph(n, edges)
+        if not is_two_edge_connected(g):
+            continue
+        checked += 1
+        needs_pair += not _two_ec_on(g, _simplify(g))
+        sol = exact_min_2ecss(g)
+        assert _two_ec_on(g, sol)
+        assert len(sol) == len(naive_min_2ecss(g))
+    assert needs_pair > 0
 
 
 def test_cover_c4_triangle_free():
