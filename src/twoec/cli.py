@@ -6,6 +6,15 @@ import json
 import sys
 
 from . import harness
+from .credit import LedgerError
+from .few import NoProgress
+from .graph import GraphError
+from .oracle import Infeasible, NotTwoEdgeConnected, TooLarge
+
+# exit codes 0 (verified), 1 (not verified) and 2 (usage, from argparse) are
+# taken; each typed failure gets its own code from 3 up
+ERROR_EXIT_CODES = {GraphError: 3, NotTwoEdgeConnected: 4, TooLarge: 5,
+                    Infeasible: 6, NoProgress: 7, LedgerError: 8}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +68,19 @@ def _write(path: str, text: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Runs one command; a typed failure prints ``{"error", "message"}`` as
+    JSON on stderr and returns its code from ``ERROR_EXIT_CODES``."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except tuple(ERROR_EXIT_CODES) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+              file=sys.stderr)
+        return next(code for cls, code in ERROR_EXIT_CODES.items()
+                    if isinstance(exc, cls))
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "solve":
         g = harness.parse_graph(_read(args.file))
         config = harness.SolverConfig(profile=args.profile, mode=args.mode,

@@ -12,7 +12,8 @@ from typing import Optional
 
 from . import oracle
 from .decomp import C4, COMPLEX, CYCLE_TAGS, BlockTree, CoverDecomposition
-from .graph import MultiGraph, connected_components, find_bridges
+from .graph import (MultiGraph, biconnected_components, connected_components,
+                    find_bridges)
 from .params import StructuredParams
 
 
@@ -112,25 +113,25 @@ def _is_triangle_free_cover(g: MultiGraph, h: set[int]) -> bool:
 
 
 def _measure(g: MultiGraph, h: set[int]) -> tuple[int, int, int, int]:
+    """(|H|, #components, #bridges, #cut vertices of bridgeless components).
+
+    A cut vertex of a connected graph is a vertex in two or more of its
+    biconnected components, so one lowpoint pass counts them all.
+    """
     comps = connected_components(g, h)
     bridges = find_bridges(g, h)
-    comp_of = {}
+    comp_of = [0] * g.n
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
     bridged = {comp_of[g.edges[e][0]] for e in bridges}
-    cutv = 0
-    for ci, comp in enumerate(comps):
-        if ci in bridged or len(comp) < 3:
-            continue
-        cs = set(comp)
-        ce = [e for e in h if g.edges[e][0] in cs and g.edges[e][1] in cs]
-        for v in comp:
-            rest = [e for e in ce if v not in g.edges[e]]
-            others = cs - {v}
-            if others and len(connected_components(g, rest,
-                                                    skip_vertices=set(range(g.n)) - others)) > 1:
-                cutv += 1
+    blocks_at = [0] * g.n
+    for block in biconnected_components(g, h):
+        for v in block:
+            blocks_at[v] += 1
+    # a vertex in two blocks has a component of 3 or more vertices
+    cutv = sum(1 for v in range(g.n)
+               if blocks_at[v] >= 2 and comp_of[v] not in bridged)
     return (len(h), len(comps), len(bridges), cutv)
 
 
@@ -150,21 +151,21 @@ def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
         deg[u] += 1
         deg[v] += 1
 
-    not_in_h = lambda: [e for e in range(g.m) if e not in h and
-                        g.edges[e][0] != g.edges[e][1]]
-
     def try_apply(remove: tuple[int, ...], add: tuple[int, ...]) -> bool:
-        nonlocal h, cur, deg, steps
-        for v in range(g.n):
-            d = deg[v]
-            for e in remove:
-                if v in g.edges[e]:
-                    d -= (2 if g.edges[e][0] == g.edges[e][1] == v else 1)
-            for e in add:
-                if v in g.edges[e]:
-                    d += 1
-            if d < 2:
-                return False
+        nonlocal h, cur, steps
+        # every vertex has degree >= 2 in h, and the pool holds no self-loop,
+        # so only an end of a removed edge can drop below 2
+        for er in remove:
+            for v in g.edges[er]:
+                d = deg[v]
+                for e in remove:
+                    a, b = g.edges[e]
+                    d -= (a == v) + (b == v)
+                for e in add:
+                    if v in g.edges[e]:
+                        d += 1
+                if d < 2:
+                    return False
         h2 = (h - set(remove)) | set(add)
         if not _is_triangle_free_cover(g, h2):
             return False
@@ -184,6 +185,10 @@ def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
         steps += 1
         return True
 
+    def candidates(removed: tuple[int, ...]) -> list[int]:
+        """Pool edges touching an end of a removed edge, ascending."""
+        return sorted({e for er in removed for v in g.edges[er] for e in incident[v]})
+
     improved = True
     while improved and steps < max_steps:
         improved = False
@@ -196,38 +201,23 @@ def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
         if improved:
             continue
         # F_R size 1, F_A size 1
-        pool = not_in_h()
+        incident: list[list[int]] = [[] for _ in range(g.n)]
+        for e, (u, v) in enumerate(g.edges):
+            if e not in h and u != v:
+                incident[u].append(e)
+                incident[v].append(e)
         for er in hs:
-            u, v = g.edges[er]
-            cand = [e for e in pool if u in g.edges[e] or v in g.edges[e]]
-            done = False
-            for ea in cand:
-                if try_apply((er,), (ea,)):
-                    done = True
-                    break
-            if done:
+            if any(try_apply((er,), (ea,)) for ea in candidates((er,))):
                 improved = True
                 break
         if improved:
             continue
         # F_R size 2, F_A up to 2 touching the removed endpoints
         for er1, er2 in itertools.combinations(hs, 2):
-            touched = set(g.edges[er1]) | set(g.edges[er2])
-            cand = [e for e in pool
-                    if g.edges[e][0] in touched or g.edges[e][1] in touched]
-            done = False
-            for ea1 in cand:
-                if try_apply((er1, er2), (ea1,)):
-                    done = True
-                    break
-            if done:
-                improved = True
-                break
-            for ea1, ea2 in itertools.combinations(cand, 2):
-                if try_apply((er1, er2), (ea1, ea2)):
-                    done = True
-                    break
-            if done:
+            cand = candidates((er1, er2))
+            if any(try_apply((er1, er2), (ea1,)) for ea1 in cand) or \
+                    any(try_apply((er1, er2), pair)
+                        for pair in itertools.combinations(cand, 2)):
                 improved = True
                 break
     dec = CoverDecomposition(g, h, params)

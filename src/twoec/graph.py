@@ -358,75 +358,6 @@ def biconnected_components(g: MultiGraph, edge_subset: Optional[Iterable[int]] =
 
 
 # ---------------------------------------------------------------------------
-# matchings
-# ---------------------------------------------------------------------------
-
-def matching_between(g: MultiGraph, v1: set[int], v2: set[int],
-                     k: Optional[int] = None) -> Optional[list[int]]:
-    """Maximum matching on edges crossing the (disjoint) parts, as edge ids.
-
-    Returns None (Absent) when ``k`` is given and the maximum is below it.
-    Self-loops are ignored; parallel edges collapse onto one candidate.
-    """
-    if v1 & v2:
-        raise GraphError("matching parts overlap")
-    cross: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        if u in v1 and v in v2:
-            cross.setdefault((u, v), eid)
-        elif v in v1 and u in v2:
-            cross.setdefault((v, u), eid)
-    left = sorted({a for a, _ in cross})
-    nbr: dict[int, list[int]] = {a: [] for a in left}
-    for (a, b) in sorted(cross):
-        nbr[a].append(b)
-    match_l: dict[int, int] = {}
-    match_r: dict[int, int] = {}
-
-    def augment(a: int, seen: set[int]) -> bool:
-        for b in nbr[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_r or augment(match_r[b], seen):
-                match_l[a] = b
-                match_r[b] = a
-                return True
-        return False
-
-    for a in left:
-        augment(a, set())
-    picked = sorted(cross[(a, b)] for a, b in match_l.items())
-    if k is not None and len(picked) < k:
-        return None
-    return picked
-
-
-def max_matching_size_bruteforce(g: MultiGraph, v1: set[int], v2: set[int]) -> int:
-    """Independent oracle: exhaustive search for the maximum cross matching."""
-    pairs = sorted({(min(u, v), max(u, v)) for u, v in g.edges
-                    if u != v and ((u in v1 and v in v2) or (v in v1 and u in v2))})
-
-    best = 0
-
-    def rec(i: int, used: set[int], size: int) -> None:
-        nonlocal best
-        best = max(best, size)
-        if size + (len(pairs) - i) <= best:
-            return
-        for j in range(i, len(pairs)):
-            a, b = pairs[j]
-            if a in used or b in used:
-                continue
-            rec(j + 1, used | {a, b}, size + 1)
-
-    rec(0, set(), 0)
-    return best
-
-
-# ---------------------------------------------------------------------------
 # simple cycle enumeration (bounded length)
 # ---------------------------------------------------------------------------
 

@@ -238,6 +238,16 @@ def verify(g: MultiGraph, h: set[int], minimality: bool = False) -> dict:
     return out
 
 
+def _int_pair(line: str, error: str) -> tuple[int, int]:
+    """The two integers on ``line``; ``GraphError(error)`` if it holds
+    anything else."""
+    try:
+        u, v = (int(tok) for tok in line.split())
+    except ValueError:
+        raise GraphError(error) from None
+    return u, v
+
+
 def parse_graph(text: str) -> MultiGraph:
     """`n m` header then one `u v` line per edge; `#` starts a comment."""
     lines = []
@@ -247,18 +257,14 @@ def parse_graph(text: str) -> MultiGraph:
             lines.append(line)
     if not lines:
         raise GraphError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphError(f"bad header {lines[0]!r}; expected 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(lines[0], f"bad header {lines[0]!r}; expected 'n m'")
+    if n < 0:
+        raise GraphError(f"bad header {lines[0]!r}; n is negative")
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _int_pair(line, f"bad edge line {line!r}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge {u} {v} out of range for n={n}")
         edges.append((u, v))

@@ -207,11 +207,14 @@ def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozen
                     limit: int = DEFAULT_LIMIT,
                     node_budget: int = 4_000_000) -> set[int]:
     """Minimum edge set giving every vertex degree >= 2 such that no
-    connected component is a cycle of a forbidden length (subset of {3,4})."""
+    connected component is a cycle of a forbidden length (subset of {3,4}).
+    Self-loops are never used; a parallel pair may be."""
     forbidden = frozenset(forbidden)
     if not forbidden <= {3, 4}:
         raise ValueError("forbidden lengths must be within {3, 4}")
-    pool = _simplify(g)
+    # a minimum cover never holds a third copy of an edge: dropping it keeps
+    # both ends at degree >= 2 and leaves no cycle component behind
+    pool = _simplify(g, copies=2)
     deg_all = [0] * g.n
     for eid in pool:
         u, v = g.edges[eid]

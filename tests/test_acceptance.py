@@ -41,7 +41,6 @@ def non_hub_cover(g: MultiGraph, hub_len: int) -> set[int]:
 # 1. feasibility + ratio sweep
 # ---------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_criterion_1_ratio_sweep():
     t0 = time.time()
     stepped = 0

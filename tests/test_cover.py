@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
-from twoec import oracle
+from twoec import cover, harness, oracle
 from twoec.cover import (canonicalize, is_canonical, min_triangle_free_cover,
-                         _is_triangle_free_cover)
+                         _is_triangle_free_cover, _measure)
 from twoec.decomp import C4, C8, CoverDecomposition
-from twoec.graph import MultiGraph
+from twoec.gadgets import random2ec
+from twoec.graph import MultiGraph, connected_components, find_bridges
 from twoec.params import desk_params
 
 P = desk_params()
@@ -138,3 +140,164 @@ def test_subdivision_fixes_edges_into_covers():
     for e, (u, v) in enumerate(fixed.edges):
         if u in mids or v in mids:
             assert e in cover
+
+
+# ---------------------------------------------------------------------------
+# the exchange loop against its full-scan reference
+# ---------------------------------------------------------------------------
+
+def reference_measure(g, h):
+    """``_measure`` with cut vertices counted by one BFS per vertex."""
+    comps = connected_components(g, h)
+    bridges = find_bridges(g, h)
+    comp_of = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    bridged = {comp_of[g.edges[e][0]] for e in bridges}
+    cutv = 0
+    for ci, comp in enumerate(comps):
+        if ci in bridged or len(comp) < 3:
+            continue
+        cs = set(comp)
+        ce = [e for e in h if g.edges[e][0] in cs and g.edges[e][1] in cs]
+        for v in comp:
+            rest = [e for e in ce if v not in g.edges[e]]
+            others = cs - {v}
+            if others and len(connected_components(g, rest,
+                                                    skip_vertices=set(range(g.n)) - others)) > 1:
+                cutv += 1
+    return (len(h), len(comps), len(bridges), cutv)
+
+
+def reference_canonicalize(g, h):
+    """``canonicalize``'s exchange loop with every vertex's degree checked for
+    every candidate, the pool scanned for every F_R, and the measure from
+    ``reference_measure``.  Returns (H, steps, candidates that passed the
+    degree scan)."""
+    h = set(h)
+    max_steps = max(1, g.m) * max(1, g.n) ** 2
+    cur = reference_measure(g, h)
+    steps = checked = 0
+    deg = [0] * g.n
+    for eid in h:
+        u, v = g.edges[eid]
+        deg[u] += 1
+        deg[v] += 1
+
+    def try_apply(remove, add):
+        nonlocal h, cur, steps, checked
+        for v in range(g.n):
+            d = deg[v]
+            for e in remove:
+                if v in g.edges[e]:
+                    d -= (2 if g.edges[e][0] == g.edges[e][1] == v else 1)
+            for e in add:
+                if v in g.edges[e]:
+                    d += 1
+            if d < 2:
+                return False
+        checked += 1
+        h2 = (h - set(remove)) | set(add)
+        if not _is_triangle_free_cover(g, h2):
+            return False
+        m2 = reference_measure(g, h2)
+        if m2 >= cur:
+            return False
+        h = h2
+        cur = m2
+        for e in remove:
+            u, v = g.edges[e]
+            deg[u] -= 1
+            deg[v] -= 1
+        for e in add:
+            u, v = g.edges[e]
+            deg[u] += 1
+            deg[v] += 1
+        steps += 1
+        return True
+
+    improved = True
+    while improved and steps < max_steps:
+        improved = False
+        hs = sorted(h)
+        for er in hs:
+            if try_apply((er,), ()):
+                improved = True
+                break
+        if improved:
+            continue
+        pool = [e for e in range(g.m) if e not in h and g.edges[e][0] != g.edges[e][1]]
+        for er in hs:
+            u, v = g.edges[er]
+            cand = [e for e in pool if u in g.edges[e] or v in g.edges[e]]
+            if any(try_apply((er,), (ea,)) for ea in cand):
+                improved = True
+                break
+        if improved:
+            continue
+        for er1, er2 in itertools.combinations(hs, 2):
+            touched = set(g.edges[er1]) | set(g.edges[er2])
+            cand = [e for e in pool
+                    if g.edges[e][0] in touched or g.edges[e][1] in touched]
+            if any(try_apply((er1, er2), (ea1,)) for ea1 in cand) or \
+                    any(try_apply((er1, er2), pair)
+                        for pair in itertools.combinations(cand, 2)):
+                improved = True
+                break
+    return h, steps, checked
+
+
+def test_measure_matches_reference():
+    """Seeded random multigraphs, n 1-10, with self-loops and parallel
+    edges, and random edge subsets of them."""
+    rnd = random.Random(4711)
+    cut_seen = 0
+    for _ in range(3000):
+        n = rnd.randint(1, 10)
+        g = MultiGraph(n, [(rnd.randrange(n), rnd.randrange(n))
+                           for _ in range(rnd.randint(0, 2 * n + 4))])
+        h = {e for e in range(g.m) if rnd.random() < 0.7}
+        want = reference_measure(g, h)
+        assert _measure(g, h) == want, (g.edges, sorted(h))
+        cut_seen += want[3] > 0
+    assert cut_seen > 50
+
+
+CANON_CASES = (
+    [("random2ec", n, p, start) for n in range(6, 15, 2) for p in (0.3, 0.6)
+     for start in ("min", "heuristic")]
+    + [("hub_c4", k, None, "min") for k in (3, 6, 12)]
+    + [("shortcut_ring", k, None, "min") for k in (5, 10)]
+    + [(name, None, None, "min")
+       for name in ("vertex1", "parallel", "vertex2_c", "vertex3_c1")]
+    + [("hub_c4", 3, None, "all")])
+
+
+@pytest.mark.parametrize("kind,size,p,start", CANON_CASES)
+def test_canonicalize_matches_reference(kind, size, p, start, monkeypatch):
+    """The same fixed point and step count as the full-scan loop, and the
+    degree test lets exactly the same candidates on to the full check.
+    Starts from the minimum triangle-free cover, the heuristic one, or all
+    edges."""
+    if kind == "random2ec":
+        g = random2ec(size, p, seed=size)
+    else:
+        g = harness.generate(kind, k=size)
+    if start == "all":
+        h0 = set(range(g.m))
+    else:
+        h0 = min_triangle_free_cover(g, mode="exact" if start == "min" else start,
+                                     limit=g.n)[0]
+    full_checks = 0
+
+    def counting(g_, h_):
+        nonlocal full_checks
+        full_checks += 1
+        return _is_triangle_free_cover(g_, h_)
+
+    monkeypatch.setattr(cover, "_is_triangle_free_cover", counting)
+    h, _, steps = canonicalize(g, h0, P)
+    ref_h, ref_steps, ref_checked = reference_canonicalize(g, h0)
+    assert (sorted(h), steps) == (sorted(ref_h), ref_steps)
+    assert full_checks - 1 == ref_checked      # less the entry check

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from twoec.graph import (MultiGraph, biconnected_components, bridges_and_blocks,
                          connected_components, contract, find_bridges,
                          ham_path_exists, is_two_edge_connected,
-                         matching_between, max_matching_size_bruteforce,
                          simple_cycles_upto)
 
 
@@ -111,26 +109,6 @@ def test_contract_all():
     assert all(u == v for u, v in h.edges)
 
 
-def test_matching_between_k33():
-    g = MultiGraph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    m = matching_between(g, {0, 1, 2}, {3, 4, 5}, k=3)
-    assert m is not None and len(m) == 3
-    g2 = MultiGraph(6, [(0, 3)])
-    assert matching_between(g2, {0, 1, 2}, {3, 4, 5}, k=3) is None
-
-
-@given(st.integers(4, 10), st.randoms())
-@settings(max_examples=40, deadline=None)
-def test_matching_agrees_with_bruteforce(n, rnd):
-    edges = [(rnd.randrange(n), rnd.randrange(n)) for _ in range(2 * n)]
-    edges = [(u, v) for u, v in edges if u != v]
-    g = MultiGraph(n, edges)
-    v1 = set(range(n // 2))
-    v2 = set(range(n // 2, n))
-    m = matching_between(g, v1, v2)
-    assert len(m) == max_matching_size_bruteforce(g, v1, v2)
-
-
 def test_biconnected_segments():
     # two C4 components of a cover joined through a cut node pattern:
     # component-graph shaped test on a plain graph: bowtie has 2 blocks
@@ -182,14 +160,3 @@ def test_bridges_match_removal_oracle(n, rnd):
             if not is_connected(g, [x for x in range(g.m) if x != e])}
     assert fast == slow
 
-
-def test_matching_on_14_vertices():
-    rnd = random.Random(5)
-    edges = [(rnd.randrange(7), 7 + rnd.randrange(7)) for _ in range(18)]
-    g = MultiGraph(14, edges)
-    v1, v2 = set(range(7)), set(range(7, 14))
-    m = matching_between(g, v1, v2)
-    assert len(m) == max_matching_size_bruteforce(g, v1, v2)
-    k = len(m)
-    assert matching_between(g, v1, v2, k=k) is not None
-    assert matching_between(g, v1, v2, k=k + 1) is None

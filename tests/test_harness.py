@@ -7,6 +7,7 @@ import pytest
 
 from twoec import harness, oracle
 from twoec.cli import main as cli_main
+from twoec.credit import LedgerError
 from twoec.graph import GraphError, MultiGraph
 
 
@@ -24,6 +25,13 @@ def test_parse_parallel_preserved():
 def test_parse_out_of_range():
     with pytest.raises(GraphError):
         harness.parse_graph("2 1\n0 2")
+
+
+@pytest.mark.parametrize("text", ["a b\n", "3\n", "2 1\n0 x", "2 1\n0 1 1",
+                                  "-1 0\n"])
+def test_parse_rejects_malformed(text):
+    with pytest.raises(GraphError):
+        harness.parse_graph(text)
 
 
 def test_parse_comments_and_roundtrip():
@@ -148,6 +156,49 @@ def test_cli_exit_code_tracks_verify(tmp_path):
     gfile = tmp_path / "g.txt"
     gfile.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
     assert cli_main(["solve", str(gfile), "--profile", "desk"]) == 0
+
+
+def _cli_error(capsys, argv):
+    """Exit code and stderr JSON body of a CLI run that fails."""
+    code = cli_main(argv)
+    body = json.loads(capsys.readouterr().err)
+    assert set(body) == {"error", "message"}
+    return code, body["error"]
+
+
+def test_cli_bad_header(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("3\n0 1\n")
+    assert _cli_error(capsys, ["solve", str(gfile)]) == (3, "GraphError")
+
+
+def test_cli_not_two_edge_connected(tmp_path, capsys):
+    gfile = tmp_path / "path.txt"
+    gfile.write_text("3 2\n0 1\n1 2\n")
+    assert _cli_error(capsys, ["solve", str(gfile), "--profile", "desk"]) == \
+        (4, "NotTwoEdgeConnected")
+
+
+def test_cli_no_progress(tmp_path, capsys):
+    gfile = tmp_path / "ring.txt"
+    assert cli_main(["gen", "shortcut_ring", "--k", "10", "-o", str(gfile)]) == 0
+    assert _cli_error(capsys, ["solve", str(gfile), "--profile", "desk",
+                               "--mode", "few"]) == (7, "NoProgress")
+
+
+@pytest.mark.parametrize("exc,code", [
+    (oracle.TooLarge("cover search budget exhausted"), 5),
+    (oracle.Infeasible("no feasible cover under the forbidden-cycle rule"), 6),
+    (LedgerError("initial cost - loan exceeds the FEW starting bound"), 8),
+])
+def test_cli_typed_solver_errors(exc, code, tmp_path, capsys, monkeypatch):
+    def failing(g, config):
+        raise exc
+
+    monkeypatch.setattr(harness, "solve", failing)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+    assert _cli_error(capsys, ["solve", str(gfile)]) == (code, type(exc).__name__)
 
 
 def test_oracle_limit_env(monkeypatch):

@@ -112,7 +112,7 @@ def reference_min_cover(g, forbidden=frozenset(), node_budget=4_000_000):
     """``exact_min_cover`` on a graph of minimum degree >= 2, by the
     reference search."""
     forbidden = frozenset(forbidden)
-    pool = _simplify(g)
+    pool = _simplify(g, copies=2)
     forced = _forced_edges(g, pool)
     free = [e for e in pool if e not in forced]
     best = _reference_search(g, pool, forced, free,
@@ -195,35 +195,73 @@ def pendant_pair():
 
 def test_parallel_pair_needed():
     assert exact_min_2ecss(pendant_pair()) == set(range(5))
+    assert exact_min_cover(pendant_pair(), {3}) == set(range(5))
 
 
-@pytest.mark.parametrize("mode", ["auto", "exact"])
+@pytest.mark.parametrize("mode", ["auto", "exact", "few", "many"])
 def test_solve_parallel_pair_needed(mode):
     sol, report = harness.solve(pendant_pair(),
                                 harness.SolverConfig(profile="desk", mode=mode))
     assert report.verified
     assert sol == set(range(5))
+    assert report.branch != "red-only"
 
 
-def test_multigraph_bnb_matches_naive():
-    """Seeded random 2EC multigraphs with parallel copies and self-loops,
-    n <= 6: the branch and bound returns a 2EC spanning subgraph of the
-    exhaustive minimum's size, also where the simple skeleton is not 2EC."""
-    rnd = random.Random(20251)
-    checked = needs_pair = 0
-    while checked < 300:
+def random_2ec_multigraphs(seed, count):
+    """Seeded random 2EC multigraphs, n 3-6, with parallel copies and
+    self-loops."""
+    rnd = random.Random(seed)
+    made = 0
+    while made < count:
         n = rnd.randint(3, 6)
         edges = [(rnd.randrange(n), rnd.randrange(n))
                  for _ in range(rnd.randint(n, n + 6))]
         g = MultiGraph(n, edges)
-        if not is_two_edge_connected(g):
-            continue
-        checked += 1
+        if is_two_edge_connected(g):
+            made += 1
+            yield g
+
+
+def test_multigraph_bnb_matches_naive():
+    """The branch and bound returns a 2EC spanning subgraph of the
+    exhaustive minimum's size, also where the simple skeleton is not 2EC."""
+    needs_pair = 0
+    for g in random_2ec_multigraphs(20251, 300):
         needs_pair += not _two_ec_on(g, _simplify(g))
         sol = exact_min_2ecss(g)
         assert _two_ec_on(g, sol)
         assert len(sol) == len(naive_min_2ecss(g))
     assert needs_pair > 0
+
+
+def naive_min_cover(g, forbidden):
+    """Smallest loop-free edge subset passing ``_cover_ok``, by subset
+    enumeration; None when there is none."""
+    ids = [e for e, (u, v) in enumerate(g.edges) if u != v]
+    for size in range(len(ids) + 1):
+        for comb in itertools.combinations(ids, size):
+            if _cover_ok(g, frozenset(forbidden), list(comb)):
+                return set(comb)
+    return None
+
+
+def test_multigraph_cover_matches_naive():
+    """Minimum covers of random 2EC multigraphs under every forbidden set,
+    against exhaustive search; some need a parallel pair, where the simple
+    skeleton has no cover or only a larger one."""
+    uses_pair = 0
+    for g in random_2ec_multigraphs(20252, 300):
+        for forbidden in (set(), {3}, {3, 4}):
+            want = naive_min_cover(g, forbidden)
+            if want is None:
+                with pytest.raises(Infeasible):
+                    exact_min_cover(g, forbidden)
+                continue
+            sol = exact_min_cover(g, forbidden)
+            assert _cover_ok(g, frozenset(forbidden), list(sol))
+            assert len(sol) == len(want), (g.edges, forbidden)
+            uses_pair += len({g.edges[e] for e in sol}) < len(sol)
+    assert uses_pair > 0
 
 
 def test_cover_c4_triangle_free():
