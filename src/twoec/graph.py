@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -57,19 +57,6 @@ class MultiGraph:
                     a[v].append((u, eid))
             self._adj = a
         return self._adj
-
-    def degree(self, v: int) -> int:
-        """Degree counting self-loops twice."""
-        d = 0
-        for u, w in self.edges:
-            if u == v:
-                d += 1
-            if w == v:
-                d += 1
-        return d
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
 
     def simple_pairs(self) -> set[tuple[int, int]]:
         return {(u, v) for u, v in self.edges if u != v}
@@ -170,6 +157,50 @@ def find_bridges(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> 
                     if low[v] > disc[parent]:
                         bridges.add(pe)
     return bridges
+
+
+def articulation_points(g: MultiGraph, skip: Iterable[int] = ()
+                        ) -> tuple[int, list[int]]:
+    """(number of components, ascending cut vertices) of G - skip, by one
+    iterative lowpoint DFS.  Self-loops and parallel copies change neither,
+    so edges back to a vertex's DFS parent are skipped as a whole."""
+    disc = [-1] * g.n
+    for v in skip:
+        disc[v] = -2                    # removed: never visited
+    low = [0] * g.n
+    is_cut = [False] * g.n
+    adj = g.adj()
+    counter = itertools.count()
+    ncomp = 0
+    for root in range(g.n):
+        if disc[root] != -1:
+            continue
+        ncomp += 1
+        disc[root] = low[root] = next(counter)
+        children = 0
+        # stack holds (vertex, parent vertex, neighbour iterator)
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w, _ in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = next(counter)
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and disc[w] >= 0 and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if parent == root:
+                    children += 1
+                elif parent != -1:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        is_cut[parent] = True
+        if children >= 2:
+            is_cut[root] = True
+    return ncomp, [v for v in range(g.n) if is_cut[v]]
 
 
 def is_two_edge_connected(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> bool:

@@ -236,14 +236,38 @@ def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozen
 
 
 def max_removable_inside(g: MultiGraph, inside_edges: list[int]) -> int:
-    """Largest |F|, F a subset of ``inside_edges``, with G - F still 2EC."""
-    from itertools import combinations
-    all_ids = set(range(g.m))
-    for size in range(len(inside_edges), -1, -1):
-        for comb in combinations(inside_edges, size):
-            if _two_ec_on(g, all_ids - set(comb)):
-                return size
-    return 0
+    """Largest |F|, F a subset of ``inside_edges``, with G - F still 2EC.
+
+    The edges outside, B, are always kept, so each 2EC class of B (a
+    component of B minus its bridges) can be contracted: G - F is 2EC iff its
+    quotient is.  An inside edge within one class is always removable; the
+    fewest crossing inside edges to keep come from the branch and bound on
+    the quotient, whose only other edges are B's bridges."""
+    inside = set(inside_edges)
+    outside = [eid for eid in range(g.m) if eid not in inside]
+    bridges = find_bridges(g, outside)
+    classes = connected_components(
+        g, [eid for eid in outside if eid not in bridges])
+    cls = [0] * g.n
+    for ci, comp in enumerate(classes):
+        for v in comp:
+            cls[v] = ci
+    kept_outside = sorted(bridges)
+    crossing = [eid for eid in sorted(inside)
+                if cls[g.edges[eid][0]] != cls[g.edges[eid][1]]]
+    quotient = MultiGraph(len(classes),
+                          [(cls[g.edges[eid][0]], cls[g.edges[eid][1]])
+                           for eid in kept_outside + crossing])
+    pool = list(range(quotient.m))
+    if not _two_ec_on(quotient, pool):     # then no subset is 2EC either
+        return 0
+    forced = set(pool[:len(kept_outside)])
+    free = pool[len(kept_outside):]
+    kept = _search(quotient, pool, forced, free,
+                   lambda eids: _two_ec_on(quotient, eids),
+                   "removable-edge search budget exhausted",
+                   2 ** (len(free) + 2))
+    return len(inside) - (len(kept) - len(forced))
 
 
 def is_alpha_contractible(g: MultiGraph, component_edges: set[int],

@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import oracle
-from .graph import (MultiGraph, connected_components, contract, find_bridges,
-                    is_two_edge_connected, simple_cycles_upto)
+from .graph import (MultiGraph, articulation_points, connected_components,
+                    contract, find_bridges, is_two_edge_connected,
+                    simple_cycles_upto)
 from .params import StructuredParams
 
 # 2-vertex-cut and 3-vertex-cut solution types, strongest first
@@ -63,13 +64,40 @@ def _components_without(g: MultiGraph, cut: set[int]) -> list[list[int]]:
     return connected_components(g, None, set(cut))
 
 
+def _vertex_cuts(g: MultiGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """Every k-subset of V whose removal leaves at least two components, as a
+    sorted tuple, in ``itertools.combinations`` order.
+
+    One articulation-point pass per (k-1)-prefix P replaces one BFS per
+    k-subset.  If G - P is connected, P + (d,) is a cut iff d is a cut vertex
+    of G - P.  If G - P has c >= 2 components, removing d leaves fewer than
+    two only when c == 2 and d is one of them on its own."""
+    adj = g.adj()
+    for prefix in itertools.combinations(range(g.n), k - 1):
+        ncomp, cut_vertices = articulation_points(g, prefix)
+        lo = prefix[-1] + 1 if prefix else 0
+        if ncomp == 1:
+            for d in cut_vertices:
+                if d >= lo:
+                    yield prefix + (d,)
+        elif ncomp >= 2:
+            for d in range(lo, g.n):
+                if ncomp > 2 or any(w != d and w not in prefix
+                                    for w, _ in adj[d]):
+                    yield prefix + (d,)
+
+
 def _grouping(g: MultiGraph, cut: set[int], min1: int,
-              min2: Optional[int] = None) -> Optional[tuple[set[int], set[int]]]:
+              min2: Optional[int] = None,
+              comps: Optional[list[list[int]]] = None
+              ) -> Optional[tuple[set[int], set[int]]]:
     """Partition of V - cut into (V1, V2) along component boundaries with
-    |V1| >= min1 minimal and |V2| >= min2 (defaults to min1)."""
+    |V1| >= min1 minimal and |V2| >= min2 (defaults to min1).  ``comps`` are
+    the components of G - cut, when the caller has them already."""
     if min2 is None:
         min2 = min1
-    comps = _components_without(g, cut)
+    if comps is None:
+        comps = _components_without(g, cut)
     if len(comps) < 2:
         return None
     total = sum(len(c) for c in comps)
@@ -97,9 +125,8 @@ def _grouping(g: MultiGraph, cut: set[int], min1: int,
 
 
 def find_cut_vertex(g: MultiGraph) -> Optional[int]:
-    for v in range(g.n):
-        if len(_components_without(g, {v})) > 1:
-            return v
+    for (v,) in _vertex_cuts(g, 1):
+        return v
     return None
 
 
@@ -115,19 +142,16 @@ def find_loop_or_parallel(g: MultiGraph) -> Optional[int]:
 
 
 def find_irrelevant_edge(g: MultiGraph) -> Optional[int]:
+    cuts = set(_vertex_cuts(g, 2))
     for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        if len(_components_without(g, {u, v})) > 1:
+        if u != v and (u, v) in cuts:
             return eid
     return None
 
 
 def find_non_isolating_2vc(g: MultiGraph) -> Optional[tuple[int, int]]:
-    for u, v in itertools.combinations(range(g.n), 2):
+    for u, v in _vertex_cuts(g, 2):
         comps = _components_without(g, {u, v})
-        if len(comps) < 2:
-            continue
         if len(comps) == 2 and min(len(c) for c in comps) == 1:
             continue
         return (u, v)
@@ -137,9 +161,8 @@ def find_non_isolating_2vc(g: MultiGraph) -> Optional[tuple[int, int]]:
 def find_large_3vc(g: MultiGraph, params: StructuredParams
                    ) -> Optional[tuple[tuple[int, int, int], set[int], set[int]]]:
     t = params.three_cut_side
-    for trip in itertools.combinations(range(g.n), 3):
-        cut = set(trip)
-        grouping = _grouping(g, cut, t)
+    for trip in _vertex_cuts(g, 3):
+        grouping = _grouping(g, set(trip), t)
         if grouping is not None:
             return trip, grouping[0], grouping[1]
     return None
@@ -161,16 +184,14 @@ def find_large_ck(g: MultiGraph, params: StructuredParams
 
 def find_large_4vc(g: MultiGraph, params: StructuredParams) -> Optional[dict]:
     t1 = params.four_cut_side_2
-    for quad in itertools.combinations(range(g.n), 4):
+    for quad in _vertex_cuts(g, 4):
         cut = set(quad)
         comps = _components_without(g, cut)
-        if len(comps) < 2:
-            continue
-        grouping = _grouping(g, cut, t1)
+        grouping = _grouping(g, cut, t1, comps=comps)
         if grouping is not None:
             return {"cut": quad, "condition": 1,
                     "v1": grouping[0], "v2": grouping[1]}
-        small = _grouping(g, cut, 1, 1)
+        small = _grouping(g, cut, 1, 1, comps=comps)
         if small is None:
             continue
         v1, v2 = small

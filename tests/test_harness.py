@@ -186,6 +186,11 @@ def test_cli_no_progress(tmp_path, capsys):
                                "--mode", "few"]) == (7, "NoProgress")
 
 
+def test_cli_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert _cli_error(capsys, ["solve", str(missing)]) == (9, "FileNotFoundError")
+
+
 @pytest.mark.parametrize("exc,code", [
     (oracle.TooLarge("cover search budget exhausted"), 5),
     (oracle.Infeasible("no feasible cover under the forbidden-cycle rule"), 6),

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from twoec import harness
 from twoec.gadgets import random2ec
-from twoec.graph import MultiGraph, is_two_edge_connected
+from twoec.graph import MultiGraph, bridges_and_blocks, is_two_edge_connected
 from twoec.oracle import (Infeasible, NotTwoEdgeConnected, TooLarge,
                           _cover_ok, _forced_edges, _simplify, _two_ec_on,
                           exact_min_2ecss, exact_min_cover,
-                          is_alpha_contractible, minimal_2ecss_witness)
+                          is_alpha_contractible, max_removable_inside,
+                          minimal_2ecss_witness)
 
 
 def cycle_graph(k):
@@ -294,6 +295,49 @@ def test_cover_monotone_in_forbidden():
 def test_cover_infeasible():
     with pytest.raises(Infeasible):
         exact_min_cover(MultiGraph(3, [(0, 1), (1, 2)]))
+
+
+def reference_max_removable_inside(g, inside_edges):
+    """The exhaustive search ``max_removable_inside`` replaced: subsets of
+    ``inside_edges``, largest first, until removing one leaves G 2EC."""
+    all_ids = set(range(g.m))
+    for size in range(len(inside_edges), -1, -1):
+        for comb in itertools.combinations(inside_edges, size):
+            if _two_ec_on(g, all_ids - set(comb)):
+                return size
+    return 0
+
+
+def test_max_removable_matches_reference():
+    """The quotient search against the exhaustive one, on random 2EC
+    multigraphs (parallel copies, self-loops) and random2ec graphs, with
+    random inside sets.  Some inside edges lie within one 2EC class of the
+    outside edges, and some answers are strictly between 0 and |inside|."""
+    rnd = random.Random(5150)
+    graphs = list(random_2ec_multigraphs(20253, 300))
+    graphs += [random2ec(n, p, seed) for n in range(6, 13) for p in (0.3, 0.6)
+               for seed in range(3)]
+    within = partial = 0
+    for g in graphs:
+        for _ in range(3):
+            inside = sorted(rnd.sample(range(g.m), rnd.randint(0, min(g.m, 10))))
+            want = reference_max_removable_inside(g, inside)
+            assert max_removable_inside(g, inside) == want, (g.edges, inside)
+            outside = [e for e in range(g.m) if e not in inside]
+            block = bridges_and_blocks(g, outside).block_of_vertex
+            for e in inside:
+                u, v = g.edges[e]
+                within += u == v or (u in block and block.get(v) == block[u])
+            partial += 0 < want < len(inside)
+    assert within > 0 and partial > 0
+
+
+def test_max_removable_not_2ec():
+    """A triangle with a pendant edge is not 2EC: nothing is removable."""
+    g = MultiGraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    for inside in ([], [0], [3], [0, 1, 2, 3]):
+        assert reference_max_removable_inside(g, inside) == 0
+        assert max_removable_inside(g, inside) == 0
 
 
 def test_contractible_chordless_c4_gadget():
