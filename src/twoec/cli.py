@@ -35,6 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the run report as JSON")
     sp.add_argument("--trace", dest="trace_out", metavar="FILE",
                     help="write the reduction/step trace as JSON")
+    sp.add_argument("--solution", dest="solution_out", metavar="FILE",
+                    help="write the solution's edge ids, the format verify "
+                         "reads")
     sp.add_argument("--seed", type=int, default=0)
 
     gp = sub.add_parser("gen", help="generate an instance")
@@ -97,6 +100,8 @@ def _run(args: argparse.Namespace) -> int:
             _write(args.trace_out,
                    json.dumps({"reduction": trace, "steps": steps},
                               indent=2) + "\n")
+        if args.solution_out:
+            _write(args.solution_out, harness.serialize_solution(sol))
         print(json.dumps({k: payload[k] for k in
                           ("n", "m", "solution_size", "opt", "ratio",
                            "branch", "verified", "waivers")}, indent=2))

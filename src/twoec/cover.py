@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import oracle
 from .decomp import C4, COMPLEX, CYCLE_TAGS, BlockTree, CoverDecomposition
-from .graph import (MultiGraph, biconnected_components, connected_components,
-                    find_bridges)
+from .graph import MultiGraph, connected_components
 from .params import StructuredParams
 
 
@@ -115,24 +114,114 @@ def _is_triangle_free_cover(g: MultiGraph, h: set[int]) -> bool:
 def _measure(g: MultiGraph, h: set[int]) -> tuple[int, int, int, int]:
     """(|H|, #components, #bridges, #cut vertices of bridgeless components).
 
-    A cut vertex of a connected graph is a vertex in two or more of its
-    biconnected components, so one lowpoint pass counts them all.
+    One iterative lowpoint DFS over H.  It skips only the parent *edge id*,
+    so a parallel copy of a tree edge is a back edge and never a bridge.
     """
-    comps = connected_components(g, h)
-    bridges = find_bridges(g, h)
-    comp_of = [0] * g.n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    bridged = {comp_of[g.edges[e][0]] for e in bridges}
-    blocks_at = [0] * g.n
-    for block in biconnected_components(g, h):
-        for v in block:
-            blocks_at[v] += 1
-    # a vertex in two blocks has a component of 3 or more vertices
-    cutv = sum(1 for v in range(g.n)
-               if blocks_at[v] >= 2 and comp_of[v] not in bridged)
-    return (len(h), len(comps), len(bridges), cutv)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid in h:
+        u, v = g.edges[eid]
+        if u != v:
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+    disc = [-1] * g.n
+    low = [0] * g.n
+    is_cut = [False] * g.n
+    counter = itertools.count()
+    ncomp = nbridges = ncut = 0
+    for root in range(g.n):
+        if disc[root] != -1:
+            continue
+        ncomp += 1
+        disc[root] = low[root] = next(counter)
+        children = bridges = cuts = 0
+        # stack holds (vertex, parent edge, neighbour iterator)
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, pe, it = stack[-1]
+            for w, eid in it:
+                if eid == pe:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = next(counter)
+                    stack.append((w, eid, iter(adj[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                parent = stack[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] > disc[parent]:
+                    bridges += 1
+                if parent == root:
+                    children += 1
+                elif low[v] >= disc[parent] and not is_cut[parent]:
+                    is_cut[parent] = True
+                    cuts += 1
+        nbridges += bridges
+        if not bridges:
+            ncut += cuts + (children >= 2)
+    return (len(h), ncomp, nbridges, ncut)
+
+
+def _feasible_adds(g: MultiGraph, deg: list[int], incident: list[list[int]],
+                   removed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The add sets for an exchange that removes ``removed`` (one or two
+    cover edges) which keep every end of a removed edge at degree >= 2.
+
+    Candidates are the pool edges at an end of a removed edge, ascending;
+    at most ``len(removed)`` of them are added.  Singles come first, then
+    pairs in ``itertools.combinations`` order, so this yields exactly the
+    full scan's add sets that pass the degree test, in the full scan's
+    order.  ``deg`` is the degree in H and ``incident[v]`` lists the pool
+    edges at v, ascending.
+    """
+    left: dict[int, int] = {}
+    for er in removed:
+        for v in g.edges[er]:
+            left[v] = left.get(v, deg[v]) - 1
+    need = {v: 2 - d for v, d in left.items() if d < 2}
+    # an added edge is no self-loop, so it lifts at most two ends by one
+    if sum(need.values()) > 2 * len(removed):
+        return
+    if not need:
+        cand = sorted({e for v in left for e in incident[v]})
+        yield from ((e,) for e in cand)
+        if len(removed) == 2:
+            yield from itertools.combinations(cand, 2)
+        return
+    # every feasible add set has an edge at the first needy vertex x; short[e]
+    # is what is still missing after adding e alone
+    x = next(iter(need))
+    short: dict[int, list[tuple[int, int]]] = {}
+    for e in incident[x]:
+        ends = g.edges[e]
+        short[e] = rest = []
+        for y, k in need.items():
+            if y in ends:
+                k -= 1
+            if k:
+                rest.append((y, k))
+        if not rest:
+            yield (e,)
+    if len(removed) == 1:
+        return
+    pairs: set[tuple[int, int]] = set()
+    cand: list[int] = []
+    for a, rest in short.items():
+        if not rest:                # a alone suffices: any second edge goes
+            cand = cand or sorted({e for v in left for e in incident[v]})
+            partners = cand
+        elif len(rest) > 2 or any(r > 1 for _, r in rest):
+            continue
+        else:
+            partners = [b for b in incident[rest[0][0]]
+                        if all(y in g.edges[b] for y, _ in rest)]
+        pairs.update((min(a, b), max(a, b)) for b in partners if b != a)
+    yield from sorted(pairs)
 
 
 def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
@@ -185,10 +274,6 @@ def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
         steps += 1
         return True
 
-    def candidates(removed: tuple[int, ...]) -> list[int]:
-        """Pool edges touching an end of a removed edge, ascending."""
-        return sorted({e for er in removed for v in g.edges[er] for e in incident[v]})
-
     improved = True
     while improved and steps < max_steps:
         improved = False
@@ -200,24 +285,16 @@ def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
                 break
         if improved:
             continue
-        # F_R size 1, F_A size 1
+        # F_R of size 1 or 2, F_A of at most as many edges touching its ends
         incident: list[list[int]] = [[] for _ in range(g.n)]
         for e, (u, v) in enumerate(g.edges):
             if e not in h and u != v:
                 incident[u].append(e)
                 incident[v].append(e)
-        for er in hs:
-            if any(try_apply((er,), (ea,)) for ea in candidates((er,))):
-                improved = True
-                break
-        if improved:
-            continue
-        # F_R size 2, F_A up to 2 touching the removed endpoints
-        for er1, er2 in itertools.combinations(hs, 2):
-            cand = candidates((er1, er2))
-            if any(try_apply((er1, er2), (ea1,)) for ea1 in cand) or \
-                    any(try_apply((er1, er2), pair)
-                        for pair in itertools.combinations(cand, 2)):
+        for removed in itertools.chain(((er,) for er in hs),
+                                       itertools.combinations(hs, 2)):
+            if any(try_apply(removed, add)
+                   for add in _feasible_adds(g, deg, incident, removed)):
                 improved = True
                 break
     dec = CoverDecomposition(g, h, params)

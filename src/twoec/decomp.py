@@ -143,14 +143,6 @@ class CoverDecomposition:
     # -- convenience -------------------------------------------------------
 
     @property
-    def is_bridgeless(self) -> bool:
-        return all(not c.bridges for c in self.components)
-
-    @property
-    def huge_components(self) -> list[Component]:
-        return [c for c in self.components if c.huge]
-
-    @property
     def complex_components(self) -> list[Component]:
         return [c for c in self.components if c.tag == COMPLEX]
 
@@ -298,9 +290,6 @@ class ComponentGraphView:
             a, b = b, a
         return sorted(eid for (x, y, eid) in self.node_edges if (x, y) == (a, b))
 
-    def incident_edges(self, node: int) -> list[int]:
-        return sorted(eid for (x, y, eid) in self.node_edges if node in (x, y))
-
     def neighbors(self, node: int) -> list[int]:
         out = set()
         for (x, y, _) in self.node_edges:
@@ -312,12 +301,6 @@ class ComponentGraphView:
 
     def segments_of(self, node: int) -> list[set[int]]:
         return [s for s in self.segments if node in s]
-
-    def segment_vertices(self, seg: set[int]) -> set[int]:
-        verts: set[int] = set()
-        for node in seg:
-            verts |= self.dec.components[node].vertices
-        return verts
 
 
 def instantiate_node_cycle(view: ComponentGraphView, node_cycle: list[int],

@@ -66,18 +66,6 @@ def sub_wheel(b: Builder, k: int,
             "vertices": own}
 
 
-def plain_wheel(b: Builder, k: int, rim_members: Optional[list[int]] = None) -> dict:
-    """Wheel with k rim vertices; ``rim_members`` (existing vertex ids) are
-    spliced into the rim at the front."""
-    hub = b.vertex()
-    rim: list[int] = list(rim_members or [])
-    rim += b.vertices(k - len(rim))
-    rim_edges = b.cycle(rim)
-    spoke_edges = [b.edge(hub, r) for r in rim]
-    return {"hub": hub, "rim": rim, "rim_edges": rim_edges,
-            "spoke_edges": spoke_edges, "vertices": [hub] + rim}
-
-
 def add_c4_petal(b: Builder, host_a: int, host_b: int) -> dict:
     """C4 attached to two host vertices at adjacent petal vertices."""
     p = b.vertices(4)

@@ -184,6 +184,7 @@ def find_large_ck(g: MultiGraph, params: StructuredParams
 
 def find_large_4vc(g: MultiGraph, params: StructuredParams) -> Optional[dict]:
     t1 = params.four_cut_side_2
+    opt1_of: dict[frozenset[int], Optional[int]] = {}
     for quad in _vertex_cuts(g, 4):
         cut = set(quad)
         comps = _components_without(g, cut)
@@ -198,11 +199,18 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams) -> Optional[dict]:
         if len(v1) > t1 - 2:
             continue
         # conservative condition-2 test: an optimal closure of the small side
-        # plus at most 4 patch edges must fit in the alpha budget
-        g1p = _contracted_side(g, v1, quad)
-        try:
-            opt1 = len(oracle.exact_min_2ecss(g1p, limit=params.oracle_limit))
-        except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
+        # plus at most 4 patch edges must fit in the alpha budget; opt1 is kept
+        # per V1: every edge leaving V1 ends in the cut, so G[V1 + cut] | cut
+        # differs between cuts only in self-loops, which the search drops
+        key = frozenset(v1)
+        if key not in opt1_of:
+            try:
+                opt1_of[key] = len(oracle.exact_min_2ecss(
+                    _contracted_side(g, v1, quad), limit=params.oracle_limit))
+            except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
+                opt1_of[key] = None
+        opt1 = opt1_of[key]
+        if opt1 is None:
             continue
         if Fraction(opt1 + 4) <= params.alpha * opt1:
             return {"cut": quad, "condition": 2, "v1": v1, "v2": v2,
@@ -224,16 +232,16 @@ def find_contractible(g: MultiGraph, params: StructuredParams
         seen.add(w)
         inside = [eid for eid, (u, v) in enumerate(g.edges)
                   if u in w and v in w and u != v]
+        min_inside = len(inside) - oracle.max_removable_inside(g, inside)
+        # G[w] is Hamiltonian, so its minimum 2ECSS has exactly |w| edges
+        if Fraction(min_inside) < Fraction(len(w)) / params.alpha:
+            continue
         sub = _side_graph(g, set(w), set())
         try:
             opt_local = oracle.exact_min_2ecss(sub, limit=16)
         except (oracle.NotTwoEdgeConnected, oracle.TooLarge):
             continue
-        removable = oracle.max_removable_inside(g, inside)
-        min_inside = len(inside) - removable
-        if Fraction(min_inside) >= Fraction(len(opt_local)) / params.alpha:
-            opt_parent = {sub.origin[e] for e in opt_local}
-            return set(w), opt_parent
+        return set(w), {sub.origin[e] for e in opt_local}
     return None
 
 

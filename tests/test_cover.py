@@ -5,7 +5,7 @@ import pytest
 
 from twoec import cover, harness, oracle
 from twoec.cover import (canonicalize, is_canonical, min_triangle_free_cover,
-                         _is_triangle_free_cover, _measure)
+                         _feasible_adds, _is_triangle_free_cover, _measure)
 from twoec.decomp import C4, C8, CoverDecomposition
 from twoec.gadgets import random2ec
 from twoec.graph import MultiGraph, connected_components, find_bridges
@@ -301,3 +301,54 @@ def test_canonicalize_matches_reference(kind, size, p, start, monkeypatch):
     ref_h, ref_steps, ref_checked = reference_canonicalize(g, h0)
     assert (sorted(h), steps) == (sorted(ref_h), ref_steps)
     assert full_checks - 1 == ref_checked      # less the entry check
+
+
+FILTER_CASES = ([("random2ec", n, start) for n in range(6, 15, 2)
+                 for start in ("min", "heuristic")]
+                + [("hub_c4", k, start) for k in (3, 6)
+                   for start in ("min", "heuristic")])
+
+
+@pytest.mark.parametrize("kind,size,start", FILTER_CASES)
+def test_feasible_adds_match_full_scan(kind, size, start):
+    """For every removal of one or two cover edges, ``_feasible_adds`` yields
+    exactly the full scan's add sets (singles, then pairs for two removed
+    edges) that keep every vertex at degree >= 2, in the full scan's order."""
+    if kind == "random2ec":
+        graphs = [random2ec(size, p, seed=size) for p in (0.3, 0.6)]
+    else:
+        graphs = [harness.generate(kind, k=size)]
+    kinds = {"skipped": 0, "pair": 0}
+    for g in graphs:
+        h = min_triangle_free_cover(g, mode="exact" if start == "min" else start,
+                                    limit=g.n)[0]
+        deg = [0] * g.n
+        for e in h:
+            for v in g.edges[e]:
+                deg[v] += 1
+        incident = [[] for _ in range(g.n)]
+        pool = [e for e in range(g.m) if e not in h and g.edges[e][0] != g.edges[e][1]]
+        for e in pool:
+            for v in g.edges[e]:
+                incident[v].append(e)
+
+        def passes(remove, add):
+            for v in range(g.n):
+                d = deg[v] - sum(g.edges[e].count(v) for e in remove) \
+                    + sum(v in g.edges[e] for e in add)
+                if d < 2:
+                    return False
+            return True
+
+        removals = [(e,) for e in sorted(h)] + list(itertools.combinations(sorted(h), 2))
+        for removed in removals:
+            ends = {v for e in removed for v in g.edges[e]}
+            cand = [e for e in pool if ends & set(g.edges[e])]
+            scan = [(e,) for e in cand]
+            if len(removed) == 2:
+                scan += list(itertools.combinations(cand, 2))
+            want = [add for add in scan if passes(removed, add)]
+            assert list(_feasible_adds(g, deg, incident, removed)) == want, removed
+            kinds["skipped"] += bool(scan) and not want
+            kinds["pair"] += any(len(add) == 2 for add in want)
+    assert kinds["skipped"] and kinds["pair"]

@@ -152,6 +152,17 @@ def test_cli_roundtrip(tmp_path):
     assert cli_main(["verify", str(gfile), str(bad)]) == 1
 
 
+def test_cli_solution_file_roundtrip(tmp_path):
+    """README's example: gen, solve --solution, then verify that file."""
+    gfile = tmp_path / "hub.txt"
+    sol_file = tmp_path / "solution.txt"
+    assert cli_main(["gen", "hub_c4", "--k", "3", "-o", str(gfile)]) == 0
+    assert cli_main(["solve", str(gfile), "--profile", "desk", "--mode", "many",
+                     "--solution", str(sol_file)]) == 0
+    assert sol_file.read_text().strip()
+    assert cli_main(["verify", str(gfile), str(sol_file)]) == 0
+
+
 def test_cli_exit_code_tracks_verify(tmp_path):
     gfile = tmp_path / "g.txt"
     gfile.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from twoec import gadgets, oracle
-from twoec.graph import MultiGraph, articulation_points, is_two_edge_connected
+from twoec.graph import (MultiGraph, articulation_points, is_two_edge_connected,
+                         simple_cycles_upto)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
 from twoec.params import StructuredParams, desk_params
 from twoec.preprocess import (COMPATIBLE, InternalInvariantViolation, Reducer,
                               _components_without, _contracted_side,
-                              _grouping, _vertex_cuts, classify_side_types,
+                              _grouping, _side_graph, _vertex_cuts, classify_side_types,
                               find_contractible, find_cut_vertex,
                               find_irrelevant_edge, find_large_3vc,
                               find_large_4vc, find_large_ck,
@@ -393,3 +394,108 @@ def test_finders_match_reference_gadget(name):
                for pair in itertools.combinations(range(g.n), 2))
     assert_finders_match(g, P)
 
+
+
+# ---------------------------------------------------------------------------
+# oracle calls the detectors make
+# ---------------------------------------------------------------------------
+
+def counting_oracle(monkeypatch):
+    """Patch ``oracle.exact_min_2ecss``; returns the list of its arguments."""
+    calls = []
+    real = oracle.exact_min_2ecss
+
+    def counted(g, *args, **kw):
+        calls.append(g)
+        return real(g, *args, **kw)
+
+    monkeypatch.setattr(oracle, "exact_min_2ecss", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,shared", [("vertex3_c3", True),
+                                         ("vertex4_case2", False)])
+def test_find_large_4vc_one_oracle_call_per_side(name, shared, monkeypatch):
+    """The condition-2 closure is computed once per distinct small side of
+    the 4-cuts the finder reaches, not once per cut.  On ``vertex3_c3``
+    several of those cuts share a side; ``vertex4_case2`` stops at its
+    first."""
+    g = gadgets.GADGETS[name]()
+    calls = counting_oracle(monkeypatch)
+    found = find_large_4vc(g, P)
+    t1 = P.four_cut_side_2
+    cuts = 0
+    sides = set()
+    for quad in _vertex_cuts(g, 4):
+        if _grouping(g, set(quad), t1) is not None:
+            break
+        v1 = _grouping(g, set(quad), 1, 1)[0]
+        if len(v1) <= t1 - 2:
+            cuts += 1
+            sides.add(frozenset(v1))
+        if found is not None and quad == found["cut"]:
+            break
+    assert len(calls) == len(sides)
+    assert (len(sides) < cuts) == shared
+
+
+def reference_find_contractible(g, params):
+    """``find_contractible`` with the oracle run on every candidate before
+    the inside-edge test."""
+    max_len = min(params.contractible_cycle_max, int(params.size_floor))
+    seen = set()
+    for cyc in sorted(simple_cycles_upto(g, max_len, limit=20000),
+                      key=lambda c: (len(c), sorted(c))):
+        w = frozenset(cyc)
+        if w in seen:
+            continue
+        seen.add(w)
+        inside = [eid for eid, (u, v) in enumerate(g.edges)
+                  if u in w and v in w and u != v]
+        sub = _side_graph(g, set(w), set())
+        try:
+            opt_local = oracle.exact_min_2ecss(sub, limit=16)
+        except (oracle.NotTwoEdgeConnected, oracle.TooLarge):
+            continue
+        min_inside = len(inside) - oracle.max_removable_inside(g, inside)
+        if Fraction(min_inside) >= Fraction(len(opt_local)) / params.alpha:
+            return set(w), {sub.origin[e] for e in opt_local}
+    return None
+
+
+CONTRACTIBLE_GRAPHS = (
+    [("gadget", name) for name in gadgets.GADGETS if name != "cycle8"]
+    + [("random2ec", n) for n in range(6, 13, 2)])
+
+
+def contractible_graphs(kind, key):
+    if kind == "gadget":
+        return [gadgets.GADGETS[key]()]
+    return [gadgets.random2ec(key, p, seed) for p in (0.2, 0.5)
+            for seed in range(2)]
+
+
+@pytest.mark.parametrize("kind,key", CONTRACTIBLE_GRAPHS)
+def test_find_contractible_one_oracle_call(kind, key, monkeypatch):
+    """At most one ``exact_min_2ecss`` call per finder call, and the
+    reference's witness, under desk and two looser profiles."""
+    for g in contractible_graphs(kind, key):
+        for params in CUT_PARAMS:
+            want = reference_find_contractible(g, params)
+            calls = counting_oracle(monkeypatch)
+            assert find_contractible(g, params) == want
+            assert len(calls) == (want is not None)
+            monkeypatch.undo()
+
+
+def test_short_cycle_vertex_sets_have_opt_size():
+    """G[w] for the vertex set w of a 3-8 cycle is Hamiltonian, so its
+    minimum 2ECSS has |w| edges; ``find_contractible`` relies on it.  Some
+    planted gadgets have no cycle that short."""
+    checked = 0
+    for kind, key in CONTRACTIBLE_GRAPHS + [("gadget", "cycle8")]:
+        for g in contractible_graphs(kind, key):
+            for w in {frozenset(c) for c in simple_cycles_upto(g, 8, limit=20000)}:
+                assert len(exact_min_2ecss(_side_graph(g, set(w), set()))) == len(w)
+                checked += 1
+    assert checked > 1000
