@@ -7,7 +7,7 @@ import sys
 
 from . import harness
 from .credit import LedgerError
-from .few import NoProgress
+from .exchange import NoProgress
 from .graph import GraphError
 from .oracle import Infeasible, NotTwoEdgeConnected, TooLarge
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from . import oracle
-from .decomp import C4, COMPLEX, CYCLE_TAGS, BlockTree, CoverDecomposition
+from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree,
+                     CoverDecomposition)
 from .graph import MultiGraph, connected_components
 from .params import StructuredParams
 
@@ -39,9 +40,11 @@ def min_triangle_free_cover(g: MultiGraph, mode: str = "exact",
     heuristic mode strips removable edges and patches triangle components."""
     if mode == "exact":
         return oracle.exact_min_cover(g, {3}, limit=limit), True
-    h = set(range(g.m))
+    # a self-loop never helps cover a vertex: drop loops before counting
+    h = {eid for eid, (u, v) in enumerate(g.edges) if u != v}
     deg = [0] * g.n
-    for u, v in g.edges:
+    for eid in h:
+        u, v = g.edges[eid]
         deg[u] += 1
         deg[v] += 1
     if any(d < 2 for d in deg):
@@ -62,11 +65,7 @@ def min_triangle_free_cover(g: MultiGraph, mode: str = "exact",
         changed = False
         for eid in sorted(h, reverse=True):
             u, v = g.edges[eid]
-            if u == v or deg[u] > 2 and deg[v] > 2:
-                if u == v:
-                    h.discard(eid)
-                    changed = True
-                    continue
+            if deg[u] > 2 and deg[v] > 2:
                 h2 = h - {eid}
                 if not triangle_comps(h2):
                     h = h2
@@ -340,7 +339,7 @@ def is_canonical(g: MultiGraph, h: set[int], params: StructuredParams,
             continue
         if comp.tag in CYCLE_TAGS:
             continue
-        if comp.is_2ec and len(comp.edges) >= 9:
+        if comp.tag == LARGE2EC:
             continue
         bad_comp = sorted(comp.vertices)
         break
@@ -379,6 +378,5 @@ def is_canonical(g: MultiGraph, h: set[int], params: StructuredParams,
     if merge:
         rep.witnesses["no_mergeable_c4_pair"] = merge
 
-    rep.clauses["huge_component"] = any(
-        len(c.vertices) >= params.huge_threshold for c in dec.components)
+    rep.clauses["huge_component"] = any(c.huge for c in dec.components)
     return rep

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .decomp import (C4, COMPLEX, CYCLE_TAGS, BlockTree, Component,
+from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree, Component,
                      CoverDecomposition)
 from .graph import MultiGraph
 from .params import StructuredParams
@@ -62,7 +62,7 @@ def component_scheme_credit(comp: Component, scheme: str, delta: Fraction) -> Fr
             return Fraction(1)
         if comp.tag in CYCLE_TAGS:
             return (Fraction(1, 4) - delta) * CYCLE_TAGS[comp.tag]
-        if comp.is_2ec and len(comp.edges) >= 9:
+        if comp.tag == LARGE2EC:
             return Fraction(2)
         return Fraction(1)          # non-canonical 2EC shapes; flagged elsewhere
     else:
@@ -70,7 +70,7 @@ def component_scheme_credit(comp: Component, scheme: str, delta: Fraction) -> Fr
             return 4 * (Fraction(1, 4) - delta)
         if comp.tag in CYCLE_TAGS:
             return Fraction(4 * CYCLE_TAGS[comp.tag])
-        if comp.is_2ec and len(comp.edges) >= 9:
+        if comp.tag == LARGE2EC:
             return Fraction(2)
         return Fraction(1)
 

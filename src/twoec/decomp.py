@@ -42,7 +42,6 @@ class Component:
     is_rich: bool = False
     cycle_order: Optional[list[int]] = None   # for cycle components
     huge: bool = False
-    large: bool = False
 
     @property
     def key(self) -> tuple[int, ...]:
@@ -115,8 +114,7 @@ class CoverDecomposition:
             c = Component(cid=cid, vertices=vs, edges=edges,
                           bridges=set(dec.bridges), blocks=blocks, tag=tag,
                           is_2ec=bool(is_2ec), is_rich=is_rich, cycle_order=cyc,
-                          huge=len(vs) >= self.params.huge_threshold,
-                          large=bool(is_2ec) and len(vs) >= self.params.large_threshold)
+                          huge=len(vs) >= self.params.huge_threshold)
             self.components.append(c)
             for v in vs:
                 self.comp_of_vertex[v] = cid
@@ -145,6 +143,13 @@ class CoverDecomposition:
     @property
     def complex_components(self) -> list[Component]:
         return [c for c in self.components if c.tag == COMPLEX]
+
+    def anchor(self) -> Component:
+        """The component the others are glued onto: the largest huge
+        component, else the largest one; ties go to the lower cid."""
+        huge = [c for c in self.components if c.huge]
+        return max(huge or self.components,
+                   key=lambda c: (len(c.vertices), -c.cid))
 
     def vertex_degrees(self) -> list[int]:
         deg = [0] * self.g.n

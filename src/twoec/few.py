@@ -1,158 +1,38 @@
 """Bridge covering with loan repayment and gluing (the low-4-cycle-count
 phase).
 
-Every step is an edge exchange proposed by a lemma-shaped generator and then
-validated against the rebuilt decomposition and ledger: strictly fewer
-bridges (or components), no new bridges, weak canonicity, every ledger
-invariant, and cost - loan monotone non-increasing, all in exact rationals.
-Generators are tried in the dispatch order of the underlying case analysis;
-if none validates, a logged fallback keeps the run total (a BoundWaiver).
+Every step is an edge exchange proposed by a lemma-shaped generator and
+committed only through ``apply_candidate``, FEW's entry to the shared
+``exchange.commit``: strictly fewer bridges (or components), no new bridges,
+weak canonicity, every ledger invariant, and cost - loan monotone
+non-increasing, all in exact rationals.  Generators are tried in the
+dispatch order of the underlying case analysis; if none validates, a logged
+fallback keeps the run total (a BoundWaiver).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .credit import (FEW, CreditLedger, build_few_ledger, check_invariants,
-                     cost, derive_credits)
-from .decomp import (C4, COMPLEX, BlockTree, Component, ComponentGraphView,
+from .credit import build_few_ledger
+from .decomp import (C4, LARGE2EC, BlockTree, Component, ComponentGraphView,
                      CoverDecomposition, instantiate_node_cycle,
                      segment_cycles_through)
+from .exchange import (ExchangeState, NoProgress, commit,
+                       weakly_canonical_enough)
 from .graph import MultiGraph, ham_path_exists, path_edge_ids
 from .params import StructuredParams
 
 
-class NoProgress(RuntimeError):
-    pass
-
-
-@dataclass
-class StepRecord:
-    phase: str
-    label: str
-    adds: tuple[int, ...]
-    removes: tuple[int, ...]
-    delta_cost: Fraction
-    delta_loan: Fraction
-    waiver: bool = False
-
-    def to_json(self) -> dict:
-        return {"phase": self.phase, "label": self.label,
-                "adds": list(self.adds), "removes": list(self.removes),
-                "delta_cost": str(self.delta_cost),
-                "delta_loan": str(self.delta_loan),
-                "waiver": self.waiver}
-
-
-class FewState:
-    def __init__(self, g: MultiGraph, dec: CoverDecomposition,
-                 led: CreditLedger, params: StructuredParams, info: dict):
-        self.g = g
-        self.params = params
-        self.dec = dec
-        self.led = led
-        self.info = info
-        self.trace: list[StepRecord] = []
-
-    @property
-    def h(self) -> set[int]:
-        return self.dec.h
-
-    def bridge_ids(self) -> set[int]:
-        out: set[int] = set()
-        for c in self.dec.components:
-            out |= c.bridges
-        return out
-
-    def cost_minus_loan(self) -> Fraction:
-        return cost(self.dec, self.led) - self.led.total_loan()
-
-
-def _bridge_count(dec: CoverDecomposition) -> int:
-    return sum(len(c.bridges) for c in dec.components)
-
-
-def _weakly_canonical_enough(g: MultiGraph, dec: CoverDecomposition) -> bool:
-    """Structural sanity maintained across steps: cover property (rich
-    vertices excepted) and block-size floors on complex components."""
-    if not dec.is_two_edge_cover(allow_rich=True):
-        return False
-    for comp in dec.components:
-        if comp.tag == COMPLEX:
-            for blk in comp.blocks:
-                if len(blk.edges) < 5:
-                    return False
-    return True
-
-
-def apply_candidate(state: FewState, adds: Iterable[int], removes: Iterable[int],
-                    phase: str, label: str, *,
-                    need_fewer_bridges: bool = False,
-                    need_fewer_components: bool = False,
-                    need_huge: bool = False,
-                    allow_cost_increase: bool = False,
-                    strict_structure: bool = True) -> bool:
-    """Validate and commit one exchange; returns True when applied."""
-    g, params = state.g, state.params
-    adds = tuple(sorted(set(adds)))
-    removes = tuple(sorted(set(removes)))
-    if not adds and not removes:
-        return False
-    if set(adds) & state.h or not set(removes) <= state.h:
-        return False
-    h2 = (state.h | set(adds)) - set(removes)
-    dec2 = CoverDecomposition(g, h2, params, state.dec.rich_vertices)
-    old_bridges = state.bridge_ids()
-    new_bridges = {e for c in dec2.components for e in c.bridges}
-    if not new_bridges <= old_bridges:
-        return False
-    if need_fewer_bridges and not len(new_bridges) < len(old_bridges):
-        return False
-    if need_fewer_components and not len(dec2.components) < len(state.dec.components):
-        return False
-    if need_fewer_components and len(new_bridges) > len(old_bridges):
-        return False
-    if need_huge and not any(c.huge for c in dec2.components):
-        return False
-    if strict_structure and not _weakly_canonical_enough(g, dec2):
-        return False
-    led2 = derive_credits(dec2, FEW, params.few_delta)
-    led2.colors = {e: c for e, c in state.led.colors.items() if e in new_bridges}
-    dcost = cost(dec2, led2) - cost(state.dec, state.led)
-    # forced repayment keeps each loan below its color's remaining credits
-    min_repay: dict[int, Fraction] = {}
-    for color, loan in state.led.loans.items():
-        remaining = sum((led2.bridge_credit[e] for e in new_bridges
-                         if led2.colors.get(e) == color), Fraction(0))
-        min_repay[color] = max(Fraction(0), loan - remaining)
-    forced = sum(min_repay.values(), Fraction(0))
-    if not allow_cost_increase and dcost + forced > 0:
-        return False
-    budget = max(Fraction(0), -dcost)
-    loans2: dict[int, Fraction] = {}
-    spent = Fraction(0)
-    for color in sorted(state.led.loans):
-        loan = state.led.loans[color]
-        repay = min_repay[color]
-        extra_room = loan - repay
-        extra = min(extra_room, max(Fraction(0), budget - forced - spent))
-        repay += extra
-        spent += extra
-        if loan - repay > 0:
-            loans2[color] = loan - repay
-    led2.loans = loans2
-    if check_invariants(g, dec2, led2):
-        return False
-    dloan = led2.total_loan() - state.led.total_loan()
-    state.dec = dec2
-    state.led = led2
-    state.trace.append(StepRecord(phase=phase, label=label, adds=adds,
-                                  removes=removes, delta_cost=dcost,
-                                  delta_loan=dloan,
-                                  waiver=allow_cost_increase))
-    return True
+def apply_candidate(state: ExchangeState, adds: Iterable[int],
+                    removes: Iterable[int], phase: str, label: str,
+                    **flags) -> bool:
+    """Validate and commit one exchange under weak canonicity; ``flags`` are
+    those of ``exchange.commit``.  True when applied."""
+    return commit(state, adds, removes, phase, label, weakly_canonical_enough,
+                  **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +193,7 @@ def _triple_candidates(ctx: ComponentContext, paths: list[BridgePath],
             yield trio, rem
 
 
-def _nice_c5_exchanges(state: FewState, comp: Component):
+def _nice_c5_exchanges(state: ExchangeState, comp: Component):
     """Matching-based exchanges around a pendant nice C5 block: add two host
     edges leaving the block, drop one block edge and one incident H edge."""
     g, dec = state.g, state.dec
@@ -336,7 +216,7 @@ def _nice_c5_exchanges(state: FewState, comp: Component):
                 yield (e1, e2), (r1, r2)
 
 
-def cover_bridges_step(state: FewState) -> bool:
+def cover_bridges_step(state: ExchangeState) -> bool:
     """One bridge-covering step; True when a bridge was removed."""
     complexes = sorted(state.dec.complex_components,
                        key=lambda c: min(c.vertices))
@@ -377,7 +257,7 @@ def cover_bridges_step(state: FewState) -> bool:
         for bp in ctx.all_bridge_paths():
             if apply_candidate(state, bp.edge_ids, (), "bridge_cover",
                                "fallback-path", need_fewer_bridges=True,
-                               allow_cost_increase=True, strict_structure=False):
+                               waiver=True, strict_structure=False):
                 return True
     raise NoProgress("no bridge-covering step applies")
 
@@ -386,19 +266,16 @@ def cover_bridges_step(state: FewState) -> bool:
 # gluing
 # ---------------------------------------------------------------------------
 
-def glue_step(state: FewState) -> bool:
+def glue_step(state: ExchangeState) -> bool:
     """Merge the segment around the huge component; True on progress."""
     dec = state.dec
     if len(dec.components) <= 1:
         return False
     view = ComponentGraphView(state.g, dec)
-    huge = [c for c in dec.components if c.huge]
-    if huge:
-        L = max(huge, key=lambda c: (len(c.vertices), -c.cid)).cid
-    else:
-        L = max(dec.components, key=lambda c: (len(c.vertices), -c.cid)).cid
+    anchor = dec.anchor()
+    L = anchor.cid
     segments = [s for s in view.segments if L in s] or view.segments
-    need_huge = bool(huge)
+    need_huge = anchor.huge
     for seg in segments:
         if len(seg) == 2:
             if _glue_trivial_segment(state, view, seg, L, need_huge):
@@ -418,7 +295,7 @@ def glue_step(state: FewState) -> bool:
                 continue
             if apply_candidate(state, pair, (), "glue", "fallback-attach",
                                need_fewer_components=True,
-                               allow_cost_increase=True, strict_structure=False):
+                               waiver=True, strict_structure=False):
                 return True
     # last resort: any two independent cross edges between two components
     for a, b, eid in view.node_edges:
@@ -429,12 +306,12 @@ def glue_step(state: FewState) -> bool:
                 continue
             if apply_candidate(state, pair, (), "glue", "fallback-any",
                                need_fewer_components=True,
-                               allow_cost_increase=True, strict_structure=False):
+                               waiver=True, strict_structure=False):
                 return True
     raise NoProgress("no gluing step applies")
 
 
-def _glue_trivial_segment(state: FewState, view: ComponentGraphView,
+def _glue_trivial_segment(state: ExchangeState, view: ComponentGraphView,
                           seg: set[int], L: int, need_huge: bool) -> bool:
     other = [x for x in seg if x != L]
     if L not in seg or not other:
@@ -445,7 +322,7 @@ def _glue_trivial_segment(state: FewState, view: ComponentGraphView,
     ids = view.edges_between(L, A)
     # rich vertex or large component: two attachment edges suffice
     label = ("trivial-rich" if compA.is_rich else
-             "trivial-large" if compA.is_2ec and len(compA.edges) >= 9 else None)
+             "trivial-large" if compA.tag == LARGE2EC else None)
     if label:
         for pair in itertools.combinations(ids, 2):
             ends = {x for e in pair for x in g.edges[e] if x in compA.vertices}
@@ -489,7 +366,7 @@ def _glue_trivial_segment(state: FewState, view: ComponentGraphView,
     return False
 
 
-def _two_segment_exchange(state: FewState, view: ComponentGraphView,
+def _two_segment_exchange(state: ExchangeState, view: ComponentGraphView,
                           L: int, A: int, seg2: set[int], need_huge: bool) -> bool:
     """Attach L to A and absorb a cycle of A's other segment (handles the
     pendant-C8 and cut-node cases)."""
@@ -517,7 +394,7 @@ def _two_segment_exchange(state: FewState, view: ComponentGraphView,
     return False
 
 
-def _removal_options_for_node(state: FewState, node: int,
+def _removal_options_for_node(state: ExchangeState, node: int,
                               adds: tuple[int, ...]) -> list[tuple[int, ...]]:
     g = state.g
     comp = state.dec.components[node]
@@ -532,7 +409,7 @@ def _removal_options_for_node(state: FewState, node: int,
     return opts
 
 
-def _cycle_removals_few(state: FewState, node_cycle: list[int], combo,
+def _cycle_removals_few(state: ExchangeState, node_cycle: list[int], combo,
                         skip: set[int]):
     yield ()
     g = state.g
@@ -555,7 +432,7 @@ def _cycle_removals_few(state: FewState, node_cycle: list[int], combo,
             yield tuple(sub)
 
 
-def _glue_wide_segment(state: FewState, view: ComponentGraphView,
+def _glue_wide_segment(state: ExchangeState, view: ComponentGraphView,
                        seg: set[int], L: int, need_huge: bool) -> bool:
     g = state.g
     if L not in seg:
@@ -617,13 +494,13 @@ def _glue_wide_segment(state: FewState, view: ComponentGraphView,
 # ---------------------------------------------------------------------------
 
 def run_few(g: MultiGraph, h0: set[int], params: StructuredParams,
-            strict: bool = True) -> tuple[set[int], FewState]:
+            strict: bool = True) -> tuple[set[int], ExchangeState]:
     """Ledger build, bridge covering to bridgeless, gluing to one component."""
     dec0 = CoverDecomposition(g, h0, params)
     dec, led, info = build_few_ledger(g, dec0, params, strict=strict)
-    state = FewState(g, dec, led, params, info)
+    state = ExchangeState(g, dec, led, params, info)
     guard = g.m + len(dec.components) + 4
-    while _bridge_count(state.dec) > 0 and guard > 0:
+    while state.bridge_ids() and guard > 0:
         cover_bridges_step(state)
         guard -= 1
     while len(state.dec.components) > 1 and guard > 0:

@@ -11,7 +11,8 @@ from typing import Optional
 from . import gadgets, oracle
 from .cover import canonicalize, min_triangle_free_cover
 from .credit import LedgerError
-from .few import NoProgress, run_few
+from .exchange import NoProgress
+from .few import run_few
 from .graph import GraphError, MultiGraph, is_two_edge_connected
 from .many import run_many
 from .params import StructuredParams, get_profile

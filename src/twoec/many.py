@@ -2,11 +2,12 @@
 heavy cycles), branching gluing paths, core-square construction, and the
 final per-segment assembly.
 
-Every structural change goes through ``apply_many``: the decomposition and
-credit assignment are rebuilt and the exchange commits only when components
-or bridges strictly decrease, no new bridge appears, and the exact-rational
-cost respects the step's slack (0 everywhere except the single +2 step of
-the core construction).
+Every structural change goes through ``apply_many``, MANY's entry to the
+shared ``exchange.commit``: the decomposition and credit assignment are
+rebuilt and the exchange commits only when components or bridges strictly
+decrease, no new bridge appears, every component keeps a canonical shape,
+and the exact-rational cost respects the step's slack (0 everywhere except
+the single +2 step of the core construction).
 """
 from __future__ import annotations
 
@@ -16,11 +17,11 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import oracle
-from .credit import MANY, CreditLedger, build_many_ledger, cost, derive_credits
-from .decomp import (C4, COMPLEX, CYCLE_TAGS, BlockTree, Component,
+from .credit import CreditLedger, build_many_ledger, cost
+from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree,
                      ComponentGraphView, CoverDecomposition,
                      instantiate_node_cycle, segment_cycles_through)
-from .few import NoProgress, StepRecord
+from .exchange import ExchangeState, NoProgress, canonical_shape_ok, commit
 from .graph import MultiGraph, contract_many
 from .params import StructuredParams
 
@@ -43,79 +44,20 @@ class MergeCandidate:
         return None
 
 
-class ManyState:
+class ManyState(ExchangeState):
     def __init__(self, g: MultiGraph, dec: CoverDecomposition,
                  led: CreditLedger, params: StructuredParams, info: dict):
-        self.g = g
-        self.params = params
-        self.dec = dec
-        self.led = led
-        self.info = info
-        self.trace: list[StepRecord] = []
+        super().__init__(g, dec, led, params, info)
         self.plus_two_used = False
         self.merge_audits: list[dict] = []
 
-    @property
-    def h(self) -> set[int]:
-        return self.dec.h
-
-    def bridge_ids(self) -> set[int]:
-        return {e for c in self.dec.components for e in c.bridges}
-
-    def view(self) -> ComponentGraphView:
-        return ComponentGraphView(self.g, self.dec)
-
-
-def _canonical_shape_ok(g: MultiGraph, dec: CoverDecomposition) -> bool:
-    if not dec.is_two_edge_cover(allow_rich=True):
-        return False
-    for comp in dec.components:
-        if comp.is_rich:
-            continue
-        if comp.tag == COMPLEX:
-            for blk in comp.blocks:
-                if len(blk.edges) < 5:
-                    return False
-        elif comp.tag not in CYCLE_TAGS and not (comp.is_2ec and len(comp.edges) >= 9):
-            return False
-    return True
-
 
 def apply_many(state: ManyState, adds: Iterable[int], removes: Iterable[int],
-               phase: str, label: str, *,
-               need_fewer_components: bool = False,
-               need_fewer_bridges: bool = False,
-               cost_slack: Fraction = Fraction(0),
-               strict_structure: bool = True,
-               waiver: bool = False) -> bool:
-    g, params = state.g, state.params
-    adds = tuple(sorted(set(adds)))
-    removes = tuple(sorted(set(removes)))
-    if set(adds) & state.h or not set(removes) <= state.h:
-        return False
-    h2 = (state.h | set(adds)) - set(removes)
-    dec2 = CoverDecomposition(g, h2, params, state.dec.rich_vertices)
-    old_bridges = state.bridge_ids()
-    new_bridges = {e for c in dec2.components for e in c.bridges}
-    if not new_bridges <= old_bridges:
-        return False
-    if need_fewer_components and not (len(dec2.components) < len(state.dec.components)
-                                      or len(new_bridges) < len(old_bridges)):
-        return False
-    if need_fewer_bridges and not len(new_bridges) < len(old_bridges):
-        return False
-    if strict_structure and not _canonical_shape_ok(g, dec2):
-        return False
-    led2 = derive_credits(dec2, MANY, params.many_delta)
-    dcost = cost(dec2, led2) - cost(state.dec, state.led)
-    if not waiver and dcost > cost_slack:
-        return False
-    state.dec = dec2
-    state.led = led2
-    state.trace.append(StepRecord(phase=phase, label=label, adds=adds,
-                                  removes=removes, delta_cost=dcost,
-                                  delta_loan=Fraction(0), waiver=waiver))
-    return True
+               phase: str, label: str, **flags) -> bool:
+    """Validate and commit one exchange under the canonical component
+    shapes; ``flags`` are those of ``exchange.commit``.  True when applied."""
+    return commit(state, adds, removes, phase, label, canonical_shape_ok,
+                  **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +264,7 @@ def find_31_merge(state: ManyState, target_cid: int, seg: set[int]
         return None
     for cid in seg:
         comp = state.dec.components[cid]
-        if comp.tag != C4 and not (comp.is_2ec and len(comp.edges) >= 9):
+        if comp.tag not in (C4, LARGE2EC):
             return None
     for cyc in segment_cycles_through(view, seg, target_cid, max_len=4):
         for combo in instantiate_node_cycle(view, cyc):
@@ -495,8 +437,7 @@ def gluing_path_progress(state: ManyState, seg: set[int]) -> Optional[str]:
 def core_square_report(state: ManyState) -> dict:
     dec = state.dec
     view = state.view()
-    params = state.params
-    huge = [c for c in dec.components if len(c.vertices) >= params.huge_threshold]
+    huge = [c for c in dec.components if c.huge]
     rep: dict[str, object] = {}
     rep["one_huge"] = len(huge) == 1
     L = huge[0].cid if len(huge) >= 1 else None
@@ -565,15 +506,14 @@ def _cover_l_bridge(state: ManyState, L: int) -> bool:
 def build_core_square(state: ManyState, max_steps: Optional[int] = None) -> dict:
     """Exhaustively apply the ordered reductions until the cover is a
     bridgeless core-square configuration; at most one +2 step."""
-    params = state.params
     guard = max_steps if max_steps is not None else 4 * state.g.n + 16
     while guard > 0:
         guard -= 1
         dec = state.dec
         view = state.view()
         rep = core_square_report(state)
-        huge = [c for c in dec.components if c.huge]
-        L = max(huge, key=lambda c: (len(c.vertices), -c.cid)).cid if huge else None
+        anchor = dec.anchor()
+        L = anchor.cid if anchor.huge else None
         if rep["ok"] and L is not None and not dec.components[L].bridges:
             break
         progressed = False
@@ -605,8 +545,7 @@ def build_core_square(state: ManyState, max_steps: Optional[int] = None) -> dict
         for seg in view.segments:
             if len(seg) > 4:
                 continue
-            bigs = [x for x in seg if dec.components[x].tag == COMPLEX
-                    or (dec.components[x].is_2ec and len(dec.components[x].edges) >= 9)]
+            bigs = [x for x in seg if dec.components[x].tag in (COMPLEX, LARGE2EC)]
             if len(bigs) >= 2:
                 cand = find_merge(state, segments=[seg])
                 if cand is not None and apply_merge(state, cand, phase="core"):
@@ -626,7 +565,7 @@ def build_core_square(state: ManyState, max_steps: Optional[int] = None) -> dict
         # 5. another large or complex component besides L
         if L is not None:
             others = [c for c in dec.components if c.cid != L and
-                      (c.tag == COMPLEX or (c.is_2ec and len(c.edges) >= 9))]
+                      c.tag in (COMPLEX, LARGE2EC)]
             if others:
                 cand = find_merge(state)
                 if cand is not None and apply_merge(state, cand, phase="core"):
@@ -800,12 +739,7 @@ def run_many(g: MultiGraph, h0: set[int], params: StructuredParams,
     guard = len(state.dec.components) + 4
     while len(state.dec.components) > 1 and guard > 0:
         guard -= 1
-        huge = [c for c in state.dec.components if c.huge]
-        if huge:
-            L = max(huge, key=lambda c: (len(c.vertices), -c.cid)).cid
-        else:
-            L = max(state.dec.components,
-                    key=lambda c: (len(c.vertices), -c.cid)).cid
+        L = state.dec.anchor().cid
         parts = [p for p in _pendant_parts(state, L) if p]
         if not parts:
             raise NoProgress("disconnected component graph during assembly")

@@ -20,7 +20,6 @@ class StructuredParams:
     alpha: Fraction
     epsilon: Fraction
     huge_threshold: int = 32           # component with >= this many vertices is huge
-    large_threshold: int = 9           # 2EC component with >= this many vertices is large
     few_delta: Fraction = Fraction(1, 100)
     many_delta: Fraction = Fraction(1, 28)
     beta_threshold: Fraction = Fraction(999, 1000)
@@ -65,7 +64,7 @@ def desk_params() -> StructuredParams:
     # stay cycles, any component on >= 9 vertices (2EC or complex) is huge,
     # and a huge 2EC component always has >= 9 edges (credit 2).
     return StructuredParams(alpha=Fraction(123, 100), epsilon=Fraction(1, 2),
-                            huge_threshold=9, large_threshold=9)
+                            huge_threshold=9)
 
 
 PROFILES = {"paper": paper_params, "desk": desk_params}

@@ -11,7 +11,8 @@ from twoec import gadgets, harness, oracle
 from twoec.cover import canonicalize, is_canonical, min_triangle_free_cover
 from twoec.credit import build_few_ledger, check_invariants, cost
 from twoec.decomp import CoverDecomposition
-from twoec.few import FewState, _bridge_count, cover_bridges_step, glue_step, run_few
+from twoec.exchange import ExchangeState
+from twoec.few import cover_bridges_step, glue_step, run_few
 from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.many import ManyState, apply_merge, build_core_square, find_merge, run_many
 from twoec.credit import build_many_ledger
@@ -193,8 +194,8 @@ def test_criterion_4_few_ledger_bound():
         bound = (Fraction(5, 4) - (1 - beta) * DELTA_FEW) * len(h0)
         assert cost(dec, led) - led.total_loan() <= bound
         assert not check_invariants(g, dec, led)
-        state = FewState(g, dec, led, P, info)
-        while _bridge_count(state.dec) > 0:
+        state = ExchangeState(g, dec, led, P, info)
+        while len(state.bridge_ids()) > 0:
             assert cover_bridges_step(state)
         assert state.led.total_loan() == 0
         assert not any(r.waiver for r in state.trace)
@@ -217,14 +218,14 @@ def test_criterion_5_step_monotonicity():
         h0 = cover_for(g)
         dec0 = CoverDecomposition(g, h0, P)
         dec, led, info = build_few_ledger(g, dec0, P)
-        state = FewState(g, dec, led, P, info)
-        metric = state.cost_minus_loan()
-        bridges = _bridge_count(state.dec)
-        while _bridge_count(state.dec) > 0:
+        state = ExchangeState(g, dec, led, P, info)
+        metric = cost(state.dec, state.led) - state.led.total_loan()
+        bridges = len(state.bridge_ids())
+        while len(state.bridge_ids()) > 0:
             cover_bridges_step(state)
-            assert _bridge_count(state.dec) < bridges
-            bridges = _bridge_count(state.dec)
-            m2 = state.cost_minus_loan()
+            assert len(state.bridge_ids()) < bridges
+            bridges = len(state.bridge_ids())
+            m2 = cost(state.dec, state.led) - state.led.total_loan()
             assert m2 <= metric
             metric = m2
             checked_steps += 1

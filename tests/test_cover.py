@@ -54,6 +54,23 @@ def test_heuristic_cover_is_feasible():
     assert len(h) >= len(exact)
 
 
+def test_heuristic_cover_ignores_self_loops():
+    # K4 on 1..4 plus vertex 0 of degree 2: the loop at 0 must not let one
+    # of 0's two edges go
+    edges = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (0, 1), (0, 2)]
+    h, _ = min_triangle_free_cover(MultiGraph(5, edges + [(0, 0)]),
+                                   mode="heuristic")
+    assert _is_triangle_free_cover(MultiGraph(5, edges), h)
+    rng = random.Random(7)
+    for seed in range(40):
+        g = random2ec(6 + seed % 7, 0.4, seed)
+        loops = [(v, v) for v in rng.sample(range(g.n), 1 + seed % 3)]
+        looped = MultiGraph(g.n, list(g.edges) + loops)
+        want = min_triangle_free_cover(g, mode="heuristic")
+        assert min_triangle_free_cover(looped, mode="heuristic") == want
+        assert _is_triangle_free_cover(g, want[0])
+
+
 def test_canonicalize_removes_chord():
     # C4 plus a chord inside one component of a two-component host
     g = MultiGraph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2),

@@ -80,3 +80,22 @@ def test_rich_vertex_component():
     dec = CoverDecomposition(g, {0, 1, 2, 5, 6, 7}, P, rich_vertices={3})
     rich = [c for c in dec.components if c.is_rich]
     assert len(rich) == 1 and rich[0].tag == RICH
+
+
+def test_large_tag_and_anchor_on_random_covers():
+    """``LARGE2EC`` is exactly "2EC with at least 9 edges", and the anchor
+    is the largest huge component, else the largest one, lower cid first."""
+    import random
+    from twoec.gadgets import random2ec
+    rng = random.Random(5)
+    for seed in range(60):
+        g = random2ec(8 + seed % 12, 0.35, seed)
+        h = {e for e in range(g.m) if rng.random() < 0.6}
+        dec = CoverDecomposition(g, h, P)
+        for c in dec.components:
+            assert (c.tag == LARGE2EC) == (c.is_2ec and len(c.edges) >= 9)
+        huge = [c for c in dec.components if c.huge]
+        pool = huge or dec.components
+        best = max(len(c.vertices) for c in pool)
+        want = min(c.cid for c in pool if len(c.vertices) == best)
+        assert dec.anchor().cid == want

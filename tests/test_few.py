@@ -4,8 +4,9 @@ import pytest
 
 from twoec.credit import build_few_ledger, check_invariants, cost
 from twoec.decomp import CoverDecomposition
-from twoec.few import (FewState, NoProgress, _bridge_count, cover_bridges_step,
-                       find_bridge_paths, glue_step, run_few)
+from twoec.exchange import ExchangeState
+from twoec.few import (NoProgress, cover_bridges_step, find_bridge_paths,
+                       glue_step, run_few)
 from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.oracle import _two_ec_on
 from twoec.params import desk_params
@@ -16,7 +17,7 @@ P = desk_params()
 def make_state(g, h):
     dec0 = CoverDecomposition(g, h, P)
     dec, led, info = build_few_ledger(g, dec0, P)
-    return FewState(g, dec, led, P, info)
+    return ExchangeState(g, dec, led, P, info)
 
 
 def two_c6_blocks_one_bridge():
@@ -33,11 +34,11 @@ def test_single_edge_cheap_path():
     g, h = two_c6_blocks_one_bridge()
     assert is_two_edge_connected(g)
     state = make_state(g, h)
-    before = state.cost_minus_loan()
-    assert _bridge_count(state.dec) == 1
+    before = cost(state.dec, state.led) - state.led.total_loan()
+    assert len(state.bridge_ids()) == 1
     assert cover_bridges_step(state)
-    assert _bridge_count(state.dec) == 0
-    assert state.cost_minus_loan() <= before
+    assert len(state.bridge_ids()) == 0
+    assert cost(state.dec, state.led) - state.led.total_loan() <= before
     assert state.trace[0].label in ("cheap-path", "path-repay")
     assert not check_invariants(g, state.dec, state.led)
 
@@ -69,11 +70,11 @@ def test_loan_repaid_during_covering():
     assert is_two_edge_connected(g)
     state = make_state(g, h)
     assert state.led.total_loan() == Fraction(1, 2) + 10 * P.few_delta
-    before = state.cost_minus_loan()
-    while _bridge_count(state.dec) > 0:
+    before = cost(state.dec, state.led) - state.led.total_loan()
+    while len(state.bridge_ids()) > 0:
         assert cover_bridges_step(state)
     assert state.led.total_loan() == 0
-    assert state.cost_minus_loan() <= before
+    assert cost(state.dec, state.led) - state.led.total_loan() <= before
     assert not any(r.waiver for r in state.trace)
 
 
@@ -149,14 +150,14 @@ def test_monotone_metrics_on_gadgets():
         g, h0 = builder()
         dec0 = CoverDecomposition(g, h0, P)
         dec, led, info = build_few_ledger(g, dec0, P)
-        state = FewState(g, dec, led, P, info)
-        metric = state.cost_minus_loan()
-        bridges = _bridge_count(state.dec)
-        while _bridge_count(state.dec) > 0:
+        state = ExchangeState(g, dec, led, P, info)
+        metric = cost(state.dec, state.led) - state.led.total_loan()
+        bridges = len(state.bridge_ids())
+        while len(state.bridge_ids()) > 0:
             cover_bridges_step(state)
-            assert _bridge_count(state.dec) < bridges
-            bridges = _bridge_count(state.dec)
-            m2 = state.cost_minus_loan()
+            assert len(state.bridge_ids()) < bridges
+            bridges = len(state.bridge_ids())
+            m2 = cost(state.dec, state.led) - state.led.total_loan()
             assert m2 <= metric
             assert not check_invariants(g, state.dec, state.led)
             metric = m2
@@ -185,14 +186,14 @@ def test_bridge_chain_covering():
         g = gadgets.bridge_chain(bridges=nb)
         h0 = set(range(12 + nb))     # blocks plus the bridge chain
         state = make_state(g, h0)
-        before = state.cost_minus_loan()
-        bridges = _bridge_count(state.dec)
+        before = cost(state.dec, state.led) - state.led.total_loan()
+        bridges = len(state.bridge_ids())
         assert bridges == nb
-        while _bridge_count(state.dec) > 0:
+        while len(state.bridge_ids()) > 0:
             assert cover_bridges_step(state)
-            assert _bridge_count(state.dec) < bridges
-            bridges = _bridge_count(state.dec)
-        assert state.cost_minus_loan() <= before
+            assert len(state.bridge_ids()) < bridges
+            bridges = len(state.bridge_ids())
+        assert cost(state.dec, state.led) - state.led.total_loan() <= before
         assert state.led.total_loan() == 0
         assert not any(r.waiver for r in state.trace)
 

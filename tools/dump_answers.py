@@ -6,10 +6,14 @@
 CHECKOUT is the root of a twoec checkout; its ``src/`` and ``perfbench/``
 are imported.  For every instance of both benchmark workloads (seed 1) the
 file holds ``[workload, name, mode, sorted(solution), report]``, the report
-being ``RunReport.to_json()`` without ``wall_time``.  It also holds the cut
-scan ``cuts.enumerate_cuts`` under the desk profile on those graphs and on
-200 seeded ``random2ec`` graphs.  Two checkouts give the same answers and
-reports iff their files are byte-identical.
+being ``RunReport.to_json()`` without ``wall_time``.  It also holds
+``--mode few`` and ``--mode many`` solves of the exchange gadgets (the
+benchmark never repays a loan or waives a bound; ``bridge_chain`` under FEW
+repays one and ``short_heavy_c5`` under FEW takes a waiver), each as the
+same row or, when the solve fails, ``[..., mode, None, exception name]``.
+Last comes the cut scan ``cuts.enumerate_cuts`` under the desk profile on
+the benchmark graphs and on 200 seeded ``random2ec`` graphs.  Two checkouts
+give the same answers and reports iff their files are byte-identical.
 """
 from __future__ import annotations
 
@@ -20,6 +24,27 @@ from pathlib import Path
 
 RANDOM_SCANS = 200
 RANDOM_P = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# (name, gadgets function, keyword arguments) solved under FEW and MANY
+EXCHANGE_GADGETS = [
+    ("bridge_chain", "bridge_chain", {}),
+    ("loan_complex", "loan_complex", {}),
+    ("nice_c5_complex", "nice_c5_complex", {}),
+    ("nice_c5_complex-2", "nice_c5_complex", {"pendants": 2}),
+    ("star_complex", "star_complex", {}),
+    ("short_heavy_c5", "short_heavy_c5", {}),
+    ("double_merge_host", "double_merge_host", {}),
+    ("hub_c4-3", "hub_c4", {"k": 3}),
+    ("hub_c4-6", "hub_c4", {"k": 6}),
+    ("shortcut_ring-10", "shortcut_ring", {"k": 10}),
+] + [(f"random2ec-{seed}", "random2ec", {"n": 12 + seed % 3, "p": 0.25,
+                                          "seed": seed}) for seed in range(6)]
+
+
+def report_row(harness, g, config) -> tuple[list[int], dict]:
+    sol, rep = harness.solve(g, config)
+    report = rep.to_json()
+    del report["wall_time"]
+    return sorted(sol), report
 
 
 def main(argv: list[str]) -> int:
@@ -28,7 +53,7 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from twoec import cuts, harness
+    from twoec import cli, cuts, gadgets, harness
     from twoec.params import desk_params
     if not Path(harness.__file__).resolve().is_relative_to(root / "src"):
         sys.exit(f"twoec was imported from {harness.__file__}, not {root / 'src'}")
@@ -39,11 +64,18 @@ def main(argv: list[str]) -> int:
             g = harness.parse_graph(inst.text)
             config = harness.SolverConfig(profile="desk", mode=inst.mode,
                                           with_oracle=inst.with_oracle)
-            sol, rep = harness.solve(g, config)
-            report = rep.to_json()
-            del report["wall_time"]
-            solves.append([workload, inst.name, inst.mode, sorted(sol), report])
+            solves.append([workload, inst.name, inst.mode,
+                           *report_row(harness, g, config)])
             graphs.append(g)
+    for name, builder, kwargs in EXCHANGE_GADGETS:
+        g = getattr(gadgets, builder)(**kwargs)
+        for mode in ("few", "many"):
+            config = harness.SolverConfig(profile="desk", mode=mode)
+            try:
+                row = report_row(harness, g, config)
+            except tuple(cli.ERROR_EXIT_CODES) as exc:
+                row = [None, type(exc).__name__]
+            solves.append(["exchange", name, mode, *row])
     for i in range(RANDOM_SCANS):
         graphs.append(harness.generate("random2ec", seed=5000 + i, n=6 + i % 7,
                                        p=RANDOM_P[(i // 7) % 7]))
