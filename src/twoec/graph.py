@@ -74,30 +74,38 @@ class MultiGraph:
 # connectivity primitives
 # ---------------------------------------------------------------------------
 
+def _subset_adj(g: MultiGraph, eids: Iterable[int]) -> list[list[tuple[int, int]]]:
+    """Adjacency lists of (neighbor, edge_id) over ``eids``, self-loops
+    dropped; ``eids`` is read once."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    edges = g.edges
+    for eid in eids:
+        u, v = edges[eid]
+        if u != v:
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+    return adj
+
+
 def connected_components(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None,
                          skip_vertices: Optional[set[int]] = None) -> list[list[int]]:
     """Components over the (possibly restricted) edge set; isolated vertices
-    form their own components.  ``skip_vertices`` are removed entirely."""
-    skip = skip_vertices or set()
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    eids = range(g.m) if edge_subset is None else edge_subset
-    for eid in eids:
-        u, v = g.edges[eid]
-        if u == v or u in skip or v in skip:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
+    form their own components.  ``skip_vertices`` are removed entirely.
+    Components come in order of their smallest vertex, each one sorted."""
+    adj = g.adj() if edge_subset is None else _subset_adj(g, edge_subset)
     seen = [False] * g.n
+    for v in skip_vertices or ():
+        seen[v] = True                  # removed: never a component
     comps = []
     for s in range(g.n):
-        if s in skip or seen[s]:
+        if seen[s]:
             continue
         comp = [s]
         seen[s] = True
         dq = deque([s])
         while dq:
             x = dq.popleft()
-            for y in adj[x]:
+            for y, _ in adj[x]:
                 if not seen[y]:
                     seen[y] = True
                     comp.append(y)
@@ -119,14 +127,7 @@ def is_connected(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None,
 def find_bridges(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> set[int]:
     """Bridge edge ids via iterative lowpoint DFS; parallel edges and
     self-loops are never bridges."""
-    eids = list(range(g.m)) if edge_subset is None else list(edge_subset)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in eids:
-        u, v = g.edges[eid]
-        if u == v:
-            continue
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
+    adj = _subset_adj(g, range(g.m) if edge_subset is None else edge_subset)
     disc = [-1] * g.n
     low = [0] * g.n
     bridges: set[int] = set()
@@ -205,14 +206,98 @@ def articulation_points(g: MultiGraph, skip: Iterable[int] = ()
 
 def is_two_edge_connected(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> bool:
     """Connected and bridge-free; self-loops are ignored.  The 1-vertex graph
-    counts as 2EC (contracted instances may collapse to a point)."""
-    if g.n == 1:
-        return True
-    if g.n == 0:
-        return False
-    if not is_connected(g, edge_subset):
-        return False
-    return not find_bridges(g, edge_subset)
+    counts as 2EC (contracted instances may collapse to a point).
+
+    One iterative lowpoint DFS from vertex 0 that stops at the first bridge;
+    ``edge_subset`` is read once.  Parallel copies are told apart by edge id,
+    so a pair is never a bridge."""
+    n = g.n
+    if n <= 1:
+        return n == 1
+    adj = g.adj() if edge_subset is None else _subset_adj(g, edge_subset)
+    disc = [-1] * n
+    low = [0] * n
+    disc[0] = 0
+    reached = 1
+    # stack holds (vertex, edge to its DFS parent, neighbour iterator)
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, pe, it = stack[-1]
+        for w, eid in it:
+            if eid == pe:
+                continue
+            if disc[w] == -1:
+                disc[w] = low[w] = reached
+                reached += 1
+                stack.append((w, eid, iter(adj[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] > disc[parent]:
+                    return False        # pe is a bridge
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    return reached == n
+
+
+def two_edge_classes(g: MultiGraph, eids: Iterable[int]
+                     ) -> tuple[set[int], list[int], int]:
+    """(bridges, cls, k) of the edge set ``eids``: its bridge ids, and its 2EC
+    classes, the components left once the bridges are removed.  ``cls[v]`` is
+    v's class in 0..k-1; a vertex on no edge of ``eids`` is a class alone.
+
+    One iterative lowpoint DFS.  Vertices go on ``open_`` when reached; a
+    vertex whose parent edge is a bridge, or a DFS root, closes its class
+    when it finishes, which is every open vertex from it upwards."""
+    adj = _subset_adj(g, eids)
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    cls = [-1] * n
+    bridges: set[int] = set()
+    k = 0
+    t = 0
+    open_: list[int] = []
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = t
+        t += 1
+        open_.append(root)
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, pe, it = stack[-1]
+            for w, eid in it:
+                if eid == pe:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = t
+                    t += 1
+                    open_.append(w)
+                    stack.append((w, eid, iter(adj[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] <= disc[parent]:
+                        continue
+                    bridges.add(pe)
+                while True:
+                    x = open_.pop()
+                    cls[x] = k
+                    if x == v:
+                        break
+                k += 1
+    return bridges, cls, k
 
 
 @dataclass
@@ -334,14 +419,7 @@ def contract_many(g: MultiGraph, groups: list[set[int]]) -> tuple[MultiGraph, li
 def biconnected_components(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> list[set[int]]:
     """Vertex sets of the biconnected components; parallel edges make a pair
     biconnected, self-loops are ignored.  Isolated vertices are skipped."""
-    eids = list(range(g.m)) if edge_subset is None else list(edge_subset)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in eids:
-        u, v = g.edges[eid]
-        if u == v:
-            continue
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
+    adj = _subset_adj(g, range(g.m) if edge_subset is None else edge_subset)
     disc = [-1] * g.n
     low = [0] * g.n
     comps: list[set[int]] = []

@@ -5,8 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .graph import (MultiGraph, connected_components, find_bridges,
-                    is_two_edge_connected)
+from .graph import MultiGraph, is_two_edge_connected, two_edge_classes
 
 
 class NotTwoEdgeConnected(ValueError):
@@ -63,10 +62,7 @@ def _two_ec_on(g: MultiGraph, eids: Iterable[int]) -> bool:
         deg[v] += 1
     if any(d < 2 for d in deg) and g.n > 1:
         return False
-    comps = connected_components(g, eids)
-    if len(comps) != 1:
-        return False
-    return not find_bridges(g, eids)
+    return is_two_edge_connected(g, eids)
 
 
 def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
@@ -177,29 +173,42 @@ def exact_min_2ecss(g: MultiGraph, limit: int = DEFAULT_LIMIT,
 
 def _cover_ok(g: MultiGraph, forbidden: frozenset[int], eids: list[int]) -> bool:
     """Every vertex has degree >= 2 in ``eids`` and no component is a cycle
-    whose length is in ``forbidden``."""
+    whose length is in ``forbidden``.
+
+    Such a component has only degree-2 vertices, so it is found by walking
+    from each degree-2 vertex through degree-2 vertices, at most
+    max(forbidden) steps: a walk that closes is a whole component.  Lengths
+    in ``forbidden`` are at least 2 (a parallel pair); a lone self-loop is
+    never one."""
     deg = [0] * g.n
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for eid in eids:
         u, v = g.edges[eid]
         deg[u] += 1
         deg[v] += 1
+        if u != v:
+            nbrs[u].append((v, eid))
+            nbrs[v].append((u, eid))
     if any(d < 2 for d in deg):
         return False
-    if forbidden:
-        comps = connected_components(g, eids)
-        edge_count: dict[int, int] = {}
-        comp_of = [0] * g.n
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
-        for eid in eids:
-            edge_count[comp_of[g.edges[eid][0]]] = \
-                edge_count.get(comp_of[g.edges[eid][0]], 0) + 1
-        for ci, comp in enumerate(comps):
-            k = len(comp)
-            if k in forbidden and edge_count.get(ci, 0) == k \
-                    and all(deg[v] == 2 for v in comp):
-                return False
+    if not forbidden:
+        return True
+    longest = max(forbidden)
+    walked = [False] * g.n
+    for s in range(g.n):
+        if walked[s] or deg[s] != 2 or not nbrs[s]:
+            continue
+        walked[s] = True
+        v, e = nbrs[s][0]
+        length = 1
+        while v != s and deg[v] == 2 and length < longest:
+            # v has two non-loop ends: it was entered along one of them
+            walked[v] = True
+            a, b = nbrs[v]
+            v, e = b if a[1] == e else a
+            length += 1
+        if v == s and length in forbidden:
+            return False
     return True
 
 
@@ -235,32 +244,34 @@ def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozen
     return best
 
 
-def max_removable_inside(g: MultiGraph, inside_edges: list[int]) -> int:
+def max_removable_inside(g: MultiGraph, inside_edges: list[int],
+                         target: Optional[Fraction] = None) -> int:
     """Largest |F|, F a subset of ``inside_edges``, with G - F still 2EC.
 
     The edges outside, B, are always kept, so each 2EC class of B (a
     component of B minus its bridges) can be contracted: G - F is 2EC iff its
     quotient is.  An inside edge within one class is always removable; the
     fewest crossing inside edges to keep come from the branch and bound on
-    the quotient, whose only other edges are B's bridges."""
+    the quotient, whose only other edges are B's bridges.
+
+    With a ``target`` for that kept count, a 2EC G with fewer than
+    ``target`` crossing inside edges keeps fewer than ``target`` whatever
+    the search finds, so the search is skipped and the lower bound
+    |inside| - |crossing| returned instead."""
     inside = set(inside_edges)
     outside = [eid for eid in range(g.m) if eid not in inside]
-    bridges = find_bridges(g, outside)
-    classes = connected_components(
-        g, [eid for eid in outside if eid not in bridges])
-    cls = [0] * g.n
-    for ci, comp in enumerate(classes):
-        for v in comp:
-            cls[v] = ci
+    bridges, cls, nclasses = two_edge_classes(g, outside)
     kept_outside = sorted(bridges)
     crossing = [eid for eid in sorted(inside)
                 if cls[g.edges[eid][0]] != cls[g.edges[eid][1]]]
-    quotient = MultiGraph(len(classes),
+    quotient = MultiGraph(nclasses,
                           [(cls[g.edges[eid][0]], cls[g.edges[eid][1]])
                            for eid in kept_outside + crossing])
     pool = list(range(quotient.m))
     if not _two_ec_on(quotient, pool):     # then no subset is 2EC either
         return 0
+    if target is not None and len(crossing) < target:
+        return len(inside) - len(crossing)
     forced = set(pool[:len(kept_outside)])
     free = pool[len(kept_outside):]
     kept = _search(quotient, pool, forced, free,
@@ -268,37 +279,6 @@ def max_removable_inside(g: MultiGraph, inside_edges: list[int]) -> int:
                    "removable-edge search budget exhausted",
                    2 ** (len(free) + 2))
     return len(inside) - (len(kept) - len(forced))
-
-
-def is_alpha_contractible(g: MultiGraph, component_edges: set[int],
-                          alpha: Fraction) -> bool:
-    """True iff every 2ECSS of G keeps at least |E(C)|/alpha edges with both
-    endpoints inside V(C).
-
-    The minimum number of inside edges over all 2ECSS equals
-    |E(G[V(C)])| - max{|F| : F inside, G - F 2EC}.
-    """
-    if not component_edges:
-        raise ValueError("component must have at least one edge")
-    verts: set[int] = set()
-    for eid in component_edges:
-        u, v = g.edges[eid]
-        verts.add(u)
-        verts.add(v)
-    if not is_two_edge_connected(_induced(g, verts, component_edges), None):
-        raise NotTwoEdgeConnected("candidate component is not 2EC")
-    inside = [eid for eid, (u, v) in enumerate(g.edges)
-              if u in verts and v in verts and u != v]
-    removable = max_removable_inside(g, inside)
-    min_inside = len(inside) - removable
-    return Fraction(min_inside) >= Fraction(len(component_edges)) / alpha
-
-
-def _induced(g: MultiGraph, verts: set[int], eids: set[int]) -> MultiGraph:
-    order = sorted(verts)
-    idx = {v: i for i, v in enumerate(order)}
-    edges = [(idx[g.edges[e][0]], idx[g.edges[e][1]]) for e in sorted(eids)]
-    return MultiGraph(len(order), edges)
 
 
 def minimal_2ecss_witness(g: MultiGraph, h: set[int]) -> bool:

@@ -74,8 +74,10 @@ def _vertex_cuts(g: MultiGraph, k: int) -> Iterator[tuple[int, ...]]:
     two only when c == 2 and d is one of them on its own."""
     adj = g.adj()
     for prefix in itertools.combinations(range(g.n), k - 1):
-        ncomp, cut_vertices = articulation_points(g, prefix)
         lo = prefix[-1] + 1 if prefix else 0
+        if lo == g.n:
+            continue                    # no d may follow the prefix
+        ncomp, cut_vertices = articulation_points(g, prefix)
         if ncomp == 1:
             for d in cut_vertices:
                 if d >= lo:
@@ -232,9 +234,10 @@ def find_contractible(g: MultiGraph, params: StructuredParams
         seen.add(w)
         inside = [eid for eid, (u, v) in enumerate(g.edges)
                   if u in w and v in w and u != v]
-        min_inside = len(inside) - oracle.max_removable_inside(g, inside)
         # G[w] is Hamiltonian, so its minimum 2ECSS has exactly |w| edges
-        if Fraction(min_inside) < Fraction(len(w)) / params.alpha:
+        target = Fraction(len(w)) / params.alpha
+        min_inside = len(inside) - oracle.max_removable_inside(g, inside, target)
+        if min_inside < target:
             continue
         sub = _side_graph(g, set(w), set())
         try:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from twoec.graph import (MultiGraph, articulation_points,
                          biconnected_components, bridges_and_blocks,
                          connected_components, contract, find_bridges,
                          ham_path_exists, is_two_edge_connected,
-                         simple_cycles_upto)
+                         simple_cycles_upto, two_edge_classes)
 
 
 def cycle_graph(k):
@@ -180,3 +181,98 @@ def test_articulation_points_match_removal():
         assert articulation_points(g, skip) == (base, want), (g.edges, skip)
         cut_seen += bool(want)
     assert cut_seen > 500
+
+
+def reference_components(g, edge_subset=None, skip_vertices=None):
+    """``connected_components`` with its adjacency rebuilt from the edge
+    list on every call, as before it walked ``g.adj()``."""
+    skip = skip_vertices or set()
+    adj = [[] for _ in range(g.n)]
+    eids = range(g.m) if edge_subset is None else edge_subset
+    for eid in eids:
+        u, v = g.edges[eid]
+        if u == v or u in skip or v in skip:
+            continue
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if s in skip or seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        dq = deque([s])
+        while dq:
+            x = dq.popleft()
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    dq.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def reference_is_two_edge_connected(g, edge_subset):
+    """The two passes the one-pass test replaced: components, then bridges."""
+    if g.n <= 1:
+        return g.n == 1
+    return (len(reference_components(g, edge_subset)) == 1
+            and not find_bridges(g, edge_subset))
+
+
+def reference_two_edge_classes(g, eids):
+    """Bridges, then the components of the other edges: the two passes
+    ``two_edge_classes`` replaced.  Classes as a set of vertex sets."""
+    bridges = find_bridges(g, eids)
+    comps = reference_components(g, [e for e in eids if e not in bridges])
+    return bridges, {frozenset(c) for c in comps}
+
+
+def test_components_match_reference(multigraph_cases):
+    """Both adjacency paths, with and without removed vertices."""
+    rnd = random.Random(77)
+    for g, subsets in multigraph_cases:
+        skip = set(rnd.sample(range(g.n), rnd.randint(0, min(g.n, 4))))
+        for s in (None, skip):
+            assert connected_components(g, None, s) == reference_components(g, None, s)
+            for sub in subsets:
+                assert connected_components(g, sub, s) == \
+                    reference_components(g, sub, s)
+
+
+def test_two_edge_connected_matches_reference(multigraph_cases):
+    verdicts = set()
+    for g, subsets in multigraph_cases:
+        assert is_two_edge_connected(g) == \
+            reference_is_two_edge_connected(g, range(g.m))
+        for sub in subsets:
+            want = reference_is_two_edge_connected(g, sub)
+            assert is_two_edge_connected(g, sub) == want, (g.edges, sub)
+            assert is_two_edge_connected(g, iter(sub)) == want
+            verdicts.add((g.n > 2, want))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_two_edge_connected_reads_a_one_shot_subset():
+    """A path is not 2EC when its edge ids come from an iterator either."""
+    g = MultiGraph(3, [(0, 1), (1, 2), (0, 2), (0, 1)])
+    assert not is_two_edge_connected(g, [0, 1])
+    assert not is_two_edge_connected(g, iter([0, 1]))
+    assert is_two_edge_connected(g, iter([0, 1, 2]))
+
+
+def test_two_edge_classes_match_reference(multigraph_cases):
+    split = 0
+    for g, subsets in multigraph_cases:
+        for sub in subsets:
+            bridges, cls, k = two_edge_classes(g, iter(sub))
+            classes = {}
+            for v, c in enumerate(cls):
+                classes.setdefault(c, set()).add(v)
+            assert sorted(classes) == list(range(k))
+            assert (bridges, {frozenset(c) for c in classes.values()}) == \
+                reference_two_edge_classes(g, sub), (g.edges, sub)
+            split += bool(bridges) and any(len(c) > 1 for c in classes.values())
+    assert split > 100

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from twoec import harness
 from twoec.gadgets import random2ec
-from twoec.graph import MultiGraph, bridges_and_blocks, is_two_edge_connected
+from twoec.graph import (MultiGraph, bridges_and_blocks, connected_components,
+                         find_bridges, is_two_edge_connected)
 from twoec.oracle import (Infeasible, NotTwoEdgeConnected, TooLarge,
                           _cover_ok, _forced_edges, _simplify, _two_ec_on,
                           exact_min_2ecss, exact_min_cover,
-                          is_alpha_contractible, max_removable_inside,
-                          minimal_2ecss_witness)
+                          max_removable_inside, minimal_2ecss_witness)
 
 
 def cycle_graph(k):
@@ -265,6 +265,76 @@ def test_multigraph_cover_matches_naive():
     assert uses_pair > 0
 
 
+def reference_two_ec_on(g, eids):
+    """``_two_ec_on`` before it called the one-pass test: the degree
+    pre-check, then components, then bridges."""
+    eids = list(eids)
+    deg = [0] * g.n
+    for eid in eids:
+        u, v = g.edges[eid]
+        deg[u] += 1
+        deg[v] += 1
+    if any(d < 2 for d in deg) and g.n > 1:
+        return False
+    if len(connected_components(g, eids)) != 1:
+        return False
+    return not find_bridges(g, eids)
+
+
+def reference_cover_ok(g, forbidden, eids):
+    """``_cover_ok`` before the walk: a forbidden cycle found among the
+    components, with their edges counted."""
+    deg = [0] * g.n
+    for eid in eids:
+        u, v = g.edges[eid]
+        deg[u] += 1
+        deg[v] += 1
+    if any(d < 2 for d in deg):
+        return False
+    if forbidden:
+        comps = connected_components(g, eids)
+        edge_count = {}
+        comp_of = [0] * g.n
+        for ci, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = ci
+        for eid in eids:
+            ci = comp_of[g.edges[eid][0]]
+            edge_count[ci] = edge_count.get(ci, 0) + 1
+        for ci, comp in enumerate(comps):
+            k = len(comp)
+            if k in forbidden and edge_count.get(ci, 0) == k \
+                    and all(deg[v] == 2 for v in comp):
+                return False
+    return True
+
+
+def test_two_ec_on_matches_reference(multigraph_cases):
+    verdicts = set()
+    for g, subsets in multigraph_cases:
+        for sub in subsets:
+            want = reference_two_ec_on(g, sub)
+            assert _two_ec_on(g, sub) == want, (g.edges, sub)
+            verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+FORBIDDEN_SETS = [frozenset(f) for f in ((), (3,), (4,), (3, 4), (2, 3, 4))]
+
+
+def test_cover_ok_matches_reference(multigraph_cases):
+    """Also with 2-cycles (parallel pairs) forbidden; some subsets fail only
+    for a forbidden cycle."""
+    cycle_rejects = 0
+    for g, subsets in multigraph_cases:
+        for sub in subsets:
+            for forbidden in FORBIDDEN_SETS:
+                want = reference_cover_ok(g, forbidden, sub)
+                assert _cover_ok(g, forbidden, sub) == want, (g.edges, sub, forbidden)
+                cycle_rejects += reference_cover_ok(g, (), sub) and not want
+    assert cycle_rejects > 100
+
+
 def test_cover_c4_triangle_free():
     g = cycle_graph(4)
     assert exact_min_cover(g, {3}) == set(range(4))
@@ -338,6 +408,34 @@ def test_max_removable_not_2ec():
     for inside in ([], [0], [3], [0, 1, 2, 3]):
         assert reference_max_removable_inside(g, inside) == 0
         assert max_removable_inside(g, inside) == 0
+
+
+def is_alpha_contractible(g, component_edges, alpha):
+    """True iff every 2ECSS of G keeps at least |E(C)|/alpha edges with both
+    endpoints inside V(C): the contractibility decision that
+    ``preprocess.find_contractible`` makes on short cycles.
+
+    The minimum number of inside edges over all 2ECSS equals
+    |E(G[V(C)])| - max{|F| : F inside, G - F 2EC}.
+    """
+    if not component_edges:
+        raise ValueError("component must have at least one edge")
+    verts = set()
+    for eid in component_edges:
+        verts.update(g.edges[eid])
+    if not is_two_edge_connected(_induced(g, verts, component_edges)):
+        raise NotTwoEdgeConnected("candidate component is not 2EC")
+    inside = [eid for eid, (u, v) in enumerate(g.edges)
+              if u in verts and v in verts and u != v]
+    min_inside = len(inside) - max_removable_inside(g, inside)
+    return Fraction(min_inside) >= Fraction(len(component_edges)) / alpha
+
+
+def _induced(g, verts, eids):
+    order = sorted(verts)
+    idx = {v: i for i, v in enumerate(order)}
+    return MultiGraph(len(order), [(idx[g.edges[e][0]], idx[g.edges[e][1]])
+                                   for e in sorted(eids)])
 
 
 def test_contractible_chordless_c4_gadget():

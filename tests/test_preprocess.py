@@ -488,6 +488,30 @@ def test_find_contractible_one_oracle_call(kind, key, monkeypatch):
             monkeypatch.undo()
 
 
+def test_bounded_removable_gives_the_exact_verdict():
+    """With a target, ``max_removable_inside`` is a lower bound on the exact
+    answer that gives ``find_contractible``'s test the same verdict, on every
+    candidate of the gadgets and random2ec graphs under three profiles.
+    Some candidates skip the search with a strictly lower bound."""
+    skipped = searched = 0
+    for kind, key in CONTRACTIBLE_GRAPHS:
+        for g in contractible_graphs(kind, key):
+            for params in CUT_PARAMS:
+                max_len = min(params.contractible_cycle_max, int(params.size_floor))
+                for w in {frozenset(c) for c in simple_cycles_upto(g, max_len, limit=20000)}:
+                    inside = [eid for eid, (u, v) in enumerate(g.edges)
+                              if u in w and v in w and u != v]
+                    target = Fraction(len(w)) / params.alpha
+                    exact = oracle.max_removable_inside(g, inside)
+                    bounded = oracle.max_removable_inside(g, inside, target)
+                    assert bounded <= exact
+                    assert (len(inside) - bounded >= target) == \
+                        (len(inside) - exact >= target)
+                    skipped += bounded < exact
+                    searched += bounded == exact
+    assert skipped > 0 and searched > 0
+
+
 def test_short_cycle_vertex_sets_have_opt_size():
     """G[w] for the vertex set w of a 3-8 cycle is Hamiltonian, so its
     minimum 2ECSS has |w| edges; ``find_contractible`` relies on it.  Some

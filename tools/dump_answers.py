@@ -11,9 +11,11 @@ being ``RunReport.to_json()`` without ``wall_time``.  It also holds
 benchmark never repays a loan or waives a bound; ``bridge_chain`` under FEW
 repays one and ``short_heavy_c5`` under FEW takes a waiver), each as the
 same row or, when the solve fails, ``[..., mode, None, exception name]``.
-Last comes the cut scan ``cuts.enumerate_cuts`` under the desk profile on
-the benchmark graphs and on 200 seeded ``random2ec`` graphs.  Two checkouts
-give the same answers and reports iff their files are byte-identical.
+Last come the cut scan ``cuts.enumerate_cuts`` and the contractible-part
+finder ``preprocess.find_contractible`` (which the scan skips), both under
+the desk profile, on the benchmark graphs and on 200 seeded ``random2ec``
+graphs.  Two checkouts give the same answers and reports iff their files
+are byte-identical.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from twoec import cli, cuts, gadgets, harness
+    from twoec import cli, cuts, gadgets, harness, preprocess
     from twoec.params import desk_params
     if not Path(harness.__file__).resolve().is_relative_to(root / "src"):
         sys.exit(f"twoec was imported from {harness.__file__}, not {root / 'src'}")
@@ -81,9 +83,13 @@ def main(argv: list[str]) -> int:
                                        p=RANDOM_P[(i // 7) % 7]))
     scans = [[dataclasses.asdict(c) for c in cuts.enumerate_cuts(g, desk_params())]
              for g in graphs]
+    found = [preprocess.find_contractible(g, desk_params()) for g in graphs]
+    contractible = [f and [sorted(f[0]), sorted(f[1])] for f in found]
     with open(argv[1], "w") as out:
-        json.dump({"solves": solves, "cut_scans": scans}, out, sort_keys=True)
-    print(f"{len(solves)} solves, {len(scans)} cut scans -> {argv[1]}")
+        json.dump({"solves": solves, "cut_scans": scans,
+                   "contractible": contractible}, out, sort_keys=True)
+    print(f"{len(solves)} solves, {len(scans)} cut scans, "
+          f"{sum(map(bool, contractible))} contractible parts -> {argv[1]}")
     return 0
 
 
