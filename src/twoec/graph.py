@@ -125,39 +125,9 @@ def is_connected(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None,
 
 
 def find_bridges(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> set[int]:
-    """Bridge edge ids via iterative lowpoint DFS; parallel edges and
-    self-loops are never bridges."""
-    adj = _subset_adj(g, range(g.m) if edge_subset is None else edge_subset)
-    disc = [-1] * g.n
-    low = [0] * g.n
-    bridges: set[int] = set()
-    counter = itertools.count()
-    for root in range(g.n):
-        if disc[root] != -1 or not adj[root]:
-            continue
-        # stack holds (vertex, parent_edge, iterator index)
-        stack = [(root, -1, 0)]
-        disc[root] = low[root] = next(counter)
-        while stack:
-            v, pe, i = stack.pop()
-            if i < len(adj[v]):
-                stack.append((v, pe, i + 1))
-                w, eid = adj[v][i]
-                if eid == pe:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = next(counter)
-                    stack.append((w, eid, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
-            else:
-                if pe != -1:
-                    u, w2 = g.edges[pe]
-                    parent = w2 if (u == v) else u
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        bridges.add(pe)
-    return bridges
+    """Bridge edge ids, from the lowpoint DFS of ``two_edge_classes``;
+    parallel edges and self-loops are never bridges."""
+    return two_edge_classes(g, range(g.m) if edge_subset is None else edge_subset)[0]
 
 
 def articulation_points(g: MultiGraph, skip: Iterable[int] = ()
@@ -264,6 +234,10 @@ def two_edge_classes(g: MultiGraph, eids: Iterable[int]
     open_: list[int] = []
     for root in range(n):
         if disc[root] != -1:
+            continue
+        if not adj[root]:               # a class alone; no DFS to set up
+            cls[root] = k
+            k += 1
             continue
         disc[root] = low[root] = t
         t += 1

@@ -214,18 +214,58 @@ def reference_components(g, edge_subset=None, skip_vertices=None):
     return comps
 
 
+def reference_find_bridges(g, eids):
+    """``find_bridges`` as its own lowpoint DFS, before it took the bridges
+    of ``two_edge_classes``."""
+    adj = [[] for _ in range(g.n)]
+    for eid in eids:
+        u, v = g.edges[eid]
+        if u == v:
+            continue
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    disc = [-1] * g.n
+    low = [0] * g.n
+    bridges = set()
+    counter = itertools.count()
+    for root in range(g.n):
+        if disc[root] != -1 or not adj[root]:
+            continue
+        stack = [(root, -1, 0)]
+        disc[root] = low[root] = next(counter)
+        while stack:
+            v, pe, i = stack.pop()
+            if i < len(adj[v]):
+                stack.append((v, pe, i + 1))
+                w, eid = adj[v][i]
+                if eid == pe:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = next(counter)
+                    stack.append((w, eid, 0))
+                else:
+                    low[v] = min(low[v], disc[w])
+            elif pe != -1:
+                u, w2 = g.edges[pe]
+                parent = w2 if u == v else u
+                low[parent] = min(low[parent], low[v])
+                if low[v] > disc[parent]:
+                    bridges.add(pe)
+    return bridges
+
+
 def reference_is_two_edge_connected(g, edge_subset):
     """The two passes the one-pass test replaced: components, then bridges."""
     if g.n <= 1:
         return g.n == 1
     return (len(reference_components(g, edge_subset)) == 1
-            and not find_bridges(g, edge_subset))
+            and not reference_find_bridges(g, edge_subset))
 
 
 def reference_two_edge_classes(g, eids):
     """Bridges, then the components of the other edges: the two passes
     ``two_edge_classes`` replaced.  Classes as a set of vertex sets."""
-    bridges = find_bridges(g, eids)
+    bridges = reference_find_bridges(g, eids)
     comps = reference_components(g, [e for e in eids if e not in bridges])
     return bridges, {frozenset(c) for c in comps}
 
