@@ -41,17 +41,6 @@ class CreditLedger:
         return sum((cr for eid, cr in self.bridge_credit.items()
                     if self.colors.get(eid) == color), Fraction(0))
 
-    def snapshot(self) -> dict:
-        def enc(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-        return {
-            "scheme": self.scheme,
-            "delta": enc(self.delta),
-            "credit_total": enc(self.total_credit()),
-            "loan_total": enc(self.total_loan()),
-            "loans": {str(c): enc(v) for c, v in sorted(self.loans.items())},
-        }
-
 
 def component_scheme_credit(comp: Component, scheme: str, delta: Fraction) -> Fraction:
     """Credit of a non-complex component under the scheme."""

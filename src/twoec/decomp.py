@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import (MultiGraph, biconnected_components, bridges_and_blocks,
-                    connected_components)
+from .graph import (MultiGraph, biconnected_components, connected_components,
+                    two_edge_classes)
 from .params import StructuredParams
 
 # classification tags
@@ -92,32 +92,46 @@ class CoverDecomposition:
         self._build()
 
     def _build(self) -> None:
+        """One components pass and one bridges-and-2EC-classes pass over H;
+        each edge then goes to its component, and to its component's bridges
+        or to the block of its ends' 2EC class.  A block is a class holding
+        a non-bridge edge; a self-loop belongs to its vertex's class."""
         g, h = self.g, self.h
         comps = connected_components(g, h)
-        covered: dict[int, int] = {}
-        edge_comp: dict[int, list[int]] = {}
-        comp_sets = []
-        for comp in comps:
-            comp_sets.append(set(comp))
-        self.comp_of_vertex: dict[int, int] = {}
+        self.bridges, cls, _ = two_edge_classes(g, sorted(h))
+        comp_of = self.comp_of_vertex = {v: cid for cid, comp in enumerate(comps)
+                                         for v in comp}
+        comp_edges: list[set[int]] = [set() for _ in comps]
+        comp_bridges: list[set[int]] = [set() for _ in comps]
+        class_edges: dict[int, set[int]] = {}
+        for eid in h:
+            u = g.edges[eid][0]
+            comp_edges[comp_of[u]].add(eid)
+            if eid in self.bridges:
+                comp_bridges[comp_of[u]].add(eid)
+            else:
+                class_edges.setdefault(cls[u], set()).add(eid)
+        comp_blocks: list[list[Block]] = [[] for _ in comps]
+        block_of_class: dict[int, Block] = {}
+        for v in range(g.n):            # ascending: blocks by smallest vertex
+            if cls[v] not in class_edges:
+                continue
+            blk = block_of_class.get(cls[v])
+            if blk is None:
+                blk = block_of_class[cls[v]] = Block(set(), class_edges[cls[v]])
+                comp_blocks[comp_of[v]].append(blk)
+            blk.vertices.add(v)
         self.components: list[Component] = []
-        for vs in comp_sets:
-            cid = len(self.components)
-            edges = {eid for eid in h
-                     if g.edges[eid][0] in vs and g.edges[eid][1] in vs}
-            dec = bridges_and_blocks(g, edges)
-            blocks = [Block(b["vertices"], b["edges"]) for b in dec.blocks]
-            blocks.sort(key=lambda b: min(b.vertices))
-            is_rich = len(vs) == 1 and not edges and min(vs) in self.rich_vertices
-            is_2ec = not dec.bridges and len(blocks) <= 1 and not is_rich and edges
-            tag, cyc = self._classify(vs, edges, dec.bridges, is_rich, bool(is_2ec))
-            c = Component(cid=cid, vertices=vs, edges=edges,
-                          bridges=set(dec.bridges), blocks=blocks, tag=tag,
-                          is_2ec=bool(is_2ec), is_rich=is_rich, cycle_order=cyc,
-                          huge=len(vs) >= self.params.huge_threshold)
-            self.components.append(c)
-            for v in vs:
-                self.comp_of_vertex[v] = cid
+        for cid, comp in enumerate(comps):
+            vs, edges, bridges, blocks = (set(comp), comp_edges[cid],
+                                          comp_bridges[cid], comp_blocks[cid])
+            is_rich = len(vs) == 1 and not edges and comp[0] in self.rich_vertices
+            is_2ec = bool(not bridges and len(blocks) <= 1 and not is_rich and edges)
+            tag, cyc = self._classify(vs, edges, bridges, is_rich, is_2ec)
+            self.components.append(Component(
+                cid=cid, vertices=vs, edges=edges, bridges=bridges,
+                blocks=blocks, tag=tag, is_2ec=is_2ec, is_rich=is_rich,
+                cycle_order=cyc, huge=len(vs) >= self.params.huge_threshold))
 
     def _classify(self, vs: set[int], edges: set[int], bridges: set[int],
                   is_rich: bool, is_2ec: bool):
@@ -231,31 +245,6 @@ class BlockTree:
             cur = prev[cur][0]
             nodes.append(cur)
         return nodes[::-1], eids[::-1]
-
-    def longest_path(self) -> list[int]:
-        """Node sequence of a longest path (two BFS sweeps), deterministic."""
-        if len(self.nodes) == 1:
-            return [0]
-
-        def far(s):
-            dist = {s: 0}
-            order = [s]
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y, _ in self.adj[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        order.append(y)
-                        stack.append(y)
-            dmax = max(dist.values())
-            cands = sorted(v for v, d in dist.items() if d == dmax)
-            return cands[0]
-
-        a = far(0)
-        b = far(a)
-        nodes, _ = self.tree_path(a, b)
-        return nodes
 
 
 class ComponentGraphView:

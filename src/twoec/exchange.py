@@ -61,7 +61,7 @@ class ExchangeState:
         return self.dec.h
 
     def bridge_ids(self) -> set[int]:
-        return {e for c in self.dec.components for e in c.bridges}
+        return self.dec.bridges
 
     def view(self) -> ComponentGraphView:
         return ComponentGraphView(self.g, self.dec)
@@ -104,7 +104,7 @@ def commit(state: ExchangeState, adds: Iterable[int], removes: Iterable[int],
     h2 = (state.h | set(adds)) - set(removes)
     dec2 = CoverDecomposition(g, h2, state.params, state.dec.rich_vertices)
     old_bridges = state.bridge_ids()
-    new_bridges = {e for c in dec2.components for e in c.bridges}
+    new_bridges = dec2.bridges
     if not new_bridges <= old_bridges:
         return False
     fewer_bridges = len(new_bridges) < len(old_bridges)

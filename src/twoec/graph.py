@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -112,16 +111,6 @@ def connected_components(g: MultiGraph, edge_subset: Optional[Iterable[int]] = N
                     dq.append(y)
         comps.append(sorted(comp))
     return comps
-
-
-def is_connected(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None,
-                 skip_vertices: Optional[set[int]] = None) -> bool:
-    skip = skip_vertices or set()
-    want = g.n - len(skip)
-    if want <= 0:
-        return True
-    comps = connected_components(g, edge_subset, skip)
-    return len(comps) == 1
 
 
 def find_bridges(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> set[int]:
@@ -272,55 +261,6 @@ def two_edge_classes(g: MultiGraph, eids: Iterable[int]
                         break
                 k += 1
     return bridges, cls, k
-
-
-@dataclass
-class BlockDecomposition:
-    """Bridges plus maximal 2EC subgraphs ('blocks') of an edge set.
-
-    ``block_of_vertex[v]`` is the block index of v or -1 for lonely vertices
-    (vertices incident only to bridges) and vertices outside the edge set.
-    """
-    bridges: set[int]
-    blocks: list[dict]                 # each: {"vertices": set, "edges": set}
-    block_of_vertex: dict[int, int]
-
-
-def bridges_and_blocks(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> BlockDecomposition:
-    eids = list(range(g.m)) if edge_subset is None else sorted(edge_subset)
-    bridges = find_bridges(g, eids)
-    non_bridge = [e for e in eids if e not in bridges]
-    # components of the bridge-free remainder that carry at least one edge
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in non_bridge:
-        u, v = g.edges[eid]
-        adj[u].append((v, eid))
-        if u != v:
-            adj[v].append((u, eid))
-    seen = [False] * g.n
-    blocks: list[dict] = []
-    block_of_vertex: dict[int, int] = {}
-    for s in range(g.n):
-        if seen[s] or not adj[s]:
-            continue
-        verts = {s}
-        edges: set[int] = set()
-        seen[s] = True
-        dq = deque([s])
-        while dq:
-            x = dq.popleft()
-            for y, eid in adj[x]:
-                edges.add(eid)
-                if not seen[y]:
-                    seen[y] = True
-                    verts.add(y)
-                    dq.append(y)
-        idx = len(blocks)
-        blocks.append({"vertices": verts, "edges": edges})
-        for v in verts:
-            block_of_vertex[v] = idx
-    return BlockDecomposition(bridges=bridges, blocks=blocks,
-                              block_of_vertex=block_of_vertex)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from typing import Iterable, Optional
 
 from . import oracle
 from .credit import CreditLedger, build_many_ledger, cost
-from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree,
+from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree, Component,
                      ComponentGraphView, CoverDecomposition,
                      instantiate_node_cycle, segment_cycles_through)
 from .exchange import ExchangeState, NoProgress, canonical_shape_ok, commit
-from .graph import MultiGraph, contract_many
+from .graph import MultiGraph, connected_components, contract_many
 from .params import StructuredParams
 
 
@@ -615,30 +615,7 @@ def build_core_square(state: ManyState, max_steps: Optional[int] = None) -> dict
 def _pendant_parts(state: ManyState, L: int) -> list[list[int]]:
     """Connected parts of the component graph after removing L (lists of
     component ids), deterministic order."""
-    view = state.view()
-    adj: dict[int, set[int]] = {}
-    for a, b, _ in view.node_edges:
-        if L in (a, b):
-            continue
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    part_of: dict[int, int] = {}
-    parts: list[list[int]] = []
-    for c in state.dec.components:
-        if c.cid == L or c.cid in part_of:
-            continue
-        stack = [c.cid]
-        cur = [c.cid]
-        part_of[c.cid] = len(parts)
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in part_of:
-                    part_of[y] = len(parts)
-                    cur.append(y)
-                    stack.append(y)
-        parts.append(sorted(cur))
-    return parts
+    return connected_components(state.view().mg, None, {L})
 
 
 def _optimal_part_replacement(state: ManyState, L: int, part: list[int]) -> bool:
@@ -677,14 +654,19 @@ def _stitch_part(state: ManyState, L: int, part: list[int]) -> bool:
     removes_total: list[int] = []
     budget = len(part)
     h_now = set(state.h)
+
+    def cross_edges(comp: Component) -> list[int]:
+        """Unused host edges between comp and the merged vertices."""
+        return [e for e, (u, v) in enumerate(g.edges)
+                if e not in h_now and e not in adds_total
+                and ((u in comp.vertices and v in merged_vertices)
+                     or (v in comp.vertices and u in merged_vertices))]
+
     while remaining:
         placed = False
         for cid in list(remaining):
             comp = state.dec.components[cid]
-            cross = [e for e, (u, v) in enumerate(g.edges)
-                     if e not in h_now and e not in adds_total
-                     and ((u in comp.vertices and v in merged_vertices)
-                          or (v in comp.vertices and u in merged_vertices))]
+            cross = cross_edges(comp)
             for e1, e2 in itertools.combinations(cross, 2):
                 ends = sorted({x for e in (e1, e2) for x in g.edges[e]
                                if x in comp.vertices})
@@ -706,10 +688,7 @@ def _stitch_part(state: ManyState, L: int, part: list[int]) -> bool:
             # fall back: attach with two cross edges, no shortcut
             for cid in list(remaining):
                 comp = state.dec.components[cid]
-                cross = [e for e, (u, v) in enumerate(g.edges)
-                         if e not in h_now and e not in adds_total
-                         and ((u in comp.vertices and v in merged_vertices)
-                              or (v in comp.vertices and u in merged_vertices))]
+                cross = cross_edges(comp)
                 if len(cross) >= 2:
                     adds_total += cross[:2]
                     merged_vertices |= comp.vertices

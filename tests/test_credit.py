@@ -163,14 +163,3 @@ def test_many_complex_component_budget():
           + sum(led.bridge_credit[e] for e in comp.bridges))
     assert cr == 1 + 1 + 1 + 4
     assert len(comp.edges) + cr <= 5 * len(comp.edges)
-
-
-def test_ledger_snapshot_serializes():
-    import json
-    g, h = two_block_loan_host()
-    dec = CoverDecomposition(g, h, P)
-    dec2, led, info = build_few_ledger(g, dec, P)
-    snap = led.snapshot()
-    json.dumps(snap)
-    assert snap["scheme"] == FEW
-    assert snap["loan_total"].count("/") == 1

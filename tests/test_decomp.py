@@ -1,6 +1,10 @@
-from twoec.decomp import (C4, C5, COMPLEX, HUGE, LARGE2EC, RICH, BlockTree,
-                          ComponentGraphView, CoverDecomposition)
-from twoec.graph import MultiGraph
+import random
+from collections import deque
+
+from twoec.decomp import (C4, C5, COMPLEX, HUGE, LARGE2EC, RICH, Block,
+                          BlockTree, Component, ComponentGraphView,
+                          CoverDecomposition)
+from twoec.graph import MultiGraph, connected_components, find_bridges
 from twoec.params import desk_params
 
 P = desk_params()
@@ -69,8 +73,6 @@ def test_complex_component_block_tree():
     assert len(tree.nodes) == 3
     assert sorted(tree.nodes[i]["kind"] for i in range(3)) == ["block", "block", "lonely"]
     assert len(tree.pendant_blocks()) == 2
-    lp = tree.longest_path()
-    assert len(lp) == 3
 
 
 def test_rich_vertex_component():
@@ -99,3 +101,86 @@ def test_large_tag_and_anchor_on_random_covers():
         best = max(len(c.vertices) for c in pool)
         want = min(c.cid for c in pool if len(c.vertices) == best)
         assert dec.anchor().cid == want
+
+
+def reference_bridges_and_blocks(g, edge_subset):
+    """The two-pass block decomposition ``CoverDecomposition`` replaced:
+    (bridges, blocks) of an edge set, a block being a component of its
+    non-bridge edges, self-loops included, found by a BFS from each
+    unseen vertex in ascending order."""
+    eids = sorted(edge_subset)
+    bridges = find_bridges(g, eids)
+    adj = [[] for _ in range(g.n)]
+    for eid in eids:
+        if eid in bridges:
+            continue
+        u, v = g.edges[eid]
+        adj[u].append((v, eid))
+        if u != v:
+            adj[v].append((u, eid))
+    seen = [False] * g.n
+    blocks = []
+    for s in range(g.n):
+        if seen[s] or not adj[s]:
+            continue
+        verts, edges = {s}, set()
+        seen[s] = True
+        dq = deque([s])
+        while dq:
+            x = dq.popleft()
+            for y, eid in adj[x]:
+                edges.add(eid)
+                if not seen[y]:
+                    seen[y] = True
+                    verts.add(y)
+                    dq.append(y)
+        blocks.append(Block(verts, edges))
+    return bridges, blocks
+
+
+def reference_cover_decomposition(dec):
+    """The per-component build ``CoverDecomposition`` replaced: for each
+    component of H, a scan of H for its edges and one
+    ``reference_bridges_and_blocks`` pass.  Returns (comp_of_vertex,
+    components); tags come from ``dec``'s classifier, which is unchanged."""
+    g, h = dec.g, dec.h
+    comp_of_vertex, components = {}, []
+    for vs in map(set, connected_components(g, h)):
+        cid = len(components)
+        edges = {eid for eid in h
+                 if g.edges[eid][0] in vs and g.edges[eid][1] in vs}
+        bridges, blocks = reference_bridges_and_blocks(g, edges)
+        blocks.sort(key=lambda b: min(b.vertices))
+        is_rich = len(vs) == 1 and not edges and min(vs) in dec.rich_vertices
+        is_2ec = bool(not bridges and len(blocks) <= 1 and not is_rich and edges)
+        tag, cyc = dec._classify(vs, edges, bridges, is_rich, is_2ec)
+        components.append(Component(
+            cid=cid, vertices=vs, edges=edges, bridges=bridges, blocks=blocks,
+            tag=tag, is_2ec=is_2ec, is_rich=is_rich, cycle_order=cyc,
+            huge=len(vs) >= dec.params.huge_threshold))
+        for v in vs:
+            comp_of_vertex[v] = cid
+    return comp_of_vertex, components
+
+
+def test_decomposition_matches_reference(multigraph_cases):
+    """The one-pass build against the per-component one: ``comp_of_vertex``,
+    every ``Component`` field and the ordered blocks (vertices, edges), on
+    random multigraphs with self-loops, parallel copies and isolated
+    vertices, each edge subset with a random set of rich vertices."""
+    rnd = random.Random(6061)
+    loop_only = multi_block = 0
+    for g, subsets in multigraph_cases:
+        for h in subsets:
+            rich = {v for v in range(g.n) if rnd.random() < 0.3}
+            dec = CoverDecomposition(g, h, P, rich_vertices=rich)
+            comp_of_vertex, components = reference_cover_decomposition(dec)
+            assert dec.comp_of_vertex == comp_of_vertex, (g.edges, h)
+            assert dec.components == components, (g.edges, h)
+            assert dec.bridges == {e for c in components for e in c.bridges}
+            for c in components:
+                loop_only += sum(
+                    1 for b in c.blocks
+                    if all(g.edges[e][0] == g.edges[e][1] for e in b.edges))
+                multi_block += c.tag == COMPLEX and len(c.blocks) >= 2
+    assert loop_only > 0 and multi_block > 0

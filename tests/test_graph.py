@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoec.decomp import CoverDecomposition
 from twoec.graph import (MultiGraph, articulation_points,
-                         biconnected_components, bridges_and_blocks,
-                         connected_components, contract, find_bridges,
-                         ham_path_exists, is_two_edge_connected,
-                         simple_cycles_upto, two_edge_classes)
+                         biconnected_components, connected_components,
+                         contract, find_bridges, ham_path_exists,
+                         is_two_edge_connected, simple_cycles_upto,
+                         two_edge_classes)
+from twoec.params import desk_params
 
 
 def cycle_graph(k):
@@ -52,19 +54,25 @@ def test_petersen_minus_edge_is_2ec():
             for r in range(sub.m))
 
 
+def cover_blocks(g):
+    """(bridges, blocks) of all of g, from ``CoverDecomposition``."""
+    dec = CoverDecomposition(g, range(g.m), desk_params())
+    return dec.bridges, [b for c in dec.components for b in c.blocks]
+
+
 def test_bridges_and_blocks_counts():
     # two triangles joined by one edge
     g = MultiGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
-    dec = bridges_and_blocks(g)
-    assert dec.bridges == {6}
-    assert len(dec.blocks) == 2
+    bridges, blocks = cover_blocks(g)
+    assert bridges == {6}
+    assert len(blocks) == 2
     # C4: no bridges, one block
-    dec = bridges_and_blocks(cycle_graph(4))
-    assert not dec.bridges and len(dec.blocks) == 1
+    bridges, blocks = cover_blocks(cycle_graph(4))
+    assert not bridges and len(blocks) == 1
     # star K_{1,3}: three bridges, no blocks
     g = MultiGraph(4, [(0, 1), (0, 2), (0, 3)])
-    dec = bridges_and_blocks(g)
-    assert len(dec.bridges) == 3 and not dec.blocks
+    bridges, blocks = cover_blocks(g)
+    assert len(bridges) == 3 and not blocks
 
 
 @given(st.integers(4, 9), st.randoms())
@@ -78,11 +86,11 @@ def test_bridge_block_edge_partition(n, rnd):
         if u != v:
             edges.append((u, v))
     g = MultiGraph(n, edges)
-    dec = bridges_and_blocks(g)
-    assert len(dec.bridges) + sum(len(b["edges"]) for b in dec.blocks) == g.m
+    bridges, blocks = cover_blocks(g)
+    assert len(bridges) + sum(len(b.edges) for b in blocks) == g.m
     for eid in range(g.m):
-        inside = sum(1 for b in dec.blocks if eid in b["edges"])
-        assert (eid in dec.bridges) != (inside == 1)
+        inside = sum(1 for b in blocks if eid in b.edges)
+        assert (eid in bridges) != (inside == 1)
 
 
 def test_contract_c6():
@@ -149,7 +157,6 @@ def test_contract_decontract_identity():
 @given(st.integers(4, 9), st.randoms())
 @settings(max_examples=40, deadline=None)
 def test_bridges_match_removal_oracle(n, rnd):
-    from twoec.graph import is_connected
     edges = []
     for u in range(1, n):
         edges.append((rnd.randrange(u), u))
@@ -160,7 +167,7 @@ def test_bridges_match_removal_oracle(n, rnd):
     g = MultiGraph(n, edges)
     fast = find_bridges(g)
     slow = {e for e in range(g.m)
-            if not is_connected(g, [x for x in range(g.m) if x != e])}
+            if len(connected_components(g, [x for x in range(g.m) if x != e])) > 1}
     assert fast == slow
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from twoec import harness
 from twoec.gadgets import random2ec
-from twoec.graph import (MultiGraph, bridges_and_blocks, connected_components,
-                         find_bridges, is_two_edge_connected)
+from twoec.graph import (MultiGraph, connected_components, find_bridges,
+                         is_two_edge_connected, two_edge_classes)
 from twoec.oracle import (Infeasible, NotTwoEdgeConnected, TooLarge,
                           _cover_ok, _forced_edges, _simplify, _two_ec_on,
                           exact_min_2ecss, exact_min_cover,
@@ -394,10 +394,10 @@ def test_max_removable_matches_reference():
             want = reference_max_removable_inside(g, inside)
             assert max_removable_inside(g, inside) == want, (g.edges, inside)
             outside = [e for e in range(g.m) if e not in inside]
-            block = bridges_and_blocks(g, outside).block_of_vertex
+            cls = two_edge_classes(g, outside)[1]
             for e in inside:
                 u, v = g.edges[e]
-                within += u == v or (u in block and block.get(v) == block[u])
+                within += cls[u] == cls[v]
             partial += 0 < want < len(inside)
     assert within > 0 and partial > 0
 
