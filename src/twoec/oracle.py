@@ -65,9 +65,110 @@ def _two_ec_on(g: MultiGraph, eids: Iterable[int]) -> bool:
     return is_two_edge_connected(g, eids)
 
 
+# A cut's test runs only while at least CUT_MIN_LEFT edges are undecided:
+# below that the subtree is too small to repay it.  Each BFS of the 2EC cut
+# gives up, keeping the node, once it has reached CUT_MAX_REACH vertices.
+CUT_MIN_LEFT = 8
+CUT_MAX_REACH = 8
+
+# A cut reads H through (adj, live, slack), see ``_search``, and gives the
+# test prune(u, v) for an exclude step, or None when it can never fire.
+Adjacency = list[list[tuple[int, int]]]
+Prune = Callable[[int, int], bool]
+Cut = Callable[[Adjacency, bytearray, list[int]], Optional[Prune]]
+
+
+def _bridge_cut(adj: Adjacency, live: bytearray, slack: list[int]) -> Prune:
+    """The 2EC cut: prune when the excluded edge's ends u, v are left with
+    no two edge-disjoint paths in H.  Then one edge at most separates them,
+    so no subset of H is 2EC.  It is a unit flow of two augmentations: a BFS
+    path from the end whose slack is 2, then a BFS of the residual graph,
+    which walks a path edge only back against its flow."""
+    def reach(s: int, t: int, head: dict[int, int]) -> Optional[dict]:
+        """BFS from s over the live edges, an edge of ``head`` only from the
+        end it names: {vertex: (parent, edge)} once t is reached, None if t
+        is unreachable, {} once CUT_MAX_REACH vertices are."""
+        par: dict = {s: None}
+        queue = [s]
+        for x in queue:
+            for w, eid in adj[x]:
+                if live[eid] and w not in par and head.get(eid, x) == x:
+                    par[w] = (x, eid)
+                    if w == t:
+                        return par
+                    queue.append(w)
+            if len(par) >= CUT_MAX_REACH:
+                return {}
+        return None
+
+    def prune(u: int, v: int) -> bool:
+        if slack[u] != 2:
+            u, v = v, u
+        par = reach(u, v, {})
+        if not par:
+            return par is None
+        head: dict[int, int] = {}
+        x = v
+        while x != u:
+            parent, eid = par[x]
+            head[eid] = x           # the flow runs parent -> x
+            x = parent
+        return reach(u, v, head) is None
+
+    return prune
+
+
+def _cycle_cut(forbidden: frozenset[int]) -> Cut:
+    """The cover cut for ``forbidden``: prune when an end of the excluded
+    edge has live degree 2 and the walk from it through live-degree-2
+    vertices closes a cycle of a forbidden length.  That cycle is a whole
+    component of H, so every leaf needs all its edges and keeps it as a
+    forbidden component.  Only a vertex on a forbidden-length cycle of the
+    pool can start one; with none, there is no cut."""
+    longest = max(forbidden, default=0)
+
+    def cut(adj: Adjacency, live: bytearray, slack: list[int]) -> Optional[Prune]:
+        nbrs = [{w for w, _ in ws} for ws in adj]
+
+        def on_cycle(s: int) -> bool:
+            for a in nbrs[s]:
+                if 3 in forbidden and nbrs[a] & nbrs[s]:
+                    return True
+                if 4 in forbidden and any(nbrs[c] & nbrs[s] - {a}
+                                          for c in nbrs[a] if c != s):
+                    return True
+            return False
+
+        starts = [on_cycle(s) for s in range(len(adj))]
+        if not any(starts):
+            return None
+
+        def prune(u: int, v: int) -> bool:
+            for s in (u, v):
+                if not starts[s] or slack[s] != 2:
+                    continue
+                for w, e in adj[s]:
+                    if live[e]:
+                        break
+                length = 1
+                while w != s and slack[w] == 2 and length < longest:
+                    for x, f in adj[w]:     # w's other live edge
+                        if live[f] and f != e:
+                            break
+                    w, e = x, f
+                    length += 1
+                if w == s and length in forbidden:
+                    return True
+            return False
+
+        return prune
+
+    return cut
+
+
 def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
             leaf_ok: Callable[[list[int]], bool], exhausted: str,
-            node_budget: int) -> Optional[set[int]]:
+            node_budget: int, cut: Optional[Cut] = None) -> Optional[set[int]]:
     """Smallest ``leaf_ok`` subset of ``pool`` that contains ``forced``, by
     branch and bound over ``free`` (include first, in list order).
 
@@ -77,6 +178,19 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
     at v; a node is infeasible once some slack is below 2.  Including an
     edge leaves every slack unchanged and excluding it lowers two, so only
     the exclude step can make a node infeasible, and only at its endpoints.
+
+    A ``cut`` adds a feasibility test on H, the chosen plus the undecided
+    edges, so that ``slack`` is the live degree in H.  H is kept as
+    adjacency lists over the pool in which an excluded edge is marked dead,
+    and live again on backtrack.  ``_bridge_cut`` (for 2ECSS) prunes when H
+    can no longer be 2EC, ``_cycle_cut`` (for covers) when H has a forbidden
+    cycle as a component.  Either prunes only a node whose subtree has no
+    feasible leaf, so the incumbents, and the set returned, are those of the
+    search without it: the search visits a subset of its nodes.  That makes
+    skipping a test sound too, so the test is gated: it runs on an exclude
+    step that leaves both ends with slack >= 2 and one at exactly 2, with at
+    least CUT_MIN_LEFT edges still undecided, when the bound has not
+    already cut the node.
     """
     best: Optional[set[int]] = None
     best_size = len(pool) + 1
@@ -95,6 +209,17 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
     for u, v in ends:
         slack[u] += 1
         slack[v] += 1
+    prune: Optional[Prune] = None
+    if cut is not None and len(free) > CUT_MIN_LEFT:
+        adj: Adjacency = [[] for _ in range(g.n)]
+        live = bytearray(g.m)
+        for eid in pool:
+            u, v = g.edges[eid]
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+            live[eid] = 1
+        prune = cut(adj, live, slack)
+    last = len(free) - CUT_MIN_LEFT     # the cut's test needs i < last
     nodes = 0
 
     def rec(i: int, need: int, feasible: bool) -> None:
@@ -124,7 +249,17 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
         deg[v] -= 1
         slack[u] -= 1
         slack[v] -= 1
-        rec(i + 1, need, slack[u] >= 2 and slack[v] >= 2)
+        if prune is None:
+            rec(i + 1, need, slack[u] >= 2 and slack[v] >= 2)
+        else:
+            live[free[i]] = 0
+            # the child stops at once if this bound fails; the cut runs past it
+            ok = (slack[u] >= 2 and slack[v] >= 2
+                  and not ((slack[u] == 2 or slack[v] == 2) and i < last
+                           and size + (need + 1) // 2 < best_size
+                           and prune(u, v)))
+            rec(i + 1, need, ok)
+            live[free[i]] = 1
         slack[u] += 1
         slack[v] += 1
 
@@ -140,9 +275,10 @@ def exact_min_2ecss(g: MultiGraph, limit: int = DEFAULT_LIMIT,
     instances well beyond ``limit`` vertices still solve quickly; the hard
     cap is the number of free (unforced) edges.
 
-    The search runs on the simple skeleton first.  Only when that has no
-    2EC spanning subgraph does it run again with two copies per parallel
-    class: a minimal 2ECSS never needs a third copy.
+    The search runs on the simple skeleton when that is 2EC, and otherwise,
+    without a search of the skeleton, on two copies per parallel class: a
+    minimal 2ECSS never needs a third copy.  It prunes with the 2EC cut
+    (``_bridge_cut``).
     """
     if not is_two_edge_connected(g):
         raise NotTwoEdgeConnected(f"{g} is not 2-edge-connected")
@@ -160,10 +296,11 @@ def exact_min_2ecss(g: MultiGraph, limit: int = DEFAULT_LIMIT,
         free = [e for e in pool if e not in forced]
         if g.n > limit and len(free) > MAX_FREE_EDGES:
             raise TooLarge(f"n={g.n} with {len(free)} free edges exceeds the oracle cap")
-        best = _search(g, pool, forced, free, lambda eids: _two_ec_on(g, eids),
-                       "oracle search budget exhausted", node_budget)
-        if best is not None:
-            return best
+        # a pool that is not 2EC has no 2EC subset; one that is, is a leaf
+        if _two_ec_on(g, pool):
+            return _search(g, pool, forced, free, lambda eids: _two_ec_on(g, eids),
+                           "oracle search budget exhausted", node_budget,
+                           _bridge_cut)
         wider = _simplify(g, copies=2)
         if len(wider) == len(pool):     # no parallel copy left to add
             break
@@ -217,7 +354,8 @@ def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozen
                     node_budget: int = 4_000_000) -> set[int]:
     """Minimum edge set giving every vertex degree >= 2 such that no
     connected component is a cycle of a forbidden length (subset of {3,4}).
-    Self-loops are never used; a parallel pair may be."""
+    Self-loops are never used; a parallel pair may be.  The search prunes
+    with the forbidden-cycle cut (``_cycle_cut``)."""
     forbidden = frozenset(forbidden)
     if not forbidden <= {3, 4}:
         raise ValueError("forbidden lengths must be within {3, 4}")
@@ -238,7 +376,8 @@ def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozen
         raise TooLarge(f"n={g.n} with {len(free)} free edges exceeds the oracle cap")
 
     best = _search(g, pool, forced, free, lambda eids: _cover_ok(g, forbidden, eids),
-                   "cover search budget exhausted", node_budget)
+                   "cover search budget exhausted", node_budget,
+                   _cycle_cut(forbidden) if forbidden else None)
     if best is None:
         raise Infeasible("no feasible cover under the forbidden-cycle rule")
     return best
@@ -257,7 +396,10 @@ def max_removable_inside(g: MultiGraph, inside_edges: list[int],
     With a ``target`` for that kept count, a 2EC G with fewer than
     ``target`` crossing inside edges keeps fewer than ``target`` whatever
     the search finds, so the search is skipped and the lower bound
-    |inside| - |crossing| returned instead."""
+    |inside| - |crossing| returned instead.
+
+    The search runs without the 2EC cut: on these small quotients the cut
+    saved no nodes worth its cost, and building H alone slowed them."""
     inside = set(inside_edges)
     outside = [eid for eid in range(g.m) if eid not in inside]
     bridges, cls, nclasses = two_edge_classes(g, outside)

@@ -11,7 +11,8 @@ from twoec.gadgets import random2ec
 from twoec.graph import (MultiGraph, connected_components, find_bridges,
                          is_two_edge_connected, two_edge_classes)
 from twoec.oracle import (Infeasible, NotTwoEdgeConnected, TooLarge,
-                          _cover_ok, _forced_edges, _simplify, _two_ec_on,
+                          _bridge_cut, _cover_ok, _forced_edges, _simplify,
+                          _two_ec_on,
                           exact_min_2ecss, exact_min_cover,
                           max_removable_inside, minimal_2ecss_witness)
 
@@ -42,9 +43,10 @@ def naive_min_2ecss(g):
 
 
 def _reference_search(g, pool, forced, free, leaf_ok, exhausted, node_budget):
-    """The oracles' branch and bound with the deficit and the suffix gain
-    recounted at every node, O(n + m) each; the oracles must agree with it
-    exactly, TooLarge included."""
+    """The oracles' branch and bound without their feasibility cuts, and with
+    the deficit and the suffix gain recounted at every node, O(n + m) each.
+    The oracles visit a subset of its nodes and return its answer (see
+    ``assert_subset_contract``)."""
     best = None
     best_size = len(pool) + 1
     if leaf_ok(pool):
@@ -97,16 +99,19 @@ def _reference_search(g, pool, forced, free, leaf_ok, exhausted, node_budget):
 
 
 def reference_min_2ecss(g, node_budget=4_000_000):
-    """``exact_min_2ecss`` on a 2EC graph with n >= 3, by the reference search."""
-    pool = _simplify(g)
-    forced = _forced_edges(g, pool)
-    free = [e for e in pool if e not in forced]
-    best = _reference_search(g, pool, forced, free,
-                             lambda eids: _two_ec_on(g, eids),
-                             "oracle search budget exhausted", node_budget)
-    if best is None:
-        raise NotTwoEdgeConnected("no 2EC spanning subgraph found")
-    return best
+    """``exact_min_2ecss`` on a 2EC graph with n >= 3, by the reference search:
+    a full search of the simple skeleton, then, when that finds nothing, of
+    two copies per parallel class."""
+    for copies in (1, 2):
+        pool = _simplify(g, copies)
+        forced = _forced_edges(g, pool)
+        free = [e for e in pool if e not in forced]
+        best = _reference_search(g, pool, forced, free,
+                                 lambda eids: _two_ec_on(g, eids),
+                                 "oracle search budget exhausted", node_budget)
+        if best is not None:
+            return best
+    raise NotTwoEdgeConnected("no 2EC spanning subgraph found")
 
 
 def reference_min_cover(g, forbidden=frozenset(), node_budget=4_000_000):
@@ -136,17 +141,128 @@ DIFF_GRAPHS = [(n, p, seed) for seed, (n, p) in enumerate(
 BUDGETS = (5, 40, 300, 4_000_000)
 
 
+def assert_subset_contract(oracle_at, reference_at):
+    """The oracle search visits a subset of the reference's nodes and keeps
+    its incumbents.  So at each budget where the reference finishes, it
+    gives the same outcome; where the reference raises TooLarge, it either
+    raises TooLarge too or gives the reference's outcome at the full
+    budget.  ``*_at`` map a node budget to an ``outcome``."""
+    full = reference_at(BUDGETS[-1])
+    for budget in BUDGETS:
+        want = reference_at(budget)
+        got = oracle_at(budget)
+        if want[0] == "TooLarge":
+            assert got in (want, full), budget
+        else:
+            assert got == want, budget
+
+
+def assert_oracles_match_reference(g, forbidden_sets):
+    """Both oracles, the cover under each forbidden set, with the vertex cap
+    lifted (``limit=g.n``): the reference has none."""
+    assert_subset_contract(
+        lambda b: outcome(exact_min_2ecss, g, limit=g.n, node_budget=b),
+        lambda b: outcome(reference_min_2ecss, g, node_budget=b))
+    for forbidden in forbidden_sets:
+        assert_subset_contract(
+            lambda b: outcome(exact_min_cover, g, forbidden, limit=g.n,
+                              node_budget=b),
+            lambda b: outcome(reference_min_cover, g, forbidden, node_budget=b))
+
+
 @pytest.mark.parametrize("n,p,seed", DIFF_GRAPHS)
 def test_oracles_match_reference_search(n, p, seed):
-    """Same edge sets, or the same TooLarge/Infeasible outcome, as the
-    per-node reference search at every node budget."""
+    assert_oracles_match_reference(random2ec(n, p, seed), (set(), {3}, {3, 4}))
+
+
+SPARSE_GRAPHS = [(n, p, seed) for seed, (n, p) in enumerate(
+    itertools.product((10, 13, 16), (0.1, 0.15, 0.2)), start=100)]
+
+
+@pytest.mark.parametrize("n,p,seed", SPARSE_GRAPHS)
+def test_oracles_match_reference_search_sparse(n, p, seed):
+    """Sparse graphs, where few vertices lie on a short cycle and the 2EC
+    cut's searches mostly give up, under every forbidden set."""
+    assert_oracles_match_reference(random2ec(n, p, seed),
+                                   (set(), {3}, {4}, {3, 4}))
+
+
+def bridged_by_pair(n, p, seed):
+    """Two ``random2ec`` graphs joined by two copies of one edge, with a
+    third copy and a self-loop: the simple skeleton has a bridge."""
+    a, b = random2ec(n, p, seed), random2ec(n, p, seed + 1)
+    edges = a.edges + [(u + a.n, v + a.n) for u, v in b.edges]
+    return MultiGraph(a.n + b.n, edges + [(0, a.n)] * 3 + [(1, 1)])
+
+
+@pytest.mark.parametrize("seed", [500, 504, 510])
+def test_oracles_match_reference_search_on_a_bridged_skeleton(seed):
+    """The 2ECSS oracle skips the skeleton's search at its root, and its
+    search of two copies per class (14-16 free edges) runs with the 2EC
+    cut."""
+    g = bridged_by_pair(5, 0.5, seed)
+    assert not _two_ec_on(g, _simplify(g))
+    sol = exact_min_2ecss(g)
+    assert len({g.edges[e] for e in sol}) < len(sol)
+    assert_oracles_match_reference(g, (set(), {3}, {4}, {3, 4}))
+
+
+def live_state(g, dead):
+    """``_search``'s view of H for a cut: adjacency over every edge of g,
+    live flags, and live degrees, with the edge ids in ``dead`` excluded."""
+    adj = [[] for _ in range(g.n)]
+    live = bytearray(g.m)
+    slack = [0] * g.n
+    for eid, (u, v) in enumerate(g.edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+        if eid not in dead:
+            live[eid] = 1
+            slack[u] += 1
+            slack[v] += 1
+    return adj, live, slack
+
+
+def test_bridge_cut_reroutes_its_first_path():
+    """s-t is excluded.  The BFS's first path s-x-y-t blocks every second
+    path that avoids it, and the residual search reroutes over y-x: two
+    edge-disjoint paths, s-x-q-t and s-p-y-t, so the node is kept.  Without
+    q-t, t has one edge left and the node is pruned."""
+    s, x, y, t, p, q = range(6)
+    edges = [(s, x), (x, y), (y, t), (s, p), (p, y), (x, q), (q, t), (s, t)]
+    prune = _bridge_cut(*live_state(MultiGraph(6, edges), {7}))
+    assert not prune(s, t)
+    prune = _bridge_cut(*live_state(MultiGraph(6, edges), {6, 7}))
+    assert prune(s, t)
+
+
+def pair_first(seed):
+    """``random2ec`` on 0-7 plus x=8, y=9 joined by a parallel pair, x to 0
+    and 1, y to 2 and 3.  The pair's ids come first, so the search decides
+    them while the cover cut still runs; a minimum cover may keep the pair
+    as a 2-cycle component, which no forbidden set here forbids."""
+    base = random2ec(8, 0.6, 700 + seed)
+    return MultiGraph(10, [(8, 9), (8, 9), (8, 0), (8, 1), (9, 2), (9, 3)]
+                      + base.edges)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_oracles_match_reference_search_with_a_pair_component(seed):
+    assert_oracles_match_reference(pair_first(seed), ({3}, {3, 4}))
+
+
+@pytest.mark.parametrize("n,p,seed", [(12, 0.9, 91015), (12, 0.75, 91025)])
+def test_cuts_prune_dense_sweep_instances(n, p, seed):
+    """Instances 15 and 25 of the ratio sweep: both oracles finish within a
+    node budget at which the reference search runs out."""
     g = random2ec(n, p, seed)
-    for budget in BUDGETS:
-        assert outcome(exact_min_2ecss, g, node_budget=budget) == \
-            outcome(reference_min_2ecss, g, node_budget=budget)
-        for forbidden in (set(), {3}, {3, 4}):
-            assert outcome(exact_min_cover, g, forbidden, node_budget=budget) == \
-                outcome(reference_min_cover, g, forbidden, node_budget=budget)
+    budget = 20_000
+    with pytest.raises(TooLarge):
+        reference_min_2ecss(g, node_budget=budget)
+    with pytest.raises(TooLarge):
+        reference_min_cover(g, {3}, node_budget=budget)
+    assert exact_min_2ecss(g, node_budget=budget) == reference_min_2ecss(g)
+    assert exact_min_cover(g, {3}, node_budget=budget) == reference_min_cover(g, {3})
 
 
 def test_c5_needs_all_edges():
