@@ -6,32 +6,18 @@ measure (|H|, #components, #bridges, #cut vertices inside 2EC components).
 """
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from . import oracle
-from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree,
-                     CoverDecomposition)
+from .decomp import CoverDecomposition
 from .graph import MultiGraph, connected_components
 from .params import StructuredParams
 
 
 class CoverError(ValueError):
     pass
-
-
-@dataclass
-class CanonicalReport:
-    clauses: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.clauses.values())
-
-    def ok_except_huge(self) -> bool:
-        return all(v for k, v in self.clauses.items() if k != "huge_component")
 
 
 def min_triangle_free_cover(g: MultiGraph, mode: str = "exact",
@@ -167,16 +153,16 @@ def _measure(g: MultiGraph, h: set[int]) -> tuple[int, int, int, int]:
 
 
 def _feasible_adds(g: MultiGraph, deg: list[int], incident: list[list[int]],
-                   removed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The add sets for an exchange that removes ``removed`` (one or two
-    cover edges) which keep every end of a removed edge at degree >= 2.
+                   removed: tuple[int, ...], most: int) -> Iterator[tuple[int, ...]]:
+    """The add sets of at most ``most`` (1 or 2, at most ``len(removed)``)
+    edges for an exchange that removes ``removed`` (one or two cover edges)
+    which keep every end of a removed edge at degree >= 2.
 
-    Candidates are the pool edges at an end of a removed edge, ascending;
-    at most ``len(removed)`` of them are added.  Singles come first, then
-    pairs in ``itertools.combinations`` order, so this yields exactly the
-    full scan's add sets that pass the degree test, in the full scan's
-    order.  ``deg`` is the degree in H and ``incident[v]`` lists the pool
-    edges at v, ascending.
+    Candidates are the pool edges at an end of a removed edge, ascending.
+    Singles come first, then pairs in ``itertools.combinations`` order, so
+    this yields exactly the full scan's add sets that pass the degree test,
+    in the full scan's order.  ``deg`` is the degree in H and
+    ``incident[v]`` lists the pool edges at v, ascending.
     """
     left: dict[int, int] = {}
     for er in removed:
@@ -184,12 +170,12 @@ def _feasible_adds(g: MultiGraph, deg: list[int], incident: list[list[int]],
             left[v] = left.get(v, deg[v]) - 1
     need = {v: 2 - d for v, d in left.items() if d < 2}
     # an added edge is no self-loop, so it lifts at most two ends by one
-    if sum(need.values()) > 2 * len(removed):
+    if sum(need.values()) > 2 * most:
         return
     if not need:
         cand = sorted({e for v in left for e in incident[v]})
         yield from ((e,) for e in cand)
-        if len(removed) == 2:
+        if most == 2:
             yield from itertools.combinations(cand, 2)
         return
     # every feasible add set has an edge at the first needy vertex x; short[e]
@@ -206,7 +192,7 @@ def _feasible_adds(g: MultiGraph, deg: list[int], incident: list[list[int]],
                 rest.append((y, k))
         if not rest:
             yield (e,)
-    if len(removed) == 1:
+    if most == 1:
         return
     pairs: set[tuple[int, int]] = set()
     cand: list[int] = []
@@ -223,15 +209,76 @@ def _feasible_adds(g: MultiGraph, deg: list[int], incident: list[list[int]],
     yield from sorted(pairs)
 
 
+def _removal_pairs(g: MultiGraph, hs: list[int], deg: list[int],
+                   incident: list[list[int]], most: int
+                   ) -> Iterator[tuple[int, int]]:
+    """The pairs of ``itertools.combinations(hs, 2)``, in that order, that
+    may have an add set of at most ``most`` edges; every pair for which
+    ``_feasible_adds`` yields something is among them.
+
+    For disjoint non-loop edges the ends of H-degree 2 are needy, and each
+    added edge lifts at most two needy ends.  With tn needy ends in all, a
+    pair is kept when tn <= 2; with two adds allowed, also when tn = 3 and
+    the edge with two needy ends has a parallel pool copy, or tn = 4 and
+    both have one, or when a pool edge joins a needy end of each edge.
+    Pairs that share an end or hold a self-loop are always kept.
+    """
+    at: list[list[int]] = [[] for _ in range(g.n)]   # positions in hs
+    needy: list[list[int]] = []
+    # weight: needy ends left after a parallel copy covers both, so a pair
+    # needs no cross edge iff its weights sum to <= 2 (a self-loop weighs 0)
+    weight: list[int] = []
+    for i, e in enumerate(hs):
+        u, v = g.edges[e]
+        at[u].append(i)
+        if u == v:
+            needy.append([])
+            weight.append(0)
+            continue
+        at[v].append(i)
+        needy.append([y for y in (u, v) if deg[y] == 2])
+        w = len(needy[-1])
+        if w == 2 and most == 2 and any(
+                g.edges[p] in ((u, v), (v, u)) for p in incident[u]):
+            w = 1
+        weight.append(w)
+    light = [[i for i, w in enumerate(weight) if w <= k] for k in range(3)]
+    for i, e in enumerate(hs):
+        rest = light[2 - weight[i]]
+        later = rest[bisect.bisect_right(rest, i):]
+        if weight[i]:
+            extra = {j for y in g.edges[e] for j in at[y] if j > i}
+            if most == 2:
+                for x in needy[i]:
+                    for p in incident[x]:
+                        a, b = g.edges[p]
+                        y = b if a == x else a
+                        if deg[y] == 2:
+                            extra.update(j for j in at[y] if j > i)
+            if extra:
+                later = sorted(extra.union(later))
+        for j in later:
+            yield e, hs[j]
+
+
 def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
                  max_steps: Optional[int] = None) -> tuple[set[int], CoverDecomposition, int]:
-    """Exchange loop; returns (H, decomposition, steps taken)."""
+    """Exchange loop; returns (H, decomposition, steps taken).
+
+    Candidates are tried in a fixed order and the first that lowers the
+    measure is taken.  Skipped are only candidates that cannot lower it:
+    every candidate once the measure is (n, 1, 0, 0), below which no
+    triangle-free 2-edge cover measures; equal-size swaps while H is
+    connected, bridgeless and free of cut vertices; and removal pairs
+    without an add set (see ``_removal_pairs``).
+    """
     if not _is_triangle_free_cover(g, h):
         raise CoverError("input is not a triangle-free 2-edge cover")
     h = set(h)
     if max_steps is None:
         max_steps = max(1, g.m) * max(1, g.n) ** 2
     cur = _measure(g, h)
+    floor = (g.n, 1, 0, 0)
     steps = 0
     deg = [0] * g.n
     for eid in h:
@@ -274,7 +321,7 @@ def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
         return True
 
     improved = True
-    while improved and steps < max_steps:
+    while improved and steps < max_steps and cur != floor:
         improved = False
         hs = sorted(h)
         # F_R of size 1, F_A empty: drop a redundant edge
@@ -284,99 +331,21 @@ def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
                 break
         if improved:
             continue
-        # F_R of size 1 or 2, F_A of at most as many edges touching its ends
+        # F_R of size 1 or 2, F_A of at most as many edges touching its ends;
+        # on a measure (|H|, 1, 0, 0) only |F_A| < |F_R| can lower it, and
+        # cur is fixed until the pass's first accepted step ends it
+        shrink = cur[1:] == (1, 0, 0)
         incident: list[list[int]] = [[] for _ in range(g.n)]
         for e, (u, v) in enumerate(g.edges):
             if e not in h and u != v:
                 incident[u].append(e)
                 incident[v].append(e)
-        for removed in itertools.chain(((er,) for er in hs),
-                                       itertools.combinations(hs, 2)):
-            if any(try_apply(removed, add)
-                   for add in _feasible_adds(g, deg, incident, removed)):
+        singles = () if shrink else ((er,) for er in hs)
+        for removed in itertools.chain(
+                singles, _removal_pairs(g, hs, deg, incident, 2 - shrink)):
+            if any(try_apply(removed, add) for add in _feasible_adds(
+                    g, deg, incident, removed, len(removed) - shrink)):
                 improved = True
                 break
     dec = CoverDecomposition(g, h, params)
     return h, dec, steps
-
-
-def c4_merge_witness(g: MultiGraph, dec: CoverDecomposition
-                     ) -> Optional[tuple[int, int, tuple, tuple]]:
-    """Two C4 components mergeable into a C8 by a 2-out/2-in exchange."""
-    c4s = [c for c in dec.components if c.tag == C4]
-    pairs = g.simple_pairs()
-
-    def gedge(a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in pairs
-
-    for i in range(len(c4s)):
-        for j in range(i + 1, len(c4s)):
-            a, b = c4s[i], c4s[j]
-            ac, bc = a.cycle_order, b.cycle_order
-            for x in range(4):
-                a1, a2 = ac[x], ac[(x + 1) % 4]
-                for y in range(4):
-                    b1, b2 = bc[y], bc[(y + 1) % 4]
-                    if (gedge(a1, b1) and gedge(a2, b2)) or \
-                       (gedge(a1, b2) and gedge(a2, b1)):
-                        return (a.cid, b.cid, (a1, a2), (b1, b2))
-    return None
-
-
-def is_canonical(g: MultiGraph, h: set[int], params: StructuredParams,
-                 rich_vertices: Optional[set[int]] = None,
-                 weak: bool = False) -> CanonicalReport:
-    """Clause-by-clause canonicality verdicts; ``weak`` permits isolated rich
-    vertices (degree-0) instead of requiring the full cover property."""
-    dec = CoverDecomposition(g, h, params, rich_vertices)
-    rep = CanonicalReport()
-    rep.clauses["two_edge_cover"] = dec.is_two_edge_cover(allow_rich=weak)
-    bad_comp = None
-    for comp in dec.components:
-        if comp.is_rich:
-            continue
-        if comp.tag == COMPLEX:
-            continue
-        if comp.tag in CYCLE_TAGS:
-            continue
-        if comp.tag == LARGE2EC:
-            continue
-        bad_comp = sorted(comp.vertices)
-        break
-    rep.clauses["non_complex_shape"] = bad_comp is None
-    if bad_comp:
-        rep.witnesses["non_complex_shape"] = bad_comp
-
-    bad_pendant = None
-    bad_nonpendant = None
-    for comp in dec.components:
-        if comp.tag != COMPLEX:
-            continue
-        tree = BlockTree(g, comp)
-        pend = set(tree.pendant_blocks())
-        for ni, node in enumerate(tree.nodes):
-            if node["kind"] != "block":
-                continue
-            blk = node["block"]
-            if ni in pend:
-                from .credit import is_nice_c5_block
-                if len(blk.vertices) >= 6 or is_nice_c5_block(g, dec, comp, blk):
-                    continue
-                bad_pendant = sorted(blk.vertices)
-            else:
-                if len(blk.edges) < 5:
-                    bad_nonpendant = sorted(blk.vertices)
-    rep.clauses["pendant_blocks"] = bad_pendant is None
-    if bad_pendant:
-        rep.witnesses["pendant_blocks"] = bad_pendant
-    rep.clauses["non_pendant_blocks"] = bad_nonpendant is None
-    if bad_nonpendant:
-        rep.witnesses["non_pendant_blocks"] = bad_nonpendant
-
-    merge = c4_merge_witness(g, dec)
-    rep.clauses["no_mergeable_c4_pair"] = merge is None
-    if merge:
-        rep.witnesses["no_mergeable_c4_pair"] = merge
-
-    rep.clauses["huge_component"] = any(c.huge for c in dec.components)
-    return rep

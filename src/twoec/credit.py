@@ -231,6 +231,14 @@ def check_invariants(g: MultiGraph, dec: CoverDecomposition,
         got, want = getattr(led, attr), getattr(expect, attr)
         if got != want:
             out.append(f"{attr} deviates from the scheme values")
+    return out + check_loans(g, dec, led)
+
+
+def check_loans(g: MultiGraph, dec: CoverDecomposition,
+                led: CreditLedger) -> list[str]:
+    """Empty list iff every loan and colour invariant holds; the credit maps
+    are taken as given, as when ``derive_credits`` has just built them."""
+    out: list[str] = []
     if led.scheme != FEW:
         return out
     comp_of_bridge: dict[int, Component] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .credit import CreditLedger, check_invariants, cost, derive_credits
+from .credit import CreditLedger, check_loans, cost, derive_credits
 from .decomp import (COMPLEX, CYCLE_TAGS, LARGE2EC, ComponentGraphView,
                      CoverDecomposition)
 from .graph import MultiGraph
@@ -142,7 +142,7 @@ def commit(state: ExchangeState, adds: Iterable[int], removes: Iterable[int],
         spent += extra
         if loan - repay > 0:
             led2.loans[color] = loan - repay
-    if check_invariants(g, dec2, led2):
+    if check_loans(g, dec2, led2):
         return False
     dloan = led2.total_loan() - led.total_loan()
     state.dec = dec2

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from canonical import is_canonical
 from twoec import gadgets, harness, oracle
-from twoec.cover import canonicalize, is_canonical, min_triangle_free_cover
+from twoec.cover import canonicalize, min_triangle_free_cover
 from twoec.credit import build_few_ledger, check_invariants, cost
 from twoec.decomp import CoverDecomposition
 from twoec.exchange import ExchangeState

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from canonical import is_canonical
 from twoec import cover, harness, oracle
-from twoec.cover import (canonicalize, is_canonical, min_triangle_free_cover,
-                         _feasible_adds, _is_triangle_free_cover, _measure)
+from twoec.cover import (canonicalize, min_triangle_free_cover, _feasible_adds,
+                         _is_triangle_free_cover, _measure, _removal_pairs)
 from twoec.decomp import C4, C8, CoverDecomposition
 from twoec.gadgets import random2ec
 from twoec.graph import MultiGraph, connected_components, find_bridges
@@ -189,13 +190,15 @@ def reference_measure(g, h):
 
 def reference_canonicalize(g, h):
     """``canonicalize``'s exchange loop with every vertex's degree checked for
-    every candidate, the pool scanned for every F_R, and the measure from
-    ``reference_measure``.  Returns (H, steps, candidates that passed the
-    degree scan)."""
+    every candidate, the pool scanned for every F_R, the measure from
+    ``reference_measure`` and no candidate skipped.  Returns (H, steps,
+    checks): one (H after the exchange, accepted) per candidate that passed
+    the degree scan, in the order tried."""
     h = set(h)
     max_steps = max(1, g.m) * max(1, g.n) ** 2
     cur = reference_measure(g, h)
-    steps = checked = 0
+    steps = 0
+    checks = []
     deg = [0] * g.n
     for eid in h:
         u, v = g.edges[eid]
@@ -203,7 +206,7 @@ def reference_canonicalize(g, h):
         deg[v] += 1
 
     def try_apply(remove, add):
-        nonlocal h, cur, steps, checked
+        nonlocal h, cur, steps
         for v in range(g.n):
             d = deg[v]
             for e in remove:
@@ -214,13 +217,13 @@ def reference_canonicalize(g, h):
                     d += 1
             if d < 2:
                 return False
-        checked += 1
         h2 = (h - set(remove)) | set(add)
-        if not _is_triangle_free_cover(g, h2):
+        accepted = (_is_triangle_free_cover(g, h2)
+                    and reference_measure(g, h2) < cur)
+        checks.append((frozenset(h2), accepted))
+        if not accepted:
             return False
         m2 = reference_measure(g, h2)
-        if m2 >= cur:
-            return False
         h = h2
         cur = m2
         for e in remove:
@@ -262,7 +265,7 @@ def reference_canonicalize(g, h):
                         for pair in itertools.combinations(cand, 2)):
                 improved = True
                 break
-    return h, steps, checked
+    return h, steps, checks
 
 
 def test_measure_matches_reference():
@@ -291,12 +294,44 @@ CANON_CASES = (
     + [("hub_c4", 3, None, "all")])
 
 
+def assert_checks_follow_reference(checks, ref_checks):
+    """The loop's full checks are a subsequence of the reference's, and
+    every reference check left out was rejected there."""
+    ref = iter(ref_checks)
+    for h2 in checks:
+        for ref_h2, accepted in ref:
+            if ref_h2 == h2:
+                break
+            assert not accepted, sorted(ref_h2)
+        else:
+            raise AssertionError(f"{sorted(h2)} is not a reference candidate")
+    assert not any(accepted for _, accepted in ref)
+
+
+def compare_with_reference(g, h0, monkeypatch):
+    """Runs ``canonicalize`` and the reference from ``h0``; returns how many
+    candidates each fully checked."""
+    checks = []
+
+    def recording(g_, h_):
+        checks.append(frozenset(h_))
+        return _is_triangle_free_cover(g_, h_)
+
+    monkeypatch.setattr(cover, "_is_triangle_free_cover", recording)
+    h, _, steps = canonicalize(g, h0, P)
+    monkeypatch.undo()
+    ref_h, ref_steps, ref_checks = reference_canonicalize(g, h0)
+    assert (sorted(h), steps) == (sorted(ref_h), ref_steps)
+    assert_checks_follow_reference(checks[1:], ref_checks)   # less the entry check
+    return len(checks) - 1, len(ref_checks)
+
+
 @pytest.mark.parametrize("kind,size,p,start", CANON_CASES)
 def test_canonicalize_matches_reference(kind, size, p, start, monkeypatch):
     """The same fixed point and step count as the full-scan loop, and the
-    degree test lets exactly the same candidates on to the full check.
-    Starts from the minimum triangle-free cover, the heuristic one, or all
-    edges."""
+    candidates it checks in full are the reference's in the same order,
+    less some that the reference rejected.  Starts from the minimum
+    triangle-free cover, the heuristic one, or all edges."""
     if kind == "random2ec":
         g = random2ec(size, p, seed=size)
     else:
@@ -306,18 +341,87 @@ def test_canonicalize_matches_reference(kind, size, p, start, monkeypatch):
     else:
         h0 = min_triangle_free_cover(g, mode="exact" if start == "min" else start,
                                      limit=g.n)[0]
-    full_checks = 0
+    compare_with_reference(g, h0, monkeypatch)
 
-    def counting(g_, h_):
-        nonlocal full_checks
-        full_checks += 1
-        return _is_triangle_free_cover(g_, h_)
 
-    monkeypatch.setattr(cover, "_is_triangle_free_cover", counting)
-    h, _, steps = canonicalize(g, h0, P)
-    ref_h, ref_steps, ref_checked = reference_canonicalize(g, h0)
-    assert (sorted(h), steps) == (sorted(ref_h), ref_steps)
-    assert full_checks - 1 == ref_checked      # less the entry check
+def looped_multigraph(rnd):
+    """A ``random2ec`` graph on 4-9 vertices plus self-loops and parallel
+    copies, its edges shuffled."""
+    g = random2ec(rnd.randint(4, 9), rnd.choice((0.2, 0.4, 0.7)),
+                  seed=rnd.randrange(10 ** 6))
+    edges = list(g.edges)
+    for _ in range(rnd.randint(1, g.n)):
+        if rnd.random() < 0.5:
+            edges.append(rnd.choice(edges))
+        else:
+            v = rnd.randrange(g.n)
+            edges.append((v, v))
+    rnd.shuffle(edges)
+    return MultiGraph(g.n, edges)
+
+
+def start_covers(g):
+    """The minimum, heuristic and all-edges start covers that are
+    triangle-free 2-edge covers."""
+    out = [min_triangle_free_cover(g, mode=mode, limit=g.n)[0]
+           for mode in ("exact", "heuristic")]
+    return [h for h in out + [set(range(g.m))] if _is_triangle_free_cover(g, h)]
+
+
+def test_canonicalize_matches_reference_on_multigraphs(monkeypatch):
+    """The reference contract on seeded multigraphs with self-loops and
+    parallel copies, from every start cover; some candidates are skipped."""
+    rnd = random.Random(2718)
+    checked = ref_checked = starts = 0
+    for _ in range(40):
+        g = looped_multigraph(rnd)
+        for h0 in start_covers(g):
+            got, want = compare_with_reference(g, h0, monkeypatch)
+            checked += got
+            ref_checked += want
+            starts += 1
+    assert starts >= 100
+    assert checked < ref_checked
+
+
+def cover_state(g, h):
+    """H-degrees with a self-loop counted twice, and the pool edges at each
+    vertex, ascending."""
+    deg = [0] * g.n
+    for e in h:
+        for v in g.edges[e]:
+            deg[v] += 1
+    incident = [[] for _ in range(g.n)]
+    for e in range(g.m):
+        u, v = g.edges[e]
+        if e not in h and u != v:
+            incident[u].append(e)
+            incident[v].append(e)
+    return deg, incident
+
+
+def test_removal_pairs_keep_every_feasible_pair():
+    """``_removal_pairs`` yields pairs of ``combinations`` order, once each,
+    and among them every pair that has an add set of at most ``most``
+    edges; it leaves some pairs out."""
+    rnd = random.Random(1618)
+    graphs = ([random2ec(n, p, seed=n) for n in range(6, 15, 2) for p in (0.3, 0.6)]
+              + [harness.generate("hub_c4", k=k) for k in (3, 6)]
+              + [looped_multigraph(rnd) for _ in range(30)])
+    dropped = 0
+    for g in graphs:
+        for h in start_covers(g):
+            deg, incident = cover_state(g, h)
+            everything = list(itertools.combinations(sorted(h), 2))
+            for most in (1, 2):
+                pairs = list(_removal_pairs(g, sorted(h), deg, incident, most))
+                kept = set(pairs)
+                assert pairs == [p for p in everything if p in kept]
+                feasible = [p for p in everything
+                            if any(_feasible_adds(g, deg, incident, p, most))]
+                assert kept.issuperset(feasible)
+                dropped += len(everything) - len(pairs)
+    assert dropped
 
 
 FILTER_CASES = ([("random2ec", n, start) for n in range(6, 15, 2)
@@ -330,7 +434,8 @@ FILTER_CASES = ([("random2ec", n, start) for n in range(6, 15, 2)
 def test_feasible_adds_match_full_scan(kind, size, start):
     """For every removal of one or two cover edges, ``_feasible_adds`` yields
     exactly the full scan's add sets (singles, then pairs for two removed
-    edges) that keep every vertex at degree >= 2, in the full scan's order."""
+    edges unless ``most`` is 1) that keep every vertex at degree >= 2, in
+    the full scan's order."""
     if kind == "random2ec":
         graphs = [random2ec(size, p, seed=size) for p in (0.3, 0.6)]
     else:
@@ -339,15 +444,8 @@ def test_feasible_adds_match_full_scan(kind, size, start):
     for g in graphs:
         h = min_triangle_free_cover(g, mode="exact" if start == "min" else start,
                                     limit=g.n)[0]
-        deg = [0] * g.n
-        for e in h:
-            for v in g.edges[e]:
-                deg[v] += 1
-        incident = [[] for _ in range(g.n)]
+        deg, incident = cover_state(g, h)
         pool = [e for e in range(g.m) if e not in h and g.edges[e][0] != g.edges[e][1]]
-        for e in pool:
-            for v in g.edges[e]:
-                incident[v].append(e)
 
         def passes(remove, add):
             for v in range(g.n):
@@ -365,7 +463,10 @@ def test_feasible_adds_match_full_scan(kind, size, start):
             if len(removed) == 2:
                 scan += list(itertools.combinations(cand, 2))
             want = [add for add in scan if passes(removed, add)]
-            assert list(_feasible_adds(g, deg, incident, removed)) == want, removed
+            assert list(_feasible_adds(g, deg, incident, removed,
+                                       len(removed))) == want, removed
+            singles = [add for add in want if len(add) == 1]
+            assert list(_feasible_adds(g, deg, incident, removed, 1)) == singles
             kinds["skipped"] += bool(scan) and not want
             kinds["pair"] += any(len(add) == 2 for add in want)
     assert kinds["skipped"] and kinds["pair"]

@@ -366,4 +366,6 @@ def test_tracer_sees_both_entry_points():
     for name in ("few.apply_candidate", "many.apply_many"):
         assert got["summary"][name]["calls"] >= 1
         assert got["counts"][f"{name}.accepted"] >= 1
-    assert got["summary"]["credit.check_invariants"]["calls"] >= 1
+    # a commit builds its credit maps with derive_credits, so it checks only
+    # the loan half (credit.check_loans), which the benchmark does not trace
+    assert "credit.check_invariants" not in got["summary"]

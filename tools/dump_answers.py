@@ -15,7 +15,7 @@ Last come the cut scan ``cuts.enumerate_cuts`` and the contractible-part
 finder ``preprocess.find_contractible`` (which the scan skips), both under
 the desk profile, on the benchmark graphs and on 200 seeded ``random2ec``
 graphs.  Two checkouts give the same answers and reports iff their files
-are byte-identical.
+are byte-identical.  Each section's wall seconds go to standard error.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 RANDOM_SCANS = 200
 RANDOM_P = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -60,6 +61,14 @@ def main(argv: list[str]) -> int:
     if not Path(harness.__file__).resolve().is_relative_to(root / "src"):
         sys.exit(f"twoec was imported from {harness.__file__}, not {root / 'src'}")
 
+    clock = perf_counter()
+
+    def lap(section: str) -> None:
+        nonlocal clock
+        now = perf_counter()
+        print(f"{section}: {now - clock:.1f} s", file=sys.stderr)
+        clock = now
+
     solves, graphs = [], []
     for workload in workloads.WORKLOADS:
         for inst in workloads.build(workload, 1, harness):
@@ -69,6 +78,7 @@ def main(argv: list[str]) -> int:
             solves.append([workload, inst.name, inst.mode,
                            *report_row(harness, g, config)])
             graphs.append(g)
+    lap("benchmark solves")
     for name, builder, kwargs in EXCHANGE_GADGETS:
         g = getattr(gadgets, builder)(**kwargs)
         for mode in ("few", "many"):
@@ -78,12 +88,15 @@ def main(argv: list[str]) -> int:
             except tuple(cli.ERROR_EXIT_CODES) as exc:
                 row = [None, type(exc).__name__]
             solves.append(["exchange", name, mode, *row])
+    lap("FEW/MANY gadget solves")
     for i in range(RANDOM_SCANS):
         graphs.append(harness.generate("random2ec", seed=5000 + i, n=6 + i % 7,
                                        p=RANDOM_P[(i // 7) % 7]))
     scans = [[dataclasses.asdict(c) for c in cuts.enumerate_cuts(g, desk_params())]
              for g in graphs]
+    lap("cut scans")
     found = [preprocess.find_contractible(g, desk_params()) for g in graphs]
+    lap("contractible finder")
     contractible = [f and [sorted(f[0]), sorted(f[1])] for f in found]
     with open(argv[1], "w") as out:
         json.dump({"solves": solves, "cut_scans": scans,
