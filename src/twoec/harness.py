@@ -1,8 +1,6 @@
 """End-to-end solver, instance generation, parsing, verification, reports."""
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,19 +23,9 @@ class SolverConfig:
     mode: str = "auto"                  # auto | few | many | exact
     seed: int = 0
     with_oracle: bool = False
-    oracle_limit: Optional[int] = None
-    beta_override: Optional[str] = None  # force few/many regardless of beta
 
     def params(self) -> StructuredParams:
-        p = get_profile(self.profile)
-        limit = self.oracle_limit
-        env = os.environ.get("TWOEC_ORACLE_LIMIT")
-        if limit is None and env:
-            limit = int(env)
-        if limit is not None:
-            from dataclasses import replace
-            p = replace(p, oracle_limit=limit)
-        return p
+        return get_profile(self.profile)
 
 
 def _frac(x) -> str:
@@ -93,8 +81,7 @@ class RunReport:
 
 
 def cover_pipeline(g: MultiGraph, params: StructuredParams, mode: str = "auto",
-                   beta_threshold: Optional[Fraction] = None, strict: bool = False,
-                   opt_hint: Optional[int] = None) -> tuple[set[int], dict]:
+                   strict: bool = False) -> tuple[set[int], dict]:
     """Canonical cover, then the FEW or MANY transformation by the 4-cycle
     edge fraction; returns the solution and step statistics."""
     h_min, certified = min_triangle_free_cover(
@@ -102,19 +89,18 @@ def cover_pipeline(g: MultiGraph, params: StructuredParams, mode: str = "auto",
     h0, dec0, canon_steps = canonicalize(g, h_min, params)
     m4 = dec0.c4_edge_count()
     beta = Fraction(m4, len(h0)) if h0 else Fraction(0)
-    threshold = beta_threshold if beta_threshold is not None else params.beta_threshold
     if mode == "few":
         branch = "few"
     elif mode == "many":
         branch = "many"
     else:
-        branch = "many" if beta > threshold else "few"
+        branch = "many" if beta > params.beta_threshold else "few"
     stats = {"h0_size": len(h0), "beta": beta, "branch": branch,
              "canonicalize_steps": canon_steps, "cover_certified": certified}
     if branch == "few":
         sol, state = run_few(g, h0, params, strict=strict)
     else:
-        sol, state = run_many(g, h0, params, opt_hint=opt_hint, strict=strict)
+        sol, state = run_many(g, h0, params, strict=strict)
     stats["steps"] = [r.to_json() for r in state.trace]
     stats["waivers"] = sum(1 for r in state.trace if r.waiver)
     stats["info"] = state.info

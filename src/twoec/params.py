@@ -38,10 +38,6 @@ class StructuredParams:
         return _ceil(Fraction(k) / (self.alpha - 1)) - 1
 
     @property
-    def four_cut_side_1(self) -> int:
-        return _ceil(Fraction(6) / (self.alpha - 1)) - 1
-
-    @property
     def four_cut_side_2(self) -> int:
         # condition-1 threshold of the k-cut algorithm with k = 4: 2k-2 = 6
         return _ceil(Fraction(2 * 4 - 2) / (self.alpha - 1)) - 1

@@ -14,8 +14,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import oracle
 from .graph import (MultiGraph, articulation_points, connected_components,
-                    contract, find_bridges, is_two_edge_connected,
-                    simple_cycles_upto)
+                    contract, is_two_edge_connected, simple_cycles_upto,
+                    two_edge_classes)
 from .params import StructuredParams
 
 # 2-vertex-cut and 3-vertex-cut solution types, strongest first
@@ -27,10 +27,6 @@ CYCLE_CAP = 40000
 
 
 class ReductionError(RuntimeError):
-    pass
-
-
-class InternalInvariantViolation(RuntimeError):
     pass
 
 
@@ -349,149 +345,42 @@ def min_augment_to_2ec(g: MultiGraph, base: set[int], max_size: int,
 def _shape_of(g: MultiGraph, eids: set[int], verts: set[int],
               cut: list[int]) -> Optional[str]:
     """Type of a side subgraph w.r.t. the cut vertices, or None."""
-    deg = {v: 0 for v in verts}
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for e in eids:
-        u, v = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    inner = verts - set(cut)
-    if any(deg[v] < 2 for v in inner):
+    # components over verts (isolated cut vertices are their own component),
+    # each of which must hold a cut vertex
+    comps = [set(c) for c in connected_components(g, eids) if c[0] in verts]
+    if any(c.isdisjoint(cut) for c in comps):
         return None
-    # components over verts (isolated cut vertices are their own component)
-    comp_of: dict[int, int] = {}
-    comps: list[set[int]] = []
-    for s in sorted(verts):
-        if s in comp_of:
-            continue
-        cidx = len(comps)
-        stack = [s]
-        comp_of[s] = cidx
-        cset = {s}
-        while stack:
-            x = stack.pop()
-            for y, _ in adj[x]:
-                if y not in comp_of:
-                    comp_of[y] = cidx
-                    cset.add(y)
-                    stack.append(y)
-        comps.append(cset)
-    for cset in comps:
-        if not cset & set(cut):
-            return None
-    bridges = find_bridges(g, eids)
-    # 2EC classes: components after deleting bridges
-    class_of: dict[int, int] = {}
-    nb_adj: dict[int, list[int]] = {v: [] for v in verts}
-    for e in eids:
-        if e in bridges:
-            continue
-        u, v = g.edges[e]
-        nb_adj[u].append(v)
-        nb_adj[v].append(u)
-    classes: list[set[int]] = []
-    for s in sorted(verts):
-        if s in class_of:
-            continue
-        cidx = len(classes)
-        stack = [s]
-        class_of[s] = cidx
-        cset = {s}
-        while stack:
-            x = stack.pop()
-            for y in nb_adj[x]:
-                if y not in class_of:
-                    class_of[y] = cidx
-                    cset.add(y)
-                    stack.append(y)
-        classes.append(cset)
-    # supernode trees: per component, nodes = classes, edges = bridges
-    comp_classes: dict[int, set[int]] = {}
-    for ci in range(len(comps)):
-        comp_classes[ci] = set()
-    for v in verts:
-        comp_classes[comp_of[v]].add(class_of[v])
-    tree_deg: dict[int, int] = {c: 0 for c in range(len(classes))}
+    bridges, class_of, k = two_edge_classes(g, eids)
+    # supernode trees: per component, nodes = 2EC classes, edges = bridges
+    comp_classes = [{class_of[v] for v in c} for c in comps]
+    tree_deg = [0] * k
     for e in bridges:
         u, v = g.edges[e]
         tree_deg[class_of[u]] += 1
         tree_deg[class_of[v]] += 1
-    cut_class = [class_of[c] for c in cut]
+    cut_class = {class_of[c] for c in cut}
     # every leaf class (tree degree <= 1 within a multi-class component)
-    # must host a cut vertex, otherwise no 2EC completion exists
-    for ci, cls in comp_classes.items():
-        if len(cls) == 1:
-            continue
-        for c in cls:
-            if tree_deg[c] <= 1 and c not in cut_class:
-                return None
-    ncomp = len(comps)
-    if len(cut) == 2:
-        u_cl, v_cl = cut_class
-        if ncomp == 1:
-            if len(comp_classes[0]) == 1:
-                return "A"
-            # path check: exactly two leaves, which are C(u) and C(v)
-            leaves = [c for c in comp_classes[0] if tree_deg[c] == 1]
-            if all(tree_deg[c] <= 2 for c in comp_classes[0]) and \
-                    set(leaves) <= {u_cl, v_cl} and u_cl != v_cl:
-                return "B"
+    # must host a cut vertex, otherwise no 2EC completion exists; this also
+    # rejects an inner vertex of degree below 2
+    for cls in comp_classes:
+        if len(cls) > 1 and any(tree_deg[c] <= 1 and c not in cut_class
+                                for c in cls):
             return None
-        if ncomp == 2:
-            if all(len(comp_classes[ci]) == 1 for ci in range(2)) \
-                    and u_cl != v_cl:
-                return "C"
-        return None
-    # arity 3
-    u_cl, v_cl, w_cl = cut_class
-    distinct = len({u_cl, v_cl, w_cl})
-    if ncomp == 1:
-        cls = comp_classes[0]
-        if len(cls) == 1:
+    # so a component's class tree has at most as many leaves as it holds cut
+    # vertices: with one it is a single class, with two a path between them
+    if len(comps) == 1:
+        if len(comp_classes[0]) == 1:
             return "A"
-        leaves = [c for c in cls if tree_deg[c] == 1]
-        is_path = all(tree_deg[c] <= 2 for c in cls)
-        if is_path:
-            ends = set(leaves)
-            cut_at_ends = all(c in ends for c in set(cut_class))
-            per_end = {e: sum(1 for c in cut_class if c == e) for e in ends}
-            if cut_at_ends and all(v <= 2 for v in per_end.values()):
-                if distinct == 3 and all(per_end.get(e, 0) >= 1 for e in ends):
-                    # u, v, w spread over exactly the two path ends
-                    return "B1"
-                if distinct == 2:
-                    return "B1"
-        if distinct == 3:
-            return "C1"
-        return None
-    if ncomp == 2:
-        sizes = sorted(len(comp_classes[ci]) for ci in range(2))
-        per_comp_cut = [sum(1 for c in cut if comp_of[c] == ci)
-                        for ci in range(2)]
-        if sizes == [1, 1] and sorted(per_comp_cut) == [1, 2] and distinct >= 2:
-            return "B2"
-        # C2: one path component with a cut vertex at each end, one isolated
-        for ci in range(2):
-            cls = comp_classes[ci]
-            other = 1 - ci
-            if len(comp_classes[other]) != 1 or per_comp_cut[other] != 1:
-                continue
-            if len(cls) < 2 or per_comp_cut[ci] != 2:
-                continue
-            leaves = [c for c in cls if tree_deg[c] == 1]
-            if all(tree_deg[c] <= 2 for c in cls):
-                here = [class_of[c] for c in cut if comp_of[c] == ci]
-                if len(set(here)) == 2 and set(here) == set(leaves):
-                    return "C2"
-        return None
-    if ncomp == 3:
-        if all(len(comp_classes[ci]) == 1 for ci in range(3)) and distinct == 3 \
-                and all(sum(1 for c in cut if comp_of[c] == ci) == 1
-                        for ci in range(3)):
-            return "C3"
-    return None
+        if len(cut) == 2:
+            return "B"
+        # three cut vertices in two classes sit at the two ends of a path
+        return "B1" if len(cut_class) == 2 else "C1"
+    if len(cut) == 2:
+        return "C"
+    if len(comps) == 3:
+        return "C3"
+    # one component with one cut vertex is 2EC; the other is too, or a path
+    return "B2" if all(len(cls) == 1 for cls in comp_classes) else "C2"
 
 
 # side-1 type -> side-2 types that can complete it (feasible combinations)
@@ -511,44 +400,14 @@ def side2_availability(g: MultiGraph, v2: set[int], cut: list[int]) -> set[str]:
     """Which completion types the big side can offer, judged on its full
     edge set: 'A' needs the whole side 2EC, 'B1'/'B' need two cut vertices
     on a common cycle; the remaining types are not constrained here."""
-    verts = sorted(set(v2) | set(cut))
-    idx = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for (u, v) in g.edges:
-        if u in idx and v in idx:
-            if u in cut and v in cut:
-                continue
-            edges.append((idx[u], idx[v]))
-    full = MultiGraph(len(verts), edges)
+    side = _side_graph(g, set(v2), set(cut), drop_cut_edges=True)
+    _, cls, k = two_edge_classes(side, range(side.m))
     out = {"B", "B2", "C1", "C2", "C3", "C"}
-    if is_two_edge_connected(full):
-        out |= {"A", "B1"}
-        return out
-    bridges = find_bridges(full)
-    nb: dict[int, set[int]] = {}
-    for eid, (u, v) in enumerate(full.edges):
-        if eid in bridges:
-            continue
-        nb.setdefault(u, set()).add(v)
-        nb.setdefault(v, set()).add(u)
-
-    def cls(s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in nb.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    cut_local = [idx[c] for c in cut]
-    classes = [cls(c) for c in cut_local]
-    for i in range(len(cut_local)):
-        for j in range(i + 1, len(cut_local)):
-            if cut_local[j] in classes[i]:
-                out.add("B1")
+    if k == 1:
+        return out | {"A", "B1"}
+    local = sorted(set(v2) | set(cut))
+    if len({cls[local.index(c)] for c in cut}) < len(cut):
+        out.add("B1")               # two cut vertices share a 2EC class
     return out
 
 
@@ -573,14 +432,9 @@ class SideTypeTable:
         best: dict[str, set[int]] = {}
         alls: dict[str, list[set[int]]] = {t: [] for t in order}
         pool = self.pool
-        n_inner = len(self.v1)
 
-        def rec(i: int, chosen: list[int], deg: dict[int, int], worst: int):
-            if len(chosen) > worst:
-                return
+        def rec(i: int, chosen: list[int], deg: dict[int, int]):
             deficit = sum(max(0, 2 - deg[v]) for v in self.v1)
-            if len(chosen) + (deficit + 1) // 2 > worst:
-                return
             if i == len(pool):
                 if deficit > 0:
                     return
@@ -595,10 +449,10 @@ class SideTypeTable:
                 elif collect_all and sz == sizes[shape]:
                     alls[shape].append(set(chosen))
                 return
-            remaining = pool[i:]
-            gain: dict[int, int] = {v: 0 for v in self.v1}
             if deficit:
-                for e in remaining:
+                # the edges left must still lift every inner vertex to degree 2
+                gain = {v: 0 for v in self.v1}
+                for e in pool[i:]:
                     u, v = self.g.edges[e]
                     if u in gain:
                         gain[u] += 1
@@ -608,17 +462,16 @@ class SideTypeTable:
                     return
             e = pool[i]
             u, v = self.g.edges[e]
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
+            deg[u] += 1
+            deg[v] += 1
             chosen.append(e)
-            rec(i + 1, chosen, deg, worst)
+            rec(i + 1, chosen, deg)
             chosen.pop()
             deg[u] -= 1
             deg[v] -= 1
-            rec(i + 1, chosen, deg, worst)
+            rec(i + 1, chosen, deg)
 
-        worst = len(pool)
-        rec(0, [], {v: 0 for v in self.verts}, worst)
+        rec(0, [], {v: 0 for v in self.verts})
         for t in order:
             self.minima[t] = best.get(t)
             self.all_optima[t] = alls.get(t, [])
@@ -863,7 +716,7 @@ class Reducer:
         optima = table.all_optima["C2"]
         pairs = set()
         for sol in optima:
-            pr = _c2_path_pair(g, sol, table.verts, cut)
+            pr = _c2_path_pair(g, sol, cut)
             if pr is not None:
                 pairs.add(pr)
         u, v, w = cut
@@ -915,9 +768,10 @@ class Reducer:
         optima = table.all_optima["C3"]
         pick = None
         for opt1 in optima:
+            cls = two_edge_classes(g, opt1)[1]
             for (a, b, c) in itertools.permutations(cut):
-                e_ab = _class_connector(g, opt1, table.verts, a, b)
-                e_bc = _class_connector(g, opt1, table.verts, b, c)
+                e_ab = _class_connector(g, opt1, cls, table.verts, a, b)
+                e_bc = _class_connector(g, opt1, cls, table.verts, b, c)
                 if e_ab is not None and e_bc is not None:
                     pick = (opt1, (a, b, c), e_ab, e_bc)
                     break
@@ -985,68 +839,27 @@ class Reducer:
                       "budget": budget}, [t2])
 
 
-def _c2_path_pair(g: MultiGraph, sol: set[int], verts: set[int],
-                  cut) -> Optional[tuple[int, int]]:
+def _c2_path_pair(g: MultiGraph, sol: set[int], cut
+                  ) -> Optional[tuple[int, int]]:
     """For a C2-shaped side solution, the two cut vertices joined by the
     path component."""
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for e in sol:
-        u, v = g.edges[e]
-        adj[u].append(v)
-        adj[v].append(u)
-    comp_of: dict[int, int] = {}
-    ci = 0
-    for s in sorted(verts):
-        if s in comp_of:
-            continue
-        stack = [s]
-        comp_of[s] = ci
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp_of:
-                    comp_of[y] = ci
-                    stack.append(y)
-        ci += 1
-    groups: dict[int, list[int]] = {}
-    for c in cut:
-        groups.setdefault(comp_of[c], []).append(c)
-    pairs = [tuple(sorted(v)) for v in groups.values() if len(v) == 2]
-    if len(pairs) == 1:
-        return pairs[0]
-    return None
+    groups = [[c for c in cut if c in comp]
+              for comp in connected_components(g, sol)]
+    pairs = [tuple(sorted(grp)) for grp in groups if len(grp) == 2]
+    return pairs[0] if len(pairs) == 1 else None
 
 
-def _class_connector(g: MultiGraph, sol: set[int], verts: set[int],
-                     a: int, b: int) -> Optional[int]:
-    """An unused side edge joining the 2EC classes of a and b."""
-    bridges = find_bridges(g, sol)
-    nb_adj: dict[int, list[int]] = {v: [] for v in verts}
-    for e in sol:
-        if e in bridges:
-            continue
-        u, v = g.edges[e]
-        nb_adj[u].append(v)
-        nb_adj[v].append(u)
-
-    def cls(s: int) -> set[int]:
-        out = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in nb_adj[x]:
-                if y not in out:
-                    out.add(y)
-                    stack.append(y)
-        return out
-
-    ca, cb = cls(a), cls(b)
+def _class_connector(g: MultiGraph, sol: set[int], cls: list[int],
+                     verts: set[int], a: int, b: int) -> Optional[int]:
+    """An unused side edge joining the 2EC classes of a and b; ``cls`` are
+    the classes of ``sol`` (from ``two_edge_classes``)."""
+    ends = {cls[a], cls[b]}
     for e, (u, v) in enumerate(g.edges):
         if e in sol or u == v:
             continue
         if u not in verts or v not in verts:
             continue
-        if (u in ca and v in cb) or (v in ca and u in cb):
+        if {cls[u], cls[v]} == ends:
             return e
     return None
 

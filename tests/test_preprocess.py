@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from twoec import gadgets, oracle
-from twoec.graph import (MultiGraph, articulation_points, is_two_edge_connected,
-                         simple_cycles_upto)
+from twoec.graph import (MultiGraph, articulation_points, find_bridges,
+                         is_two_edge_connected, simple_cycles_upto,
+                         two_edge_classes)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
 from twoec.params import StructuredParams, desk_params
-from twoec.preprocess import (COMPATIBLE, InternalInvariantViolation, Reducer,
+from twoec.preprocess import (_c2_path_pair, _class_connector,
                               _components_without, _contracted_side,
-                              _grouping, _side_graph, _vertex_cuts, classify_side_types,
+                              _grouping, _shape_of, _side_graph, _vertex_cuts,
+                              classify_side_types,
                               find_contractible, find_cut_vertex,
                               find_irrelevant_edge, find_large_3vc,
                               find_large_4vc, find_large_ck,
@@ -523,3 +525,293 @@ def test_short_cycle_vertex_sets_have_opt_size():
                 assert len(exact_min_2ecss(_side_graph(g, set(w), set()))) == len(w)
                 checked += 1
     assert checked > 1000
+
+
+# ---------------------------------------------------------------------------
+# the side-type routines before they used the shared connectivity kernels
+# ---------------------------------------------------------------------------
+
+def reference_shape_of(g, eids, verts, cut):
+    """``_shape_of`` with its own adjacency and two hand-written searches."""
+    deg = {v: 0 for v in verts}
+    adj = {v: [] for v in verts}
+    for e in eids:
+        u, v = g.edges[e]
+        deg[u] += 1
+        deg[v] += 1
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    inner = verts - set(cut)
+    if any(deg[v] < 2 for v in inner):
+        return None
+    comp_of = {}
+    comps = []
+    for s in sorted(verts):
+        if s in comp_of:
+            continue
+        cidx = len(comps)
+        stack = [s]
+        comp_of[s] = cidx
+        cset = {s}
+        while stack:
+            x = stack.pop()
+            for y, _ in adj[x]:
+                if y not in comp_of:
+                    comp_of[y] = cidx
+                    cset.add(y)
+                    stack.append(y)
+        comps.append(cset)
+    for cset in comps:
+        if not cset & set(cut):
+            return None
+    bridges = find_bridges(g, eids)
+    class_of = {}
+    nb_adj = {v: [] for v in verts}
+    for e in eids:
+        if e in bridges:
+            continue
+        u, v = g.edges[e]
+        nb_adj[u].append(v)
+        nb_adj[v].append(u)
+    classes = []
+    for s in sorted(verts):
+        if s in class_of:
+            continue
+        cidx = len(classes)
+        stack = [s]
+        class_of[s] = cidx
+        cset = {s}
+        while stack:
+            x = stack.pop()
+            for y in nb_adj[x]:
+                if y not in class_of:
+                    class_of[y] = cidx
+                    cset.add(y)
+                    stack.append(y)
+        classes.append(cset)
+    comp_classes = {ci: set() for ci in range(len(comps))}
+    for v in verts:
+        comp_classes[comp_of[v]].add(class_of[v])
+    tree_deg = {c: 0 for c in range(len(classes))}
+    for e in bridges:
+        u, v = g.edges[e]
+        tree_deg[class_of[u]] += 1
+        tree_deg[class_of[v]] += 1
+    cut_class = [class_of[c] for c in cut]
+    for ci, cls in comp_classes.items():
+        if len(cls) == 1:
+            continue
+        for c in cls:
+            if tree_deg[c] <= 1 and c not in cut_class:
+                return None
+    ncomp = len(comps)
+    if len(cut) == 2:
+        u_cl, v_cl = cut_class
+        if ncomp == 1:
+            if len(comp_classes[0]) == 1:
+                return "A"
+            leaves = [c for c in comp_classes[0] if tree_deg[c] == 1]
+            if all(tree_deg[c] <= 2 for c in comp_classes[0]) and \
+                    set(leaves) <= {u_cl, v_cl} and u_cl != v_cl:
+                return "B"
+            return None
+        if ncomp == 2:
+            if all(len(comp_classes[ci]) == 1 for ci in range(2)) \
+                    and u_cl != v_cl:
+                return "C"
+        return None
+    u_cl, v_cl, w_cl = cut_class
+    distinct = len({u_cl, v_cl, w_cl})
+    if ncomp == 1:
+        cls = comp_classes[0]
+        if len(cls) == 1:
+            return "A"
+        leaves = [c for c in cls if tree_deg[c] == 1]
+        if all(tree_deg[c] <= 2 for c in cls):
+            ends = set(leaves)
+            cut_at_ends = all(c in ends for c in set(cut_class))
+            per_end = {e: sum(1 for c in cut_class if c == e) for e in ends}
+            if cut_at_ends and all(v <= 2 for v in per_end.values()):
+                if distinct == 3 and all(per_end.get(e, 0) >= 1 for e in ends):
+                    return "B1"
+                if distinct == 2:
+                    return "B1"
+        if distinct == 3:
+            return "C1"
+        return None
+    if ncomp == 2:
+        sizes = sorted(len(comp_classes[ci]) for ci in range(2))
+        per_comp_cut = [sum(1 for c in cut if comp_of[c] == ci)
+                        for ci in range(2)]
+        if sizes == [1, 1] and sorted(per_comp_cut) == [1, 2] and distinct >= 2:
+            return "B2"
+        for ci in range(2):
+            cls = comp_classes[ci]
+            other = 1 - ci
+            if len(comp_classes[other]) != 1 or per_comp_cut[other] != 1:
+                continue
+            if len(cls) < 2 or per_comp_cut[ci] != 2:
+                continue
+            leaves = [c for c in cls if tree_deg[c] == 1]
+            if all(tree_deg[c] <= 2 for c in cls):
+                here = [class_of[c] for c in cut if comp_of[c] == ci]
+                if len(set(here)) == 2 and set(here) == set(leaves):
+                    return "C2"
+        return None
+    if ncomp == 3:
+        if all(len(comp_classes[ci]) == 1 for ci in range(3)) and distinct == 3 \
+                and all(sum(1 for c in cut if comp_of[c] == ci) == 1
+                        for ci in range(3)):
+            return "C3"
+    return None
+
+
+def reference_side2_availability(g, v2, cut):
+    """``side2_availability`` with a hand-built side graph and one search
+    per cut vertex's class."""
+    verts = sorted(set(v2) | set(cut))
+    idx = {v: i for i, v in enumerate(verts)}
+    edges = []
+    for (u, v) in g.edges:
+        if u in idx and v in idx:
+            if u in cut and v in cut:
+                continue
+            edges.append((idx[u], idx[v]))
+    full = MultiGraph(len(verts), edges)
+    out = {"B", "B2", "C1", "C2", "C3", "C"}
+    if is_two_edge_connected(full):
+        return out | {"A", "B1"}
+    bridges = find_bridges(full)
+    nb = {}
+    for eid, (u, v) in enumerate(full.edges):
+        if eid in bridges:
+            continue
+        nb.setdefault(u, set()).add(v)
+        nb.setdefault(v, set()).add(u)
+
+    def cls(s):
+        seen = {s}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in nb.get(x, ()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    cut_local = [idx[c] for c in cut]
+    classes = [cls(c) for c in cut_local]
+    for i in range(len(cut_local)):
+        for j in range(i + 1, len(cut_local)):
+            if cut_local[j] in classes[i]:
+                out.add("B1")
+    return out
+
+
+def reference_c2_path_pair(g, sol, verts, cut):
+    """``_c2_path_pair`` with its own search over ``verts``."""
+    adj = {v: [] for v in verts}
+    for e in sol:
+        u, v = g.edges[e]
+        adj[u].append(v)
+        adj[v].append(u)
+    comp_of = {}
+    ci = 0
+    for s in sorted(verts):
+        if s in comp_of:
+            continue
+        stack = [s]
+        comp_of[s] = ci
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp_of:
+                    comp_of[y] = ci
+                    stack.append(y)
+        ci += 1
+    groups = {}
+    for c in cut:
+        groups.setdefault(comp_of[c], []).append(c)
+    pairs = [tuple(sorted(v)) for v in groups.values() if len(v) == 2]
+    if len(pairs) == 1:
+        return pairs[0]
+    return None
+
+
+def reference_class_connector(g, sol, verts, a, b):
+    """``_class_connector`` finding the classes of a and b by its own
+    search over the non-bridge edges of ``sol``."""
+    bridges = find_bridges(g, sol)
+    nb_adj = {v: [] for v in verts}
+    for e in sol:
+        if e in bridges:
+            continue
+        u, v = g.edges[e]
+        nb_adj[u].append(v)
+        nb_adj[v].append(u)
+
+    def cls(s):
+        out = {s}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in nb_adj[x]:
+                if y not in out:
+                    out.add(y)
+                    stack.append(y)
+        return out
+
+    ca, cb = cls(a), cls(b)
+    for e, (u, v) in enumerate(g.edges):
+        if e in sol or u == v:
+            continue
+        if u not in verts or v not in verts:
+            continue
+        if (u in ca and v in cb) or (v in ca and u in cb):
+            return e
+    return None
+
+
+def test_side_type_routines_match_reference(multigraph_cases):
+    """On side subgraphs of the random multigraphs (a 2- or 3-vertex cut,
+    the side's vertices, and the loop-free edges of an edge subset inside
+    them), the side's type under every order of the cut, the big side's
+    availability, the C2 path pair, and the class connector of every
+    ordered pair of cut vertices are the reference's.  Every type label
+    occurs, big sides that offer A, B1 without A and neither, and
+    connectors inside one class and across two."""
+    rnd = random.Random(4242)
+    shapes = {2: set(), 3: set()}
+    offers = set()
+    connectors = {"shared": 0, "across": 0}
+    for g, subsets in multigraph_cases:
+        for k in (2, 3):
+            if g.n < k + 1:
+                continue
+            cut = rnd.sample(range(g.n), k)
+            verts = set(cut) | {v for v in range(g.n)
+                                if v not in cut and rnd.random() < 0.7}
+            for es in subsets:
+                eids = {e for e in es if g.edges[e][0] != g.edges[e][1]
+                        and set(g.edges[e]) <= verts}
+                for order in itertools.permutations(cut):
+                    want = reference_shape_of(g, eids, verts, list(order))
+                    assert _shape_of(g, eids, verts, list(order)) == want
+                    shapes[k].add(want)
+                sub = MultiGraph(g.n, [g.edges[e] for e in es])
+                want = reference_side2_availability(sub, verts - set(cut), cut)
+                assert side2_availability(sub, verts - set(cut), cut) == want
+                offers.add(frozenset(want & {"A", "B1"}))
+                assert _c2_path_pair(g, eids, cut) == \
+                    reference_c2_path_pair(g, eids, verts, cut)
+                cls = two_edge_classes(g, eids)[1]
+                for a, b in itertools.permutations(cut, 2):
+                    want = reference_class_connector(g, eids, verts, a, b)
+                    assert _class_connector(g, eids, cls, verts, a, b) == want
+                    if want is not None:
+                        connectors["shared" if cls[a] == cls[b] else "across"] += 1
+    assert shapes[2] >= {"A", "B", "C"}
+    assert shapes[3] >= {"A", "B1", "B2", "C1", "C2", "C3"}
+    assert offers == {frozenset(), frozenset({"B1"}), frozenset({"A", "B1"})}
+    assert min(connectors.values()) > 0, connectors

@@ -16,6 +16,8 @@ finder ``preprocess.find_contractible`` (which the scan skips), both under
 the desk profile, on the benchmark graphs and on 200 seeded ``random2ec``
 graphs.  Two checkouts give the same answers and reports iff their files
 are byte-identical.  Each section's wall seconds go to standard error.
+``solve_rows`` gives the solve rows alone; ``tests/test_golden.py`` checks
+them against a committed copy.
 """
 from __future__ import annotations
 
@@ -50,13 +52,38 @@ def report_row(harness, g, config) -> tuple[list[int], dict]:
     return sorted(sol), report
 
 
+def solve_rows() -> tuple[list, list]:
+    """The file's solve rows, and the benchmark graphs in row order, from
+    the ``twoec`` and ``workloads`` (``perfbench/``) found on ``sys.path``."""
+    import workloads
+    from twoec import cli, gadgets, harness
+    solves, graphs = [], []
+    for workload in workloads.WORKLOADS:
+        for inst in workloads.build(workload, 1, harness):
+            g = harness.parse_graph(inst.text)
+            config = harness.SolverConfig(profile="desk", mode=inst.mode,
+                                          with_oracle=inst.with_oracle)
+            solves.append([workload, inst.name, inst.mode,
+                           *report_row(harness, g, config)])
+            graphs.append(g)
+    for name, builder, kwargs in EXCHANGE_GADGETS:
+        g = getattr(gadgets, builder)(**kwargs)
+        for mode in ("few", "many"):
+            config = harness.SolverConfig(profile="desk", mode=mode)
+            try:
+                row = report_row(harness, g, config)
+            except tuple(cli.ERROR_EXIT_CODES) as exc:
+                row = [None, type(exc).__name__]
+            solves.append(["exchange", name, mode, *row])
+    return solves, graphs
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     root = Path(argv[0]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import workloads
-    from twoec import cli, cuts, gadgets, harness, preprocess
+    from twoec import cuts, harness, preprocess
     from twoec.params import desk_params
     if not Path(harness.__file__).resolve().is_relative_to(root / "src"):
         sys.exit(f"twoec was imported from {harness.__file__}, not {root / 'src'}")
@@ -69,26 +96,8 @@ def main(argv: list[str]) -> int:
         print(f"{section}: {now - clock:.1f} s", file=sys.stderr)
         clock = now
 
-    solves, graphs = [], []
-    for workload in workloads.WORKLOADS:
-        for inst in workloads.build(workload, 1, harness):
-            g = harness.parse_graph(inst.text)
-            config = harness.SolverConfig(profile="desk", mode=inst.mode,
-                                          with_oracle=inst.with_oracle)
-            solves.append([workload, inst.name, inst.mode,
-                           *report_row(harness, g, config)])
-            graphs.append(g)
-    lap("benchmark solves")
-    for name, builder, kwargs in EXCHANGE_GADGETS:
-        g = getattr(gadgets, builder)(**kwargs)
-        for mode in ("few", "many"):
-            config = harness.SolverConfig(profile="desk", mode=mode)
-            try:
-                row = report_row(harness, g, config)
-            except tuple(cli.ERROR_EXIT_CODES) as exc:
-                row = [None, type(exc).__name__]
-            solves.append(["exchange", name, mode, *row])
-    lap("FEW/MANY gadget solves")
+    solves, graphs = solve_rows()
+    lap("solves")
     for i in range(RANDOM_SCANS):
         graphs.append(harness.generate("random2ec", seed=5000 + i, n=6 + i % 7,
                                        p=RANDOM_P[(i // 7) % 7]))
