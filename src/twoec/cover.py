@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import oracle
 from .decomp import CoverDecomposition
@@ -20,12 +20,11 @@ class CoverError(ValueError):
     pass
 
 
-def min_triangle_free_cover(g: MultiGraph, mode: str = "exact",
-                            limit: int = oracle.DEFAULT_LIMIT) -> tuple[set[int], bool]:
+def min_triangle_free_cover(g: MultiGraph, mode: str = "exact") -> tuple[set[int], bool]:
     """Returns (edge set, certified).  Exact mode delegates to the oracle;
     heuristic mode strips removable edges and patches triangle components."""
     if mode == "exact":
-        return oracle.exact_min_cover(g, {3}, limit=limit), True
+        return oracle.exact_min_cover(g, {3}), True
     # a self-loop never helps cover a vertex: drop loops before counting
     h = {eid for eid, (u, v) in enumerate(g.edges) if u != v}
     deg = [0] * g.n
@@ -261,8 +260,8 @@ def _removal_pairs(g: MultiGraph, hs: list[int], deg: list[int],
             yield e, hs[j]
 
 
-def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
-                 max_steps: Optional[int] = None) -> tuple[set[int], CoverDecomposition, int]:
+def canonicalize(g: MultiGraph, h: set[int],
+                 params: StructuredParams) -> tuple[set[int], CoverDecomposition, int]:
     """Exchange loop; returns (H, decomposition, steps taken).
 
     Candidates are tried in a fixed order and the first that lowers the
@@ -275,8 +274,7 @@ def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
     if not _is_triangle_free_cover(g, h):
         raise CoverError("input is not a triangle-free 2-edge cover")
     h = set(h)
-    if max_steps is None:
-        max_steps = max(1, g.m) * max(1, g.n) ** 2
+    step_cap = max(1, g.m) * max(1, g.n) ** 2
     cur = _measure(g, h)
     floor = (g.n, 1, 0, 0)
     steps = 0
@@ -321,7 +319,7 @@ def canonicalize(g: MultiGraph, h: set[int], params: StructuredParams,
         return True
 
     improved = True
-    while improved and steps < max_steps and cur != floor:
+    while improved and steps < step_cap and cur != floor:
         improved = False
         hs = sorted(h)
         # F_R of size 1, F_A empty: drop a redundant edge

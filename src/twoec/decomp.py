@@ -12,7 +12,6 @@ from .params import StructuredParams
 # classification tags
 C4, C5, C6, C7, C8 = "C4", "C5", "C6", "C7", "C8"
 LARGE2EC = "Large2EC"
-HUGE = "Huge"
 COMPLEX = "Complex"
 RICH = "RichVertex"
 OTHER = "Other"
@@ -255,7 +254,6 @@ class ComponentGraphView:
         self.g = g
         self.dec = dec
         ncomp = len(dec.components)
-        self.n_nodes = ncomp
         self.node_edges: list[tuple[int, int, int]] = []  # (node_u, node_v, g_eid)
         for eid, (u, v) in enumerate(g.edges):
             cu, cv = dec.comp_of_vertex[u], dec.comp_of_vertex[v]
@@ -274,9 +272,6 @@ class ComponentGraphView:
             for node in s:
                 seg_count[node] += 1
         self.cut_nodes = {i for i in range(ncomp) if seg_count[i] > 1}
-
-    def node_of_vertex(self, v: int) -> int:
-        return self.dec.comp_of_vertex[v]
 
     def edges_between(self, a: int, b: int) -> list[int]:
         """Host edge ids running between components a and b."""

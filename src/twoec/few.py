@@ -135,17 +135,6 @@ class ComponentContext:
         return out
 
 
-def find_bridge_paths(g: MultiGraph, dec: CoverDecomposition,
-                      comp: Component) -> tuple[list[BridgePath], dict[int, set[int]]]:
-    """All shortest bridge-covering paths plus the reachability sets R(u)."""
-    ctx = ComponentContext(g, dec, comp)
-    paths = ctx.all_bridge_paths()
-    reach: dict[int, set[int]] = {u: set() for u in range(ctx.tnodes)}
-    for u in range(ctx.tnodes):
-        reach[u] = set(ctx.bridge_paths_from(u))
-    return paths, reach
-
-
 def _pair_candidates(ctx: ComponentContext, paths: list[BridgePath]):
     """Two-path exchanges in the spirit of the helper lemmas: both paths end
     in T_C; optionally one shared tree edge is removed."""

@@ -571,18 +571,3 @@ def bridge_chain(bridges: int = 7) -> MultiGraph:
     assert is_two_edge_connected(g)
     return g
 
-
-def fix_edges_by_subdivision(g: MultiGraph, edge_ids: set[int]) -> MultiGraph:
-    """Split each chosen edge into a length-2 path; the two halves then sit
-    in every 2-edge cover (the middle vertex has degree 2), which pins a
-    seeded component.  Used only by generators."""
-    edges = []
-    nxt = g.n
-    for eid, (u, v) in enumerate(g.edges):
-        if eid in edge_ids and u != v:
-            edges.append((u, nxt))
-            edges.append((nxt, v))
-            nxt += 1
-        else:
-            edges.append((u, v))
-    return MultiGraph(nxt, edges)

@@ -276,31 +276,17 @@ def contract(g: MultiGraph, s: set[int]) -> tuple[MultiGraph, list[int]]:
     """
     if not s:
         raise GraphError("cannot contract the empty set")
-    if not all(0 <= v < g.n for v in s):
-        raise GraphError("contraction set out of range")
-    rep = min(s)
-    vmap = [0] * g.n
-    nxt = 0
-    for v in range(g.n):
-        if v in s and v != rep:
-            continue
-        vmap[v] = nxt
-        nxt += 1
-    for v in s:
-        vmap[v] = vmap[rep]
-    new_edges = []
-    new_origin = []
-    for eid, (u, v) in enumerate(g.edges):
-        new_edges.append((vmap[u], vmap[v]))
-        new_origin.append(g.origin[eid] if g.origin is not None else eid)
-    return MultiGraph(nxt, new_edges, new_origin), vmap
+    return contract_many(g, [s])
 
 
 def contract_many(g: MultiGraph, groups: list[set[int]]) -> tuple[MultiGraph, list[int]]:
-    """Contract several disjoint vertex groups at once."""
+    """Contract several disjoint vertex groups at once; each group becomes
+    the vertex of its smallest member, numbered in vertex order."""
     group_of = [-1] * g.n
     for i, grp in enumerate(groups):
         for v in grp:
+            if not 0 <= v < g.n:
+                raise GraphError("contraction set out of range")
             if group_of[v] != -1:
                 raise GraphError("contraction groups overlap")
             group_of[v] = i

@@ -16,6 +16,10 @@ from .many import run_many
 from .params import StructuredParams, get_profile
 from .preprocess import red
 
+# the 4-cycle edge fraction of the canonical cover above which auto mode
+# takes the MANY branch
+BETA_THRESHOLD = Fraction(999, 1000)
+
 
 @dataclass
 class SolverConfig:
@@ -84,8 +88,7 @@ def cover_pipeline(g: MultiGraph, params: StructuredParams, mode: str = "auto",
                    strict: bool = False) -> tuple[set[int], dict]:
     """Canonical cover, then the FEW or MANY transformation by the 4-cycle
     edge fraction; returns the solution and step statistics."""
-    h_min, certified = min_triangle_free_cover(
-        g, mode="exact", limit=max(params.oracle_limit, g.n))
+    h_min, certified = min_triangle_free_cover(g, mode="exact")
     h0, dec0, canon_steps = canonicalize(g, h_min, params)
     m4 = dec0.c4_edge_count()
     beta = Fraction(m4, len(h0)) if h0 else Fraction(0)
@@ -94,7 +97,7 @@ def cover_pipeline(g: MultiGraph, params: StructuredParams, mode: str = "auto",
     elif mode == "many":
         branch = "many"
     else:
-        branch = "many" if beta > params.beta_threshold else "few"
+        branch = "many" if beta > BETA_THRESHOLD else "few"
     stats = {"h0_size": len(h0), "beta": beta, "branch": branch,
              "canonicalize_steps": canon_steps, "cover_certified": certified}
     if branch == "few":
@@ -115,39 +118,31 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
     report = RunReport(n=g.n, m=g.m, mode=config.mode, profile=config.profile,
                        seed=config.seed)
 
-    pipeline_stats: dict = {}
-
-    def inner(sub: MultiGraph) -> set[int]:
-        sol, stats = cover_pipeline(sub, params, mode="auto", strict=False)
-        pipeline_stats.setdefault("inner_calls", []).append(stats)
-        return sol
-
+    main: Optional[dict] = None     # the whole input's pipeline statistics
     opt: Optional[int] = None       # set when the solve itself is exact
     if config.mode == "exact":
-        sol = oracle.exact_min_2ecss(g, limit=max(params.oracle_limit, g.n))
+        sol = oracle.exact_min_2ecss(g)
         report.branch = "exact"
         opt = len(sol)
     elif config.mode in ("few", "many"):
-        sol, stats = cover_pipeline(g, params, mode=config.mode, strict=False)
-        pipeline_stats["main"] = stats
-        report.branch = stats["branch"]
+        sol, main = cover_pipeline(g, params, mode=config.mode, strict=False)
+        report.branch = main["branch"]
     else:
-        sol, trace = red(g, params, inner=inner)
+        sol, trace = red(g, params,
+                         inner=lambda sub: cover_pipeline(sub, params)[0])
         report.trace = trace.to_json()
         if trace.step == "BruteForce":
             opt = len(sol)
         # audit sidecar: exercise the cover machinery on the whole instance
         # and keep its solution when it happens to win
         try:
-            side_sol, stats = cover_pipeline(g, params, mode="auto", strict=False)
-            pipeline_stats["main"] = stats
-            report.branch = stats["branch"]
+            side_sol, main = cover_pipeline(g, params, mode="auto", strict=False)
+            report.branch = main["branch"]
             if oracle._two_ec_on(g, side_sol) and len(side_sol) < len(sol):
                 sol = side_sol
         except (NoProgress, LedgerError, oracle.TooLarge, oracle.Infeasible):
             report.branch = "red-only"
 
-    main = pipeline_stats.get("main")
     if main:
         report.h0_size = main["h0_size"]
         report.beta = main["beta"]
@@ -169,8 +164,7 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
     if config.with_oracle:
         if opt is None:
             try:
-                opt = len(oracle.exact_min_2ecss(
-                    g, limit=max(params.oracle_limit, g.n)))
+                opt = len(oracle.exact_min_2ecss(g))
             except oracle.TooLarge:
                 pass
         report.opt = opt

@@ -503,10 +503,10 @@ def _cover_l_bridge(state: ManyState, L: int) -> bool:
     return False
 
 
-def build_core_square(state: ManyState, max_steps: Optional[int] = None) -> dict:
+def build_core_square(state: ManyState) -> dict:
     """Exhaustively apply the ordered reductions until the cover is a
     bridgeless core-square configuration; at most one +2 step."""
-    guard = max_steps if max_steps is not None else 4 * state.g.n + 16
+    guard = 4 * state.g.n + 16
     while guard > 0:
         guard -= 1
         dec = state.dec
@@ -628,7 +628,7 @@ def _optimal_part_replacement(state: ManyState, L: int, part: list[int]) -> bool
     rest = set(range(g.n)) - verts
     contracted, _ = contract_many(g, [rest])
     try:
-        sol = oracle.exact_min_2ecss(contracted, limit=state.params.oracle_limit)
+        sol = oracle.exact_min_2ecss(contracted, limit=oracle.STRUCTURED_LIMIT)
     except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
         return False
     opt_ids = {contracted.origin[e] for e in sol}
@@ -705,8 +705,7 @@ def _stitch_part(state: ManyState, L: int, part: list[int]) -> bool:
 
 
 def run_many(g: MultiGraph, h0: set[int], params: StructuredParams,
-             opt_hint: Optional[int] = None, strict: bool = True
-             ) -> tuple[set[int], ManyState]:
+             strict: bool = True) -> tuple[set[int], ManyState]:
     dec = CoverDecomposition(g, h0, params)
     led, info = build_many_ledger(dec, params, strict=strict)
     info = dict(info)
@@ -730,13 +729,8 @@ def run_many(g: MultiGraph, h0: set[int], params: StructuredParams,
     from .oracle import _two_ec_on
     if not _two_ec_on(g, state.h):
         raise NoProgress("assembled solution is not 2EC spanning")
-    delta = params.many_delta
     state.info["bound_terms"] = {
-        "m4_term": (Fraction(5, 4) - delta) * m4,
+        "m4_term": (Fraction(5, 4) - params.many_delta) * m4,
         "mr_term": Fraction(5 * mr),
     }
-    if opt_hint is not None:
-        bound = (Fraction(5, 4) - delta) * m4 + 5 * mr + Fraction(opt_hint, 35)
-        state.info["final_bound"] = bound
-        state.info["final_bound_ok"] = Fraction(len(state.h)) <= bound
     return set(state.h), state

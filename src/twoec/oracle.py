@@ -20,7 +20,10 @@ class Infeasible(ValueError):
     pass
 
 
-DEFAULT_LIMIT = 14
+# The vertex cap of the structured sub-solves (the small side of a large
+# 4-vertex cut, MANY's pendant parts): ``exact_min_2ecss`` with this limit
+# refuses a graph on more vertices with more than MAX_FREE_EDGES free edges.
+STRUCTURED_LIMIT = 14
 MAX_FREE_EDGES = 26
 
 
@@ -267,13 +270,14 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
     return best
 
 
-def exact_min_2ecss(g: MultiGraph, limit: int = DEFAULT_LIMIT,
+def exact_min_2ecss(g: MultiGraph, limit: Optional[int] = None,
                     node_budget: int = 4_000_000) -> set[int]:
     """Minimum-cardinality 2EC spanning subgraph by branch and bound.
 
-    Edges incident to degree-2 vertices are forced up front, so sparse
-    instances well beyond ``limit`` vertices still solve quickly; the hard
-    cap is the number of free (unforced) edges.
+    Edges incident to degree-2 vertices are forced up front.  With a
+    ``limit``, a graph on more than ``limit`` vertices with more than
+    MAX_FREE_EDGES free (unforced) edges raises ``TooLarge``; without one,
+    only ``node_budget`` stops the search.
 
     The search runs on the simple skeleton when that is 2EC, and otherwise,
     without a search of the skeleton, on two copies per parallel class: a
@@ -294,7 +298,7 @@ def exact_min_2ecss(g: MultiGraph, limit: int = DEFAULT_LIMIT,
     while True:
         forced = _forced_edges(g, pool)
         free = [e for e in pool if e not in forced]
-        if g.n > limit and len(free) > MAX_FREE_EDGES:
+        if limit is not None and g.n > limit and len(free) > MAX_FREE_EDGES:
             raise TooLarge(f"n={g.n} with {len(free)} free edges exceeds the oracle cap")
         # a pool that is not 2EC has no 2EC subset; one that is, is a leaf
         if _two_ec_on(g, pool):
@@ -350,7 +354,6 @@ def _cover_ok(g: MultiGraph, forbidden: frozenset[int], eids: list[int]) -> bool
 
 
 def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozenset(),
-                    limit: int = DEFAULT_LIMIT,
                     node_budget: int = 4_000_000) -> set[int]:
     """Minimum edge set giving every vertex degree >= 2 such that no
     connected component is a cycle of a forbidden length (subset of {3,4}).
@@ -372,9 +375,6 @@ def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozen
 
     forced = _forced_edges(g, pool)
     free = [e for e in pool if e not in forced]
-    if g.n > limit and len(free) > MAX_FREE_EDGES:
-        raise TooLarge(f"n={g.n} with {len(free)} free edges exceeds the oracle cap")
-
     best = _search(g, pool, forced, free, lambda eids: _cover_ok(g, forbidden, eids),
                    "cover search budget exhausted", node_budget,
                    _cycle_cut(forbidden) if forbidden else None)

@@ -22,9 +22,6 @@ class StructuredParams:
     huge_threshold: int = 32           # component with >= this many vertices is huge
     few_delta: Fraction = Fraction(1, 100)
     many_delta: Fraction = Fraction(1, 28)
-    beta_threshold: Fraction = Fraction(999, 1000)
-    oracle_limit: int = 14
-    contractible_cycle_max: int = 8    # candidate cycles for contractibility checks
 
     @property
     def size_floor(self) -> Fraction:

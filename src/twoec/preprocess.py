@@ -24,6 +24,8 @@ T3_ORDER = ["A", "B1", "B2", "C1", "C2", "C3"]
 
 # cycles of length <= 8 listed by one large-cycle-cut scan
 CYCLE_CAP = 40000
+# find_contractible looks for contractible parts among cycles this short
+CONTRACTIBLE_CYCLE_MAX = 8
 
 
 class ReductionError(RuntimeError):
@@ -204,7 +206,7 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams) -> Optional[dict]:
         if key not in opt1_of:
             try:
                 opt1_of[key] = len(oracle.exact_min_2ecss(
-                    _contracted_side(g, v1, quad), limit=params.oracle_limit))
+                    _contracted_side(g, v1, quad), limit=oracle.STRUCTURED_LIMIT))
             except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
                 opt1_of[key] = None
         opt1 = opt1_of[key]
@@ -220,7 +222,7 @@ def find_contractible(g: MultiGraph, params: StructuredParams
                       ) -> Optional[tuple[set[int], set[int]]]:
     """A contractible candidate among short cycles: (vertex set, the edge ids
     of a minimum 2ECSS of the induced subgraph)."""
-    max_len = min(params.contractible_cycle_max, int(params.size_floor))
+    max_len = min(CONTRACTIBLE_CYCLE_MAX, int(params.size_floor))
     cycles = simple_cycles_upto(g, max_len, limit=20000)
     seen: set[frozenset[int]] = set()
     for cyc in sorted(cycles, key=lambda c: (len(c), sorted(c))):
@@ -237,7 +239,7 @@ def find_contractible(g: MultiGraph, params: StructuredParams
             continue
         sub = _side_graph(g, set(w), set())
         try:
-            opt_local = oracle.exact_min_2ecss(sub, limit=16)
+            opt_local = oracle.exact_min_2ecss(sub)
         except (oracle.NotTwoEdgeConnected, oracle.TooLarge):
             continue
         return set(w), {sub.origin[e] for e in opt_local}
@@ -557,7 +559,7 @@ class Reducer:
     def _red(self, g: MultiGraph) -> tuple[set[int], TraceNode]:
         p = self.params
         if p.is_base_size(g.n):
-            sol = oracle.exact_min_2ecss(g, limit=max(p.oracle_limit, g.n))
+            sol = oracle.exact_min_2ecss(g)
             return _step(sol, "BruteForce", g, {"size": len(sol)})
         for _kind, find, apply in DETECTORS:
             found = find(g, p)
@@ -822,8 +824,7 @@ class Reducer:
                           "f_edges": sorted(f)}, children)
         # condition 2: recurse on the big side only, close the small side
         g1p = _contracted_side(g, v1, cut)
-        opt1 = oracle.exact_min_2ecss(
-            g1p, limit=max(self.params.oracle_limit, g1p.n))
+        opt1 = oracle.exact_min_2ecss(g1p)
         opt1_parent = _map_back(g1p, opt1)
         h2, t2 = self._reduce_child(_contracted_side(g, v2, cut))
         budget = int(self.params.alpha * len(opt1))

@@ -139,8 +139,7 @@ def test_criterion_3_canonical_fixed_point():
             n = rnd.randint(8, 12)
             g = harness.generate("random2ec", seed=61000 + i, n=n,
                                  p=rnd.choice([0.35, 0.5, 0.7]))
-        h_min, _ = min_triangle_free_cover(g, mode="exact",
-                                           limit=max(14, g.n))
+        h_min, _ = min_triangle_free_cover(g, mode="exact")
         h, dec, steps = canonicalize(g, h_min, P)
         # the input is a minimum cover and the loop never adds edges, so the
         # canonical cover stays minimum
@@ -173,7 +172,7 @@ def few_gadget_family():
 
 
 def cover_for(g: MultiGraph) -> set[int]:
-    h, _ = min_triangle_free_cover(g, mode="exact", limit=max(20, g.n))
+    h, _ = min_triangle_free_cover(g, mode="exact")
     # keep the gadget structure: use the raw minimum cover (already
     # triangle-free); canonicalization may merge components, which is fine
     return h
@@ -339,8 +338,8 @@ def test_criterion_8_many_bound():
     for k in range(3, 7):
         g = gadgets.hub_c4(k, hub_len=9)
         h0 = non_hub_cover(g, 9)
-        opt = len(oracle.exact_min_2ecss(g, limit=max(40, g.n)))
-        sol, state = run_many(g, h0, P, opt_hint=opt)
+        opt = len(oracle.exact_min_2ecss(g))
+        sol, state = run_many(g, h0, P)
         assert oracle._two_ec_on(g, sol)
         dec0 = CoverDecomposition(g, h0, P)
         m4 = dec0.c4_edge_count()

@@ -147,13 +147,27 @@ def test_weakly_canonical_allows_rich_vertices():
     assert rep_weak.clauses["two_edge_cover"]
 
 
+def fix_edges_by_subdivision(g: MultiGraph, edge_ids: set[int]) -> MultiGraph:
+    """Split each chosen edge into a length-2 path; the two halves then sit
+    in every 2-edge cover (the middle vertex has degree 2), which pins a
+    seeded component."""
+    edges = []
+    nxt = g.n
+    for eid, (u, v) in enumerate(g.edges):
+        if eid in edge_ids and u != v:
+            edges.append((u, nxt))
+            edges.append((nxt, v))
+            nxt += 1
+        else:
+            edges.append((u, v))
+    return MultiGraph(nxt, edges)
+
+
 def test_subdivision_fixes_edges_into_covers():
-    from twoec.gadgets import fix_edges_by_subdivision
-    from twoec.oracle import exact_min_cover
     g = complete_graph(5)
     fixed = fix_edges_by_subdivision(g, {0, 1})
     assert fixed.n == g.n + 2
-    cover = exact_min_cover(fixed, {3})
+    cover = oracle.exact_min_cover(fixed, {3})
     mids = set(range(g.n, fixed.n))
     for e, (u, v) in enumerate(fixed.edges):
         if u in mids or v in mids:
@@ -339,8 +353,7 @@ def test_canonicalize_matches_reference(kind, size, p, start, monkeypatch):
     if start == "all":
         h0 = set(range(g.m))
     else:
-        h0 = min_triangle_free_cover(g, mode="exact" if start == "min" else start,
-                                     limit=g.n)[0]
+        h0 = min_triangle_free_cover(g, mode="exact" if start == "min" else start)[0]
     compare_with_reference(g, h0, monkeypatch)
 
 
@@ -363,7 +376,7 @@ def looped_multigraph(rnd):
 def start_covers(g):
     """The minimum, heuristic and all-edges start covers that are
     triangle-free 2-edge covers."""
-    out = [min_triangle_free_cover(g, mode=mode, limit=g.n)[0]
+    out = [min_triangle_free_cover(g, mode=mode)[0]
            for mode in ("exact", "heuristic")]
     return [h for h in out + [set(range(g.m))] if _is_triangle_free_cover(g, h)]
 
@@ -442,8 +455,7 @@ def test_feasible_adds_match_full_scan(kind, size, start):
         graphs = [harness.generate(kind, k=size)]
     kinds = {"skipped": 0, "pair": 0}
     for g in graphs:
-        h = min_triangle_free_cover(g, mode="exact" if start == "min" else start,
-                                    limit=g.n)[0]
+        h = min_triangle_free_cover(g, mode="exact" if start == "min" else start)[0]
         deg, incident = cover_state(g, h)
         pool = [e for e in range(g.m) if e not in h and g.edges[e][0] != g.edges[e][1]]
 

@@ -267,7 +267,7 @@ class Differ:
 def starting_covers(name: str, g) -> list[set[int]]:
     """The raw minimum triangle-free cover and its canonical form; for
     ``bridge_chain`` also the cover that keeps its whole bridge chain."""
-    h, _ = min_triangle_free_cover(g, mode="exact", limit=max(20, g.n))
+    h, _ = min_triangle_free_cover(g, mode="exact")
     covers = [h, canonicalize(g, h, P)[0]]
     if name == "bridge_chain":
         covers.append(set(range(12 + 7)))

@@ -5,7 +5,7 @@ import pytest
 from twoec.credit import build_few_ledger, check_invariants, cost
 from twoec.decomp import CoverDecomposition
 from twoec.exchange import ExchangeState
-from twoec.few import (NoProgress, cover_bridges_step, find_bridge_paths,
+from twoec.few import (ComponentContext, NoProgress, cover_bridges_step,
                        glue_step, run_few)
 from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.oracle import _two_ec_on
@@ -18,6 +18,13 @@ def make_state(g, h):
     dec0 = CoverDecomposition(g, h, P)
     dec, led, info = build_few_ledger(g, dec0, P)
     return ExchangeState(g, dec, led, P, info)
+
+
+def find_bridge_paths(g, dec, comp):
+    """All shortest bridge-covering paths plus the reachability sets R(u)."""
+    ctx = ComponentContext(g, dec, comp)
+    reach = {u: set(ctx.bridge_paths_from(u)) for u in range(ctx.tnodes)}
+    return ctx.all_bridge_paths(), reach
 
 
 def two_c6_blocks_one_bridge():
@@ -202,7 +209,7 @@ def test_run_few_on_square_free_seed():
     # no 4-cycles in the cover: the bound specializes to (5/4 - 1/100)|H0|
     from twoec.oracle import exact_min_cover
     g, _ = hub_with_pendant_cycles()
-    h0 = exact_min_cover(g, {3, 4}, limit=g.n)
+    h0 = exact_min_cover(g, {3, 4})
     sol, state = run_few(g, h0, P)
     assert _two_ec_on(g, sol)
     assert state.info["beta"] == 0

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoec.decomp import CoverDecomposition
-from twoec.graph import (MultiGraph, articulation_points,
+from twoec.graph import (GraphError, MultiGraph, articulation_points,
                          biconnected_components, connected_components,
-                         contract, find_bridges, ham_path_exists,
+                         contract, contract_many, find_bridges,
+                         ham_path_exists,
                          is_two_edge_connected, simple_cycles_upto,
                          two_edge_classes)
 from twoec.params import desk_params
@@ -118,6 +119,43 @@ def test_contract_all():
     h, _ = contract(g, set(range(5)))
     assert h.n == 1 and h.m == 5
     assert all(u == v for u, v in h.edges)
+
+
+def reference_contract(g, s):
+    """Contract ``s`` into the vertex of its smallest member, by an own
+    vertex map: (graph, vertex map)."""
+    rep = min(s)
+    vmap = [0] * g.n
+    nxt = 0
+    for v in range(g.n):
+        if v in s and v != rep:
+            continue
+        vmap[v] = nxt
+        nxt += 1
+    for v in s:
+        vmap[v] = vmap[rep]
+    origin = g.origin if g.origin is not None else list(range(g.m))
+    return MultiGraph(nxt, [(vmap[u], vmap[v]) for u, v in g.edges], origin), vmap
+
+
+@pytest.mark.parametrize("g,s", [
+    (cycle_graph(6), {0, 1, 2}), (complete_graph(4), {0, 1}),
+    (cycle_graph(5), set(range(5))), (complete_graph(5), {1, 3}),
+    (petersen(), {2, 7, 9}), (path_graph(4), {3}),
+])
+def test_contract_is_contract_many_of_one_group(g, s):
+    ref, ref_vmap = reference_contract(g, s)
+    for h, vmap in (contract(g, s), contract_many(g, [s])):
+        assert (h.n, h.edges, h.origin, vmap) == (ref.n, ref.edges, ref.origin, ref_vmap)
+
+
+@pytest.mark.parametrize("group", [{-1, 0}, {0, 3}])
+def test_contract_many_rejects_out_of_range_vertices(group):
+    g = MultiGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(GraphError, match="out of range"):
+        contract_many(g, [group])
+    with pytest.raises(GraphError, match="out of range"):
+        contract(g, group)
 
 
 def test_biconnected_segments():

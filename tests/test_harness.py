@@ -218,10 +218,18 @@ def test_cli_typed_solver_errors(exc, code, tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_limit_env(monkeypatch):
-    """The vertex cap comes from the profile alone; the environment
-    variable that once overrode it is not read."""
+    """The only vertex cap is the oracle's constant for the structured
+    sub-solves: no profile carries one, and the environment variable that
+    once overrode it is not read.  ``--mode exact`` is uncapped."""
     monkeypatch.setenv("TWOEC_ORACLE_LIMIT", "11")
-    assert harness.SolverConfig(profile="desk").params().oracle_limit == 14
+    for profile in ("desk", "paper"):
+        assert not hasattr(harness.SolverConfig(profile=profile).params(),
+                           "oracle_limit")
+    assert oracle.STRUCTURED_LIMIT == 14
+    g = harness.generate("random2ec", seed=3, n=12, p=0.5)
+    sol, rep = harness.solve(g, harness.SolverConfig(
+        profile="desk", mode="exact", with_oracle=True))
+    assert rep.branch == "exact" and rep.opt == len(sol)
 
 
 def test_pipeline_total_on_random_instances():

@@ -10,9 +10,9 @@ from twoec import harness
 from twoec.gadgets import random2ec
 from twoec.graph import (MultiGraph, connected_components, find_bridges,
                          is_two_edge_connected, two_edge_classes)
-from twoec.oracle import (Infeasible, NotTwoEdgeConnected, TooLarge,
-                          _bridge_cut, _cover_ok, _forced_edges, _simplify,
-                          _two_ec_on,
+from twoec.oracle import (MAX_FREE_EDGES, STRUCTURED_LIMIT, Infeasible,
+                          NotTwoEdgeConnected, TooLarge, _bridge_cut,
+                          _cover_ok, _forced_edges, _simplify, _two_ec_on,
                           exact_min_2ecss, exact_min_cover,
                           max_removable_inside, minimal_2ecss_witness)
 
@@ -158,15 +158,14 @@ def assert_subset_contract(oracle_at, reference_at):
 
 
 def assert_oracles_match_reference(g, forbidden_sets):
-    """Both oracles, the cover under each forbidden set, with the vertex cap
-    lifted (``limit=g.n``): the reference has none."""
+    """Both oracles, the cover under each forbidden set, uncapped as the
+    reference is."""
     assert_subset_contract(
-        lambda b: outcome(exact_min_2ecss, g, limit=g.n, node_budget=b),
+        lambda b: outcome(exact_min_2ecss, g, node_budget=b),
         lambda b: outcome(reference_min_2ecss, g, node_budget=b))
     for forbidden in forbidden_sets:
         assert_subset_contract(
-            lambda b: outcome(exact_min_cover, g, forbidden, limit=g.n,
-                              node_budget=b),
+            lambda b: outcome(exact_min_cover, g, forbidden, node_budget=b),
             lambda b: outcome(reference_min_cover, g, forbidden, node_budget=b))
 
 
@@ -263,6 +262,21 @@ def test_cuts_prune_dense_sweep_instances(n, p, seed):
         reference_min_cover(g, {3}, node_budget=budget)
     assert exact_min_2ecss(g, node_budget=budget) == reference_min_2ecss(g)
     assert exact_min_cover(g, {3}, node_budget=budget) == reference_min_cover(g, {3})
+
+
+def test_vertex_cap_binds_only_when_passed():
+    """Without a limit the 2ECSS oracle solves a graph beyond the structured
+    cap; with the cap it refuses it.  The cover oracle has no cap."""
+    g = random2ec(15, 0.25, 1)
+    pool = _simplify(g)
+    free = [e for e in pool if e not in _forced_edges(g, pool)]
+    assert g.n > STRUCTURED_LIMIT and len(free) > MAX_FREE_EDGES
+    sol = exact_min_2ecss(g)
+    assert len(sol) == g.n and _two_ec_on(g, sol)
+    with pytest.raises(TooLarge, match="oracle cap"):
+        exact_min_2ecss(g, limit=STRUCTURED_LIMIT)
+    with pytest.raises(TypeError):
+        exact_min_cover(g, {3}, limit=STRUCTURED_LIMIT)
 
 
 def test_c5_needs_all_edges():

@@ -10,8 +10,9 @@ from twoec.graph import (MultiGraph, articulation_points, find_bridges,
                          two_edge_classes)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
 from twoec.params import StructuredParams, desk_params
-from twoec.preprocess import (_c2_path_pair, _class_connector,
-                              _components_without, _contracted_side,
+from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, _c2_path_pair,
+                              _class_connector, _components_without,
+                              _contracted_side,
                               _grouping, _shape_of, _side_graph, _vertex_cuts,
                               classify_side_types,
                               find_contractible, find_cut_vertex,
@@ -24,7 +25,7 @@ P = desk_params()
 
 
 def inner_oracle(g):
-    return exact_min_2ecss(g, limit=max(60, g.n))
+    return exact_min_2ecss(g)
 
 
 def run(name):
@@ -52,12 +53,12 @@ def audit_invariant(g, sol, trace):
     bound alpha * n + f(n) is used (opt >= n for every 2ECSS)."""
     n = g.n
     if P.is_base_size(n):
-        opt = len(exact_min_2ecss(g, limit=max(60, n)))
+        opt = len(exact_min_2ecss(g))
         assert len(sol) == opt
         return "exact"
     bound_weak = P.alpha * n + P.f(n)
     try:
-        opt = len(exact_min_2ecss(g, limit=max(60, n), node_budget=1_500_000))
+        opt = len(exact_min_2ecss(g, node_budget=1_500_000))
         assert Fraction(len(sol)) <= P.alpha * opt + P.f(n)
         return "opt"
     except TooLarge:
@@ -316,7 +317,7 @@ def reference_find_large_4vc(g, params):
             continue
         g1p = _contracted_side(g, v1, quad)
         try:
-            opt1 = len(oracle.exact_min_2ecss(g1p, limit=params.oracle_limit))
+            opt1 = len(oracle.exact_min_2ecss(g1p, limit=oracle.STRUCTURED_LIMIT))
         except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
             continue
         if Fraction(opt1 + 4) <= params.alpha * opt1:
@@ -444,7 +445,7 @@ def test_find_large_4vc_one_oracle_call_per_side(name, shared, monkeypatch):
 def reference_find_contractible(g, params):
     """``find_contractible`` with the oracle run on every candidate before
     the inside-edge test."""
-    max_len = min(params.contractible_cycle_max, int(params.size_floor))
+    max_len = min(CONTRACTIBLE_CYCLE_MAX, int(params.size_floor))
     seen = set()
     for cyc in sorted(simple_cycles_upto(g, max_len, limit=20000),
                       key=lambda c: (len(c), sorted(c))):
@@ -456,7 +457,7 @@ def reference_find_contractible(g, params):
                   if u in w and v in w and u != v]
         sub = _side_graph(g, set(w), set())
         try:
-            opt_local = oracle.exact_min_2ecss(sub, limit=16)
+            opt_local = oracle.exact_min_2ecss(sub)
         except (oracle.NotTwoEdgeConnected, oracle.TooLarge):
             continue
         min_inside = len(inside) - oracle.max_removable_inside(g, inside)
@@ -499,7 +500,7 @@ def test_bounded_removable_gives_the_exact_verdict():
     for kind, key in CONTRACTIBLE_GRAPHS:
         for g in contractible_graphs(kind, key):
             for params in CUT_PARAMS:
-                max_len = min(params.contractible_cycle_max, int(params.size_floor))
+                max_len = min(CONTRACTIBLE_CYCLE_MAX, int(params.size_floor))
                 for w in {frozenset(c) for c in simple_cycles_upto(g, max_len, limit=20000)}:
                     inside = [eid for eid, (u, v) in enumerate(g.edges)
                               if u in w and v in w and u != v]

@@ -16,8 +16,9 @@ finder ``preprocess.find_contractible`` (which the scan skips), both under
 the desk profile, on the benchmark graphs and on 200 seeded ``random2ec``
 graphs.  Two checkouts give the same answers and reports iff their files
 are byte-identical.  Each section's wall seconds go to standard error.
-``solve_rows`` gives the solve rows alone; ``tests/test_golden.py`` checks
-them against a committed copy.
+``solve_rows`` gives the solve rows alone and ``scan_rows`` the scans of
+given graphs; ``tests/test_golden.py`` checks the solve rows, and the scans
+of the ``reduce_exchange`` graphs, against committed copies.
 """
 from __future__ import annotations
 
@@ -78,13 +79,23 @@ def solve_rows() -> tuple[list, list]:
     return solves, graphs
 
 
+def scan_rows(graphs) -> tuple[list, list]:
+    """The file's cut scans and contractible parts of ``graphs``, as the
+    file holds them."""
+    from twoec import cuts, preprocess
+    from twoec.params import desk_params
+    scans = [[dataclasses.asdict(c) for c in cuts.enumerate_cuts(g, desk_params())]
+             for g in graphs]
+    found = [preprocess.find_contractible(g, desk_params()) for g in graphs]
+    return scans, [f and [sorted(f[0]), sorted(f[1])] for f in found]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     root = Path(argv[0]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    from twoec import cuts, harness, preprocess
-    from twoec.params import desk_params
+    from twoec import harness
     if not Path(harness.__file__).resolve().is_relative_to(root / "src"):
         sys.exit(f"twoec was imported from {harness.__file__}, not {root / 'src'}")
 
@@ -101,12 +112,8 @@ def main(argv: list[str]) -> int:
     for i in range(RANDOM_SCANS):
         graphs.append(harness.generate("random2ec", seed=5000 + i, n=6 + i % 7,
                                        p=RANDOM_P[(i // 7) % 7]))
-    scans = [[dataclasses.asdict(c) for c in cuts.enumerate_cuts(g, desk_params())]
-             for g in graphs]
-    lap("cut scans")
-    found = [preprocess.find_contractible(g, desk_params()) for g in graphs]
-    lap("contractible finder")
-    contractible = [f and [sorted(f[0]), sorted(f[1])] for f in found]
+    scans, contractible = scan_rows(graphs)
+    lap("cut scans and contractible finder")
     with open(argv[1], "w") as out:
         json.dump({"solves": solves, "cut_scans": scans,
                    "contractible": contractible}, out, sort_keys=True)
