@@ -16,6 +16,10 @@ from .graph import MultiGraph, connected_components
 from .params import StructuredParams
 
 
+# the cycle length no component of a triangle-free cover may have
+TRIANGLE = frozenset({3})
+
+
 class CoverError(ValueError):
     pass
 
@@ -24,7 +28,7 @@ def min_triangle_free_cover(g: MultiGraph, mode: str = "exact") -> tuple[set[int
     """Returns (edge set, certified).  Exact mode delegates to the oracle;
     heuristic mode strips removable edges and patches triangle components."""
     if mode == "exact":
-        return oracle.exact_min_cover(g, {3}), True
+        return oracle.exact_min_cover(g, TRIANGLE), True
     # a self-loop never helps cover a vertex: drop loops before counting
     h = {eid for eid, (u, v) in enumerate(g.edges) if u != v}
     deg = [0] * g.n
@@ -75,25 +79,6 @@ def min_triangle_free_cover(g: MultiGraph, mode: str = "exact") -> tuple[set[int
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
-
-def _is_triangle_free_cover(g: MultiGraph, h: set[int]) -> bool:
-    deg = [0] * g.n
-    for eid in h:
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
-    if any(d < 2 for d in deg):
-        return False
-    comps = connected_components(g, h)
-    for comp in comps:
-        if len(comp) != 3:
-            continue
-        cs = set(comp)
-        ce = sum(1 for e in h if g.edges[e][0] in cs and g.edges[e][1] in cs)
-        if ce == 3 and all(deg[v] == 2 for v in cs):
-            return False
-    return True
-
 
 def _measure(g: MultiGraph, h: set[int]) -> tuple[int, int, int, int]:
     """(|H|, #components, #bridges, #cut vertices of bridgeless components).
@@ -271,7 +256,7 @@ def canonicalize(g: MultiGraph, h: set[int],
     connected, bridgeless and free of cut vertices; and removal pairs
     without an add set (see ``_removal_pairs``).
     """
-    if not _is_triangle_free_cover(g, h):
+    if not oracle._cover_ok(g, TRIANGLE, h):
         raise CoverError("input is not a triangle-free 2-edge cover")
     h = set(h)
     step_cap = max(1, g.m) * max(1, g.n) ** 2
@@ -300,7 +285,7 @@ def canonicalize(g: MultiGraph, h: set[int],
                 if d < 2:
                     return False
         h2 = (h - set(remove)) | set(add)
-        if not _is_triangle_free_cover(g, h2):
+        if not oracle._cover_ok(g, TRIANGLE, h2):
             return False
         m2 = _measure(g, h2)
         if m2 >= cur:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree, Component,
                      CoverDecomposition)
 from .graph import MultiGraph
-from .params import StructuredParams
+from .params import FEW_DELTA, MANY_DELTA, StructuredParams
 
 FEW = "FEW"
 MANY = "MANY"
@@ -43,9 +43,8 @@ class CreditLedger:
 
 
 def component_scheme_credit(comp: Component, scheme: str, delta: Fraction) -> Fraction:
-    """Credit of a non-complex component under the scheme."""
-    if comp.is_rich:
-        return 2 * (Fraction(5, 4) - delta)
+    """Credit of a component that is neither complex nor a rich vertex
+    under the scheme."""
     if scheme == FEW:
         if comp.tag == C4:
             return Fraction(1)
@@ -150,7 +149,7 @@ def build_few_ledger(g: MultiGraph, dec: CoverDecomposition,
     Returns the (possibly transformed) decomposition, the ledger, and an
     info dict carrying beta and the pre-transform size for bound audits.
     """
-    delta = params.few_delta
+    delta = FEW_DELTA
     h0_size = len(dec.h)
     beta = Fraction(dec.c4_edge_count(), h0_size) if h0_size else Fraction(0)
     dec, rich_added = apply_rich_transform(g, dec)
@@ -211,7 +210,7 @@ def build_few_ledger(g: MultiGraph, dec: CoverDecomposition,
 
 def build_many_ledger(dec: CoverDecomposition, params: StructuredParams,
                       strict: bool = True) -> tuple[CreditLedger, dict]:
-    delta = params.many_delta
+    delta = MANY_DELTA
     led = derive_credits(dec, MANY, delta)
     m4 = dec.c4_edge_count()
     mr = len(dec.h) - m4

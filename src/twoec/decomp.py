@@ -2,6 +2,7 @@
 classification tags, and the contracted component graph with its segments."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -295,7 +296,6 @@ class ComponentGraphView:
 def instantiate_node_cycle(view: ComponentGraphView, node_cycle: list[int],
                            cap: int = 48):
     """Host-edge tuples realizing a node cycle (bounded enumeration)."""
-    import itertools as _it
     hops = []
     k = len(node_cycle)
     for i in range(k):
@@ -305,7 +305,7 @@ def instantiate_node_cycle(view: ComponentGraphView, node_cycle: list[int],
             return
         hops.append(ids[:4])
     count = 0
-    for combo in _it.product(*hops):
+    for combo in itertools.product(*hops):
         if len(set(combo)) != len(combo):
             continue
         yield combo

@@ -23,7 +23,7 @@ from .decomp import (C4, LARGE2EC, BlockTree, Component, ComponentGraphView,
 from .exchange import (ExchangeState, NoProgress, commit,
                        weakly_canonical_enough)
 from .graph import MultiGraph, ham_path_exists, path_edge_ids
-from .params import StructuredParams
+from .params import FEW_DELTA, StructuredParams
 
 
 def apply_candidate(state: ExchangeState, adds: Iterable[int],
@@ -218,7 +218,7 @@ def cover_bridges_step(state: ExchangeState) -> bool:
             continue
         # single-path dispatch: cheap paths first, then repayment-funded ones
         for bp in paths:
-            label = "cheap-path" if bp.cheap(state.params.few_delta) else "path-repay"
+            label = "cheap-path" if bp.cheap(FEW_DELTA) else "path-repay"
             if apply_candidate(state, bp.edge_ids, (), "bridge_cover", label,
                                need_fewer_bridges=True):
                 return True
@@ -426,10 +426,10 @@ def _glue_wide_segment(state: ExchangeState, view: ComponentGraphView,
     g = state.g
     if L not in seg:
         return False
-    # rich vertex in the segment: absorb it on a cycle through L
-    rich_nodes = [x for x in seg if state.dec.components[x].is_rich]
+    # C4 nodes first, then the rest, each once: a rejected candidate stays
+    # rejected while the state is unchanged
     c4_nodes = [x for x in seg if state.dec.components[x].tag == C4 and x != L]
-    targets = rich_nodes + c4_nodes + [x for x in sorted(seg) if x != L]
+    targets = list(dict.fromkeys(c4_nodes + [x for x in sorted(seg) if x != L]))
     cycles = segment_cycles_through(view, seg, L, max_len=6)
     for cyc in cycles:
         label = ("nontrivial-long-cycle" if len(cyc) >= 6 else
@@ -439,12 +439,9 @@ def _glue_wide_segment(state: ExchangeState, view: ComponentGraphView,
                 if apply_candidate(state, combo, removes, "glue", label,
                                    need_fewer_components=True, need_huge=need_huge):
                     return True
-        # cycle + one extra attachment path (the 2-edges-and-a-path shape)
     for A in targets:
         compA = state.dec.components[A]
         if compA.cycle_order is None:
-            continue
-        if A not in seg:
             continue
         # replace the component cycle by a Hamiltonian path between two
         # cycle-through-C4 style attachment points
@@ -500,7 +497,7 @@ def run_few(g: MultiGraph, h0: set[int], params: StructuredParams,
     if strict and state.led.total_loan() != 0:
         raise NoProgress("terminal loan is nonzero")
     beta = info["beta"]
-    bound = (Fraction(5, 4) - (1 - beta) * params.few_delta) * info["h0_size"]
+    bound = (Fraction(5, 4) - (1 - beta) * FEW_DELTA) * info["h0_size"]
     state.info["final_bound"] = bound
     state.info["final_bound_ok"] = Fraction(len(state.h)) <= bound
     state.info["waivers"] = state.info.get("waivers", []) + [

@@ -23,7 +23,7 @@ from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree, Component,
                      instantiate_node_cycle, segment_cycles_through)
 from .exchange import ExchangeState, NoProgress, canonical_shape_ok, commit
 from .graph import MultiGraph, connected_components, contract_many
-from .params import StructuredParams
+from .params import MANY_DELTA, StructuredParams
 
 
 @dataclass
@@ -241,7 +241,7 @@ def apply_merge(state: ManyState, cand: MergeCandidate, phase: str = "merge"
     after = cost(state.dec, state.led)
     audit = {"kind": cand.kind, "k": cand.k, "j": cand.j,
              "x_size": len(cand.edges), "delta_cost": after - before}
-    bound = cand.bound(state.params.many_delta)
+    bound = cand.bound(MANY_DELTA)
     if bound is not None:
         audit["bound"] = bound
         audit["bound_ok"] = (after - before) <= bound <= 0
@@ -701,7 +701,7 @@ def _stitch_part(state: ManyState, L: int, part: list[int]) -> bool:
         return False
     return apply_many(state, tuple(adds_total), tuple(removes_total),
                       "assembly", "stitch-part", strict_structure=False,
-                      cost_slack=Fraction(4 * len(part), 1) * state.params.many_delta)
+                      cost_slack=Fraction(4 * len(part), 1) * MANY_DELTA)
 
 
 def run_many(g: MultiGraph, h0: set[int], params: StructuredParams,
@@ -726,11 +726,10 @@ def run_many(g: MultiGraph, h0: set[int], params: StructuredParams,
             continue
         if not _stitch_part(state, L, part):
             raise NoProgress(f"cannot assemble part {part}")
-    from .oracle import _two_ec_on
-    if not _two_ec_on(g, state.h):
+    if not oracle._two_ec_on(g, state.h):
         raise NoProgress("assembled solution is not 2EC spanning")
     state.info["bound_terms"] = {
-        "m4_term": (Fraction(5, 4) - params.many_delta) * m4,
+        "m4_term": (Fraction(5, 4) - MANY_DELTA) * m4,
         "mr_term": Fraction(5 * mr),
     }
     return set(state.h), state

@@ -15,13 +15,16 @@ def _ceil(x: Fraction) -> int:
     return math.ceil(x)
 
 
+# delta of the FEW and of the MANY credit scheme
+FEW_DELTA = Fraction(1, 100)
+MANY_DELTA = Fraction(1, 28)
+
+
 @dataclass(frozen=True)
 class StructuredParams:
     alpha: Fraction
     epsilon: Fraction
     huge_threshold: int = 32           # component with >= this many vertices is huge
-    few_delta: Fraction = Fraction(1, 100)
-    many_delta: Fraction = Fraction(1, 28)
 
     @property
     def size_floor(self) -> Fraction:

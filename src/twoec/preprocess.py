@@ -33,6 +33,21 @@ class ReductionError(RuntimeError):
 
 
 @dataclass
+class CutDescriptor:
+    """What a cut finder reports and its ``Reducer`` method removes:
+    ``vertices`` are the cut, sorted (an edge kind's ends), and ``sides``
+    the two parts of V - cut, each sorted, that the reducer splits on."""
+    kind: str                      # Vertex1 | LoopOrParallel | IrrelevantEdge |
+                                   # Vertex2 | Vertex3 | CycleCut | Vertex4
+    vertices: tuple[int, ...] = ()
+    sides: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    large: bool = False
+    cycle_order: Optional[tuple[int, ...]] = None
+    edge: Optional[int] = None
+    condition: Optional[int] = None
+
+
+@dataclass
 class TraceNode:
     step: str
     n: int
@@ -90,10 +105,10 @@ def _vertex_cuts(g: MultiGraph, k: int) -> Iterator[tuple[int, ...]]:
 def _grouping(g: MultiGraph, cut: set[int], min1: int,
               min2: Optional[int] = None,
               comps: Optional[list[list[int]]] = None
-              ) -> Optional[tuple[set[int], set[int]]]:
-    """Partition of V - cut into (V1, V2) along component boundaries with
-    |V1| >= min1 minimal and |V2| >= min2 (defaults to min1).  ``comps`` are
-    the components of G - cut, when the caller has them already."""
+              ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Partition of V - cut into sorted (V1, V2) along component boundaries
+    with |V1| >= min1 minimal and |V2| >= min2 (defaults to min1).  ``comps``
+    are the components of G - cut, when the caller has them already."""
     if min2 is None:
         min2 = min1
     if comps is None:
@@ -117,59 +132,61 @@ def _grouping(g: MultiGraph, cut: set[int], min1: int,
             break
     if best is None:
         return None
-    v1: set[int] = set()
-    for idx in best:
-        v1.update(comps[idx])
-    v2 = {v for c in comps for v in c} - v1
-    return v1, v2
+    v1 = sorted(v for idx in best for v in comps[idx])
+    v2 = sorted(v for idx, c in enumerate(comps) if idx not in best for v in c)
+    return tuple(v1), tuple(v2)
 
 
-def find_cut_vertex(g: MultiGraph) -> Optional[int]:
+def find_cut_vertex(g: MultiGraph) -> Optional[CutDescriptor]:
     for (v,) in _vertex_cuts(g, 1):
-        return v
+        comps = _components_without(g, {v})
+        rest = tuple(sorted(x for c in comps[1:] for x in c))
+        return CutDescriptor("Vertex1", (v,), (tuple(comps[0]), rest))
     return None
 
 
-def find_loop_or_parallel(g: MultiGraph) -> Optional[int]:
-    seen: dict[tuple[int, int], int] = {}
+def find_loop_or_parallel(g: MultiGraph) -> Optional[CutDescriptor]:
+    seen: set[tuple[int, int]] = set()
     for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            return eid
-        if (u, v) in seen:
-            return eid
-        seen[(u, v)] = eid
+        if u == v or (u, v) in seen:
+            return CutDescriptor("LoopOrParallel", tuple(sorted({u, v})),
+                                 edge=eid)
+        seen.add((u, v))
     return None
 
 
-def find_irrelevant_edge(g: MultiGraph) -> Optional[int]:
+def find_irrelevant_edge(g: MultiGraph) -> Optional[CutDescriptor]:
     cuts = set(_vertex_cuts(g, 2))
     for eid, (u, v) in enumerate(g.edges):
         if u != v and (u, v) in cuts:
-            return eid
+            return CutDescriptor("IrrelevantEdge", (u, v), edge=eid)
     return None
 
 
-def find_non_isolating_2vc(g: MultiGraph) -> Optional[tuple[int, int]]:
-    for u, v in _vertex_cuts(g, 2):
-        comps = _components_without(g, {u, v})
+def find_non_isolating_2vc(g: MultiGraph) -> Optional[CutDescriptor]:
+    """The first 2-vertex cut that does not cut off one vertex alone, with
+    sides of two vertices or more (None if G - cut is three vertices)."""
+    for pair in _vertex_cuts(g, 2):
+        comps = _components_without(g, set(pair))
         if len(comps) == 2 and min(len(c) for c in comps) == 1:
             continue
-        return (u, v)
+        return CutDescriptor("Vertex2", pair,
+                             _grouping(g, set(pair), 2, comps=comps))
     return None
 
 
 def find_large_3vc(g: MultiGraph, params: StructuredParams
-                   ) -> Optional[tuple[tuple[int, int, int], set[int], set[int]]]:
+                   ) -> Optional[CutDescriptor]:
     t = params.three_cut_side
     for trip in _vertex_cuts(g, 3):
         grouping = _grouping(g, set(trip), t)
         if grouping is not None:
-            return trip, grouping[0], grouping[1]
+            return CutDescriptor("Vertex3", trip, grouping, large=True)
     return None
 
 
 def find_large_ck(g: MultiGraph, params: StructuredParams
-                  ) -> Optional[tuple[list[int], set[int], set[int]]]:
+                  ) -> Optional[CutDescriptor]:
     cycles = simple_cycles_upto(g, 8, limit=CYCLE_CAP)
     by_len = sorted((c for c in cycles if len(c) >= 4),
                     key=lambda c: (len(c), c))
@@ -178,11 +195,13 @@ def find_large_ck(g: MultiGraph, params: StructuredParams
         t = params.ck_side(k)
         grouping = _grouping(g, set(cyc), t)
         if grouping is not None:
-            return cyc, grouping[0], grouping[1]
+            return CutDescriptor("CycleCut", tuple(sorted(cyc)), grouping,
+                                 large=True, cycle_order=tuple(cyc))
     return None
 
 
-def find_large_4vc(g: MultiGraph, params: StructuredParams) -> Optional[dict]:
+def find_large_4vc(g: MultiGraph, params: StructuredParams
+                   ) -> Optional[CutDescriptor]:
     t1 = params.four_cut_side_2
     opt1_of: dict[frozenset[int], Optional[int]] = {}
     for quad in _vertex_cuts(g, 4):
@@ -190,12 +209,12 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams) -> Optional[dict]:
         comps = _components_without(g, cut)
         grouping = _grouping(g, cut, t1, comps=comps)
         if grouping is not None:
-            return {"cut": quad, "condition": 1,
-                    "v1": grouping[0], "v2": grouping[1]}
+            return CutDescriptor("Vertex4", quad, grouping, large=True,
+                                 condition=1)
         small = _grouping(g, cut, 1, 1, comps=comps)
         if small is None:
             continue
-        v1, v2 = small
+        v1 = small[0]
         if len(v1) > t1 - 2:
             continue
         # conservative condition-2 test: an optimal closure of the small side
@@ -213,8 +232,8 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams) -> Optional[dict]:
         if opt1 is None:
             continue
         if Fraction(opt1 + 4) <= params.alpha * opt1:
-            return {"cut": quad, "condition": 2, "v1": v1, "v2": v2,
-                    "opt1": opt1}
+            return CutDescriptor("Vertex4", quad, small, large=True,
+                                 condition=2)
     return None
 
 
@@ -276,9 +295,9 @@ def _side_graph(g: MultiGraph, verts: set[int], cut: set[int],
     return child
 
 
-def _contracted_side(g: MultiGraph, v1: set[int], cut) -> MultiGraph:
+def _contracted_side(g: MultiGraph, v1, cut) -> MultiGraph:
     """G[V1 ∪ cut] | cut, with parent edge ids as origins."""
-    cut = set(cut)
+    v1, cut = set(v1), set(cut)
     side = _side_graph(g, v1, cut)
     local_cut = {i for i, v in enumerate(sorted(v1 | cut)) if v in cut}
     return contract(side, local_cut)[0]
@@ -508,27 +527,38 @@ def classify_side_types(g: MultiGraph, v1: set[int], cut: list[int],
 
 # (kind, find, apply), tried in this order: ``find(g, params)`` returns a
 # witness or None, and ``apply(reducer, g, witness)`` reduces on the first
-# witness found.  ``cuts.enumerate_cuts`` walks the same list.  The lambdas
-# look finders and reducer methods up when called, so a wrapper installed on
-# the module global or on the class sees every call.
+# witness found.  Every witness is a ``CutDescriptor`` except the
+# contractible part's (vertex set, kept edges).  The lambdas look finders and
+# reducer methods up when called, so a wrapper installed on the module
+# global or on the class sees every call.
 DETECTORS: list[tuple[str, Callable, Callable]] = [
     ("Vertex1", lambda g, p: find_cut_vertex(g),
-     lambda r, g, v: r.split_cut_vertex(g, v)),
+     lambda r, g, cut: r.split_cut_vertex(g, cut)),
     ("LoopOrParallel", lambda g, p: find_loop_or_parallel(g),
-     lambda r, g, e: r.drop_edge(g, e, "DropLoopOrParallel")),
+     lambda r, g, cut: r.drop_edge(g, cut, "DropLoopOrParallel")),
     ("Contractible", lambda g, p: find_contractible(g, p),
      lambda r, g, found: r.contract_part(g, *found)),
     ("IrrelevantEdge", lambda g, p: find_irrelevant_edge(g),
-     lambda r, g, e: r.drop_edge(g, e, "DropIrrelevant")),
+     lambda r, g, cut: r.drop_edge(g, cut, "DropIrrelevant")),
     ("Vertex2", lambda g, p: find_non_isolating_2vc(g),
      lambda r, g, cut: r.remove_2vc(g, cut)),
     ("Vertex3", lambda g, p: find_large_3vc(g, p),
-     lambda r, g, found: r.remove_3vc(g, *found)),
+     lambda r, g, cut: r.remove_3vc(g, cut)),
     ("CycleCut", lambda g, p: find_large_ck(g, p),
-     lambda r, g, found: r.remove_ck_cut(g, *found)),
+     lambda r, g, cut: r.remove_ck_cut(g, cut)),
     ("Vertex4", lambda g, p: find_large_4vc(g, p),
-     lambda r, g, info: r.remove_4vc(g, info)),
+     lambda r, g, cut: r.remove_4vc(g, cut)),
 ]
+
+
+def enumerate_cuts(g: MultiGraph, params: StructuredParams) -> list[CutDescriptor]:
+    """The first cut in the checking order, as the reducer would get it, or
+    [].  Contractible parts are not cuts and are skipped."""
+    for kind, find, _apply in DETECTORS:
+        found = None if kind == "Contractible" else find(g, params)
+        if found is not None:
+            return [found]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +623,17 @@ class Reducer:
 
     # -- cut vertices, dropped edges and contractible parts ------------------
 
-    def split_cut_vertex(self, g: MultiGraph, v: int
+    def split_cut_vertex(self, g: MultiGraph, cut: CutDescriptor
                          ) -> tuple[set[int], TraceNode]:
-        comps = _components_without(g, {v})
-        v1 = set(comps[0])
-        v2 = {x for c in comps[1:] for x in c}
-        h1, t1 = self._reduce_child(_side_graph(g, v1, {v}))
-        h2, t2 = self._reduce_child(_side_graph(g, v2, {v}))
-        return _step(h1 | h2, "SplitCutVertex", g, {"cut": [v]}, [t1, t2])
+        v1, v2 = map(set, cut.sides)
+        h1, t1 = self._reduce_child(_side_graph(g, v1, set(cut.vertices)))
+        h2, t2 = self._reduce_child(_side_graph(g, v2, set(cut.vertices)))
+        return _step(h1 | h2, "SplitCutVertex", g, {"cut": list(cut.vertices)},
+                     [t1, t2])
 
-    def drop_edge(self, g: MultiGraph, e: int, step: str
+    def drop_edge(self, g: MultiGraph, cut: CutDescriptor, step: str
                   ) -> tuple[set[int], TraceNode]:
+        e = cut.edge
         child = MultiGraph(g.n, [uv for i, uv in enumerate(g.edges) if i != e])
         child.origin = [i for i in range(g.m) if i != e]
         h, t = self._reduce_child(child)
@@ -621,14 +651,13 @@ class Reducer:
 
     # -- algorithm 2: non-isolating 2-vertex cuts ---------------------------
 
-    def remove_2vc(self, g: MultiGraph, cut: tuple[int, int]
+    def remove_2vc(self, g: MultiGraph, cut: CutDescriptor
                    ) -> tuple[set[int], TraceNode]:
         p = self.params
-        u, v = cut
-        grouping = _grouping(g, {u, v}, 2)
-        if grouping is None:
-            raise ReductionError("2-vertex cut lost its partition")
-        v1, v2 = grouping
+        u, v = cut.vertices
+        if cut.sides is None:
+            raise ReductionError("2-vertex cut has no side of two vertices")
+        v1, v2 = map(set, cut.sides)
         if len(v1) > len(v2):
             v1, v2 = v2, v1
         if Fraction(len(v1)) > p.size_floor:
@@ -669,12 +698,13 @@ class Reducer:
 
     # -- algorithm 3: large 3-vertex cuts ------------------------------------
 
-    def remove_3vc(self, g: MultiGraph, trip: tuple[int, int, int],
-                   v1: set[int], v2: set[int]) -> tuple[set[int], TraceNode]:
+    def remove_3vc(self, g: MultiGraph, found: CutDescriptor
+                   ) -> tuple[set[int], TraceNode]:
         p = self.params
+        v1, v2 = map(set, found.sides)
         if len(v1) > len(v2):
             v1, v2 = v2, v1
-        cut = list(trip)
+        cut = list(found.vertices)
         if Fraction(len(v1)) > p.size_floor:
             sol, f, children = self._split_and_rejoin(
                 g, cut, v1, v2, 4, "3VC both-large case")
@@ -796,8 +826,10 @@ class Reducer:
 
     # -- algorithm 4: large cycle cuts ---------------------------------------
 
-    def remove_ck_cut(self, g: MultiGraph, cyc: list[int], v1: set[int],
-                      v2: set[int]) -> tuple[set[int], TraceNode]:
+    def remove_ck_cut(self, g: MultiGraph, cut: CutDescriptor
+                      ) -> tuple[set[int], TraceNode]:
+        cyc = list(cut.cycle_order)
+        v1, v2 = map(set, cut.sides)
         k = len(cyc)
         cyc_edges = []
         for i in range(k):
@@ -813,10 +845,11 @@ class Reducer:
 
     # -- algorithm 5: large 4-vertex cuts -------------------------------------
 
-    def remove_4vc(self, g: MultiGraph, info: dict) -> tuple[set[int], TraceNode]:
-        cut = set(info["cut"])
-        v1, v2 = info["v1"], info["v2"]
-        if info["condition"] == 1:
+    def remove_4vc(self, g: MultiGraph, found: CutDescriptor
+                   ) -> tuple[set[int], TraceNode]:
+        cut = set(found.vertices)
+        v1, v2 = map(set, found.sides)
+        if found.condition == 1:
             sol, f, children = self._split_and_rejoin(
                 g, cut, v1, v2, 2 * 4 - 2, "4VC case 1")
             return _step(sol, "Remove4VC", g,

@@ -17,12 +17,10 @@ from twoec.few import cover_bridges_step, glue_step, run_few
 from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.many import ManyState, apply_merge, build_core_square, find_merge, run_many
 from twoec.credit import build_many_ledger
-from twoec.params import desk_params
+from twoec.params import FEW_DELTA, MANY_DELTA, desk_params
 from twoec.preprocess import red
 
 P = desk_params()
-DELTA_FEW = P.few_delta
-DELTA_MANY = P.many_delta
 
 
 def report(num: int, name: str, ok: bool) -> None:
@@ -191,7 +189,7 @@ def test_criterion_4_few_ledger_bound():
             dec0 = CoverDecomposition(g, h0, P)
         beta = Fraction(dec0.c4_edge_count(), len(h0))
         dec, led, info = build_few_ledger(g, dec0, P)
-        bound = (Fraction(5, 4) - (1 - beta) * DELTA_FEW) * len(h0)
+        bound = (Fraction(5, 4) - (1 - beta) * FEW_DELTA) * len(h0)
         assert cost(dec, led) - led.total_loan() <= bound
         assert not check_invariants(g, dec, led)
         state = ExchangeState(g, dec, led, P, info)
@@ -298,9 +296,9 @@ def test_criterion_6_merge_arithmetic():
     heavies = [a for a in audits if a["kind"] == "short_heavy"]
     ok = len(audits) > 0 and all(a["bound_ok"] for a in audits)
     for a in singles:
-        assert a["delta_cost"] <= 2 + a["j"] - (1 - 4 * DELTA_MANY) * a["k"] <= 0
+        assert a["delta_cost"] <= 2 + a["j"] - (1 - 4 * MANY_DELTA) * a["k"] <= 0
     for a in doubles:
-        assert a["delta_cost"] <= 3 + a["j"] - (1 - 4 * DELTA_MANY) * a["k"] <= 0
+        assert a["delta_cost"] <= 3 + a["j"] - (1 - 4 * MANY_DELTA) * a["k"] <= 0
     for a in heavies:
         assert a["cr_drop"] >= a["x_size"]
     print(f"  [merges: {len(singles)} single, {len(doubles)} double, "
@@ -344,7 +342,7 @@ def test_criterion_8_many_bound():
         dec0 = CoverDecomposition(g, h0, P)
         m4 = dec0.c4_edge_count()
         mr = len(h0) - m4
-        bound = ((Fraction(5, 4) - DELTA_MANY) * m4 + 5 * mr
+        bound = ((Fraction(5, 4) - MANY_DELTA) * m4 + 5 * mr
                  + Fraction(opt, 35))
         ok = ok and Fraction(len(sol)) <= bound
         ok = ok and not any(r.waiver for r in state.trace)

@@ -4,15 +4,56 @@ import random
 import pytest
 
 from canonical import is_canonical
-from twoec import cover, harness, oracle
-from twoec.cover import (canonicalize, min_triangle_free_cover, _feasible_adds,
-                         _is_triangle_free_cover, _measure, _removal_pairs)
+from twoec import harness, oracle
+from twoec.cover import (TRIANGLE, canonicalize, min_triangle_free_cover,
+                         _feasible_adds, _measure, _removal_pairs)
 from twoec.decomp import C4, C8, CoverDecomposition
 from twoec.gadgets import random2ec
 from twoec.graph import MultiGraph, connected_components, find_bridges
 from twoec.params import desk_params
 
 P = desk_params()
+
+
+def _is_triangle_free_cover(g, h):
+    """Every vertex has degree >= 2 in ``h`` and no component of ``h`` is a
+    triangle: three vertices, three edges among them, each of degree 2."""
+    deg = [0] * g.n
+    for eid in h:
+        u, v = g.edges[eid]
+        deg[u] += 1
+        deg[v] += 1
+    if any(d < 2 for d in deg):
+        return False
+    comps = connected_components(g, h)
+    for comp in comps:
+        if len(comp) != 3:
+            continue
+        cs = set(comp)
+        ce = sum(1 for e in h if g.edges[e][0] in cs and g.edges[e][1] in cs)
+        if ce == 3 and all(deg[v] == 2 for v in cs):
+            return False
+    return True
+
+
+def test_cover_ok_matches_triangle_free_reference():
+    """``oracle._cover_ok`` with the forbidden length 3, the test
+    ``canonicalize`` uses, agrees with the component scan above on seeded
+    multigraphs with self-loops and parallel edges; both verdicts occur, and
+    so do rejections for a triangle alone."""
+    rnd = random.Random(1618)
+    verdicts = set()
+    triangles = 0
+    for _ in range(4000):
+        n = rnd.randint(1, 8)
+        g = MultiGraph(n, [(rnd.randrange(n), rnd.randrange(n))
+                           for _ in range(rnd.randint(n, 3 * n + 2))])
+        h = {e for e in range(g.m) if rnd.random() < 0.7}
+        want = _is_triangle_free_cover(g, h)
+        assert oracle._cover_ok(g, TRIANGLE, h) == want, (g.edges, sorted(h))
+        verdicts.add(want)
+        triangles += not want and oracle._cover_ok(g, frozenset(), h)
+    assert verdicts == {True, False} and triangles > 0
 
 
 def cycle_graph(k):
@@ -327,11 +368,13 @@ def compare_with_reference(g, h0, monkeypatch):
     candidates each fully checked."""
     checks = []
 
-    def recording(g_, h_):
-        checks.append(frozenset(h_))
-        return _is_triangle_free_cover(g_, h_)
+    real = oracle._cover_ok
 
-    monkeypatch.setattr(cover, "_is_triangle_free_cover", recording)
+    def recording(g_, forbidden, h_):
+        checks.append(frozenset(h_))
+        return real(g_, forbidden, h_)
+
+    monkeypatch.setattr(oracle, "_cover_ok", recording)
     h, _, steps = canonicalize(g, h0, P)
     monkeypatch.undo()
     ref_h, ref_steps, ref_checks = reference_canonicalize(g, h0)

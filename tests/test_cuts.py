@@ -1,16 +1,57 @@
-import random
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoec import gadgets
-from twoec.cuts import CutDescriptor, enumerate_cuts, exhaustive_structured_check
-from twoec.graph import MultiGraph, is_two_edge_connected
+from twoec import gadgets, preprocess
+from twoec.graph import MultiGraph
 from twoec.params import desk_params
-from twoec.preprocess import DETECTORS, find_contractible, red
+from twoec.preprocess import (DETECTORS, Reducer, _components_without,
+                              _grouping, enumerate_cuts, find_contractible,
+                              find_loop_or_parallel, red)
 
 P = desk_params()
+
+
+def exhaustive_structured_check(g, params):
+    """Independent certificate: no multi-edges, no vertex cut of size <= 4
+    that the scan would flag, tested over every vertex subset."""
+    if find_loop_or_parallel(g) is not None:
+        return False
+    for size in (1, 2, 3, 4):
+        for cut in itertools.combinations(range(g.n), size):
+            comps = _components_without(g, set(cut))
+            if len(comps) < 2:
+                continue
+            if size == 1:
+                return False
+            if size == 2:
+                u, v = cut
+                if any(g.edges[e] == (min(u, v), max(u, v))
+                       for e in range(g.m)):
+                    return False        # irrelevant edge
+                if not (len(comps) == 2 and min(len(c) for c in comps) == 1):
+                    return False        # non-isolating 2-vertex cut
+            if size == 3:
+                if _grouping(g, set(cut), params.three_cut_side) is not None:
+                    return False
+            if size == 4:
+                # cycle cuts on 4 vertices and condition-1 large 4-cuts
+                sub = [e for e in range(g.m)
+                       if set(g.edges[e]) <= set(cut) and
+                       g.edges[e][0] != g.edges[e][1]]
+                deg = {c: 0 for c in cut}
+                for e in sub:
+                    u, v = g.edges[e]
+                    deg[u] += 1
+                    deg[v] += 1
+                if len(sub) >= 4 and all(d >= 2 for d in deg.values()):
+                    if _grouping(g, set(cut), params.ck_side(4)) is not None:
+                        return False
+                if _grouping(g, set(cut), params.four_cut_side_2) is not None:
+                    return False
+    return True
 
 
 def test_shared_vertex_is_vertex1():
@@ -74,6 +115,22 @@ STEP = {"Vertex1": "SplitCutVertex", "LoopOrParallel": "DropLoopOrParallel",
         "IrrelevantEdge": "DropIrrelevant", "Vertex2": "Remove2VC",
         "Vertex3": "Remove3VC", "CycleCut": "RemoveCkCut",
         "Vertex4": "Remove4VC"}
+# the reducer methods the cut kinds' apply entries call
+CUT_METHODS = ("split_cut_vertex", "drop_edge", "remove_2vc", "remove_3vc",
+               "remove_ck_cut", "remove_4vc")
+
+
+def record_root_cuts(monkeypatch, root):
+    """Wrap the reducer's cut methods; returns the list of the records they
+    receive on the graph ``root``."""
+    got = []
+    for name in CUT_METHODS:
+        def wrapper(self, g, cut, *args, _real=getattr(Reducer, name)):
+            if g is root:
+                got.append(cut)
+            return _real(self, g, cut, *args)
+        monkeypatch.setattr(Reducer, name, wrapper)
+    return got
 # the benchmark's planted gadgets: all but cycle8 and vertex4_case1, whose
 # reductions take minutes
 PLANTED = [k for k in gadgets.GADGETS if k not in ("cycle8", "vertex4_case1")]
@@ -83,14 +140,16 @@ PLANTED = [k for k in gadgets.GADGETS if k not in ("cycle8", "vertex4_case1")]
                                              (22, 0.15, 1)],
                          ids=lambda c: c if isinstance(c, str)
                          else "random2ec-n{}-p{}-s{}".format(*c))
-def test_cut_scan_agrees_with_reduction(case):
-    """enumerate_cuts reports the cut the reduction's root step acts on; the
+def test_cut_scan_agrees_with_reduction(case, monkeypatch):
+    """enumerate_cuts reports the cut the reduction's root step acts on, and
+    the root step receives that very record, sides included; the
     contractible entry, which the scan skips, may act first."""
     if isinstance(case, str):
         g = gadgets.GADGETS[case]()
     else:
         n, p, seed = case
         g = gadgets.random2ec(n, p, seed)
+    received = record_root_cuts(monkeypatch, g)
     # the inner solver only has to be feasible: the root step is under test
     _, trace = red(g, P, inner=lambda sub: set(range(sub.m)))
     cuts = enumerate_cuts(g, P)
@@ -103,7 +162,35 @@ def test_cut_scan_agrees_with_reduction(case):
         expected = STEP[cuts[0].kind] if cuts else "CallInner"
     assert trace.step == expected
     if expected in STEP.values():
+        assert received == cuts
         if "edge" in trace.detail:
             assert trace.detail["edge"] == cuts[0].edge
         else:
             assert sorted(trace.detail["cut"]) == sorted(cuts[0].vertices)
+    else:
+        assert received == []
+
+
+def test_vertex2_sides_are_the_reducers_partition(monkeypatch):
+    """G - {0, 1} is a common neighbour 2, a C4 on 3-6 and a C5 on 7-11, each
+    cycle attached once to 0 and once to 1.  Both sides need two vertices,
+    so the scan reports the C4 against the rest, not the lone vertex 2, and
+    ``remove_2vc`` types exactly that small side."""
+    g = MultiGraph(12, [(0, 2), (1, 2),
+                        (3, 4), (4, 5), (5, 6), (3, 6), (0, 3), (1, 5),
+                        (7, 8), (8, 9), (9, 10), (10, 11), (7, 11),
+                        (0, 7), (1, 9)])
+    (cut,) = enumerate_cuts(g, P)
+    assert (cut.kind, cut.vertices) == ("Vertex2", (0, 1))
+    assert cut.sides == ((3, 4, 5, 6), (2, 7, 8, 9, 10, 11))
+    typed = []
+    real = preprocess.classify_side_types
+
+    def recording(g_, v1, *args):
+        typed.append(tuple(sorted(v1)))
+        return real(g_, v1, *args)
+
+    monkeypatch.setattr(preprocess, "classify_side_types", recording)
+    apply = {kind: apply for kind, _, apply in DETECTORS}["Vertex2"]
+    _, trace = apply(Reducer(P), g, cut)
+    assert trace.step == "Remove2VC" and typed == [cut.sides[0]]

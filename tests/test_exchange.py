@@ -19,7 +19,7 @@ from twoec.credit import (FEW, MANY, build_few_ledger, check_invariants, cost,
                           derive_credits)
 from twoec.decomp import COMPLEX, CYCLE_TAGS, CoverDecomposition
 from twoec.exchange import ExchangeState, NoProgress, StepRecord
-from twoec.params import desk_params
+from twoec.params import FEW_DELTA, MANY_DELTA, desk_params
 
 P = desk_params()
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,7 +94,7 @@ def reference_apply_candidate(state, adds: Iterable[int], removes: Iterable[int]
         return _reject(FEW, "no-huge")
     if strict_structure and not reference_weakly_canonical_enough(g, dec2):
         return _reject(FEW, "structure")
-    led2 = derive_credits(dec2, FEW, params.few_delta)
+    led2 = derive_credits(dec2, FEW, FEW_DELTA)
     led2.colors = {e: c for e, c in state.led.colors.items() if e in new_bridges}
     dcost = cost(dec2, led2) - cost(state.dec, state.led)
     min_repay: dict[int, Fraction] = {}
@@ -155,7 +155,7 @@ def reference_apply_many(state, adds: Iterable[int], removes: Iterable[int],
         return _reject(MANY, "bridges-not-fewer")
     if strict_structure and not reference_canonical_shape_ok(g, dec2):
         return _reject(MANY, "structure")
-    led2 = derive_credits(dec2, MANY, params.many_delta)
+    led2 = derive_credits(dec2, MANY, MANY_DELTA)
     dcost = cost(dec2, led2) - cost(state.dec, state.led)
     if not waiver and dcost > cost_slack:
         return _reject(MANY, "cost")

@@ -9,7 +9,7 @@ from twoec.few import (ComponentContext, NoProgress, cover_bridges_step,
                        glue_step, run_few)
 from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.oracle import _two_ec_on
-from twoec.params import desk_params
+from twoec.params import FEW_DELTA, desk_params
 
 P = desk_params()
 
@@ -58,7 +58,7 @@ def test_bridge_path_stats():
     assert paths
     bp = paths[0]
     assert bp.br == 1 and bp.bl == 2
-    assert bp.cheap(P.few_delta)
+    assert bp.cheap(FEW_DELTA)
 
 
 def two_block_loan_host():
@@ -76,7 +76,7 @@ def test_loan_repaid_during_covering():
     g, h = two_block_loan_host()
     assert is_two_edge_connected(g)
     state = make_state(g, h)
-    assert state.led.total_loan() == Fraction(1, 2) + 10 * P.few_delta
+    assert state.led.total_loan() == Fraction(1, 2) + 10 * FEW_DELTA
     before = cost(state.dec, state.led) - state.led.total_loan()
     while len(state.bridge_ids()) > 0:
         assert cover_bridges_step(state)

@@ -1,8 +1,9 @@
 """The solver's answers and reports on both benchmark suites (seed 1) and on
 the FEW/MANY exchange gadgets, row for row against the committed file
-``tests/data/golden_solves.json``; and the cut scan ``cuts.enumerate_cuts``
-and the contractible-part finder ``preprocess.find_contractible`` on the
-``reduce_exchange`` graphs against ``tests/data/golden_cuts.json``.  The rows
+``tests/data/golden_solves.json``; and the cut scan
+``preprocess.enumerate_cuts`` and the contractible-part finder
+``preprocess.find_contractible`` on the ``reduce_exchange`` graphs against
+``tests/data/golden_cuts.json``.  The rows
 are those of ``tools/dump_answers.py``, whose scans of the ``sweep`` graphs
 and of its random graphs take over a minute and stay in the tool.
 

@@ -10,7 +10,8 @@ from twoec.graph import (MultiGraph, articulation_points, find_bridges,
                          two_edge_classes)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
 from twoec.params import StructuredParams, desk_params
-from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, _c2_path_pair,
+from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CutDescriptor,
+                              _c2_path_pair,
                               _class_connector, _components_without,
                               _contracted_side,
                               _grouping, _shape_of, _side_graph, _vertex_cuts,
@@ -87,11 +88,11 @@ def test_find_cut_structures():
     g = gadgets.planted_3vc_both_large()
     trip = find_large_3vc(g, P)
     assert trip is not None
-    v1, v2 = trip[1], trip[2]
+    v1, v2 = trip.sides
     assert len(v1) >= 8 and len(v2) >= 8
     g = gadgets.planted_cycle_cut(4)
     ck = find_large_ck(g, P)
-    assert ck is not None and len(ck[0]) == 4
+    assert ck is not None and len(ck.cycle_order) == 4
 
 
 def test_contractible_candidate():
@@ -265,8 +266,10 @@ def test_4vc_case2_budget():
 
 def reference_find_cut_vertex(g):
     for v in range(g.n):
-        if len(_components_without(g, {v})) > 1:
-            return v
+        comps = _components_without(g, {v})
+        if len(comps) > 1:
+            rest = sorted(set(range(g.n)) - {v} - set(comps[0]))
+            return CutDescriptor("Vertex1", (v,), (tuple(comps[0]), tuple(rest)))
     return None
 
 
@@ -275,7 +278,8 @@ def reference_find_irrelevant_edge(g):
         if u == v:
             continue
         if len(_components_without(g, {u, v})) > 1:
-            return eid
+            return CutDescriptor("IrrelevantEdge", (min(u, v), max(u, v)),
+                                 edge=eid)
     return None
 
 
@@ -286,7 +290,7 @@ def reference_find_non_isolating_2vc(g):
             continue
         if len(comps) == 2 and min(len(c) for c in comps) == 1:
             continue
-        return (u, v)
+        return CutDescriptor("Vertex2", (u, v), _grouping(g, {u, v}, 2))
     return None
 
 
@@ -295,7 +299,7 @@ def reference_find_large_3vc(g, params):
     for trip in itertools.combinations(range(g.n), 3):
         grouping = _grouping(g, set(trip), t)
         if grouping is not None:
-            return trip, grouping[0], grouping[1]
+            return CutDescriptor("Vertex3", trip, grouping, large=True)
     return None
 
 
@@ -307,12 +311,12 @@ def reference_find_large_4vc(g, params):
             continue
         grouping = _grouping(g, cut, t1)
         if grouping is not None:
-            return {"cut": quad, "condition": 1,
-                    "v1": grouping[0], "v2": grouping[1]}
+            return CutDescriptor("Vertex4", quad, grouping, large=True,
+                                 condition=1)
         small = _grouping(g, cut, 1, 1)
         if small is None:
             continue
-        v1, v2 = small
+        v1 = small[0]
         if len(v1) > t1 - 2:
             continue
         g1p = _contracted_side(g, v1, quad)
@@ -321,13 +325,14 @@ def reference_find_large_4vc(g, params):
         except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
             continue
         if Fraction(opt1 + 4) <= params.alpha * opt1:
-            return {"cut": quad, "condition": 2, "v1": v1, "v2": v2,
-                    "opt1": opt1}
+            return CutDescriptor("Vertex4", quad, small, large=True,
+                                 condition=2)
     return None
 
 
 def assert_finders_match(g, params):
-    """Each finder returns the reference's witness; returns which fired."""
+    """Each finder returns the reference's record, field for field; returns
+    which fired."""
     fired = []
     for find, ref in ((find_cut_vertex, reference_find_cut_vertex),
                       (find_irrelevant_edge, reference_find_irrelevant_edge),
@@ -436,7 +441,7 @@ def test_find_large_4vc_one_oracle_call_per_side(name, shared, monkeypatch):
         if len(v1) <= t1 - 2:
             cuts += 1
             sides.add(frozenset(v1))
-        if found is not None and quad == found["cut"]:
+        if found is not None and quad == found.vertices:
             break
     assert len(calls) == len(sides)
     assert (len(sides) < cuts) == shared

@@ -11,11 +11,11 @@ being ``RunReport.to_json()`` without ``wall_time``.  It also holds
 benchmark never repays a loan or waives a bound; ``bridge_chain`` under FEW
 repays one and ``short_heavy_c5`` under FEW takes a waiver), each as the
 same row or, when the solve fails, ``[..., mode, None, exception name]``.
-Last come the cut scan ``cuts.enumerate_cuts`` and the contractible-part
-finder ``preprocess.find_contractible`` (which the scan skips), both under
-the desk profile, on the benchmark graphs and on 200 seeded ``random2ec``
-graphs.  Two checkouts give the same answers and reports iff their files
-are byte-identical.  Each section's wall seconds go to standard error.
+Last come the cut scan ``preprocess.enumerate_cuts`` and the
+contractible-part finder ``preprocess.find_contractible`` (which the scan
+skips), both under the desk profile, on the benchmark graphs and on 200
+seeded ``random2ec`` graphs.  Two checkouts give the same answers and
+reports iff their files are byte-identical.  Each section's wall seconds go to standard error.
 ``solve_rows`` gives the solve rows alone and ``scan_rows`` the scans of
 given graphs; ``tests/test_golden.py`` checks the solve rows, and the scans
 of the ``reduce_exchange`` graphs, against committed copies.
@@ -82,9 +82,10 @@ def solve_rows() -> tuple[list, list]:
 def scan_rows(graphs) -> tuple[list, list]:
     """The file's cut scans and contractible parts of ``graphs``, as the
     file holds them."""
-    from twoec import cuts, preprocess
+    from twoec import preprocess
     from twoec.params import desk_params
-    scans = [[dataclasses.asdict(c) for c in cuts.enumerate_cuts(g, desk_params())]
+    scans = [[dataclasses.asdict(c)
+              for c in preprocess.enumerate_cuts(g, desk_params())]
              for g in graphs]
     found = [preprocess.find_contractible(g, desk_params()) for g in graphs]
     return scans, [f and [sorted(f[0]), sorted(f[1])] for f in found]
