@@ -7,7 +7,7 @@ from fractions import Fraction
 from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree, Component,
                      CoverDecomposition)
 from .graph import MultiGraph
-from .params import FEW_DELTA, MANY_DELTA, StructuredParams
+from .params import FEW_DELTA, MANY_DELTA
 
 FEW = "FEW"
 MANY = "MANY"
@@ -142,7 +142,6 @@ def apply_rich_transform(g: MultiGraph, dec: CoverDecomposition
 
 
 def build_few_ledger(g: MultiGraph, dec: CoverDecomposition,
-                     params: StructuredParams,
                      strict: bool = True) -> tuple[CoverDecomposition, CreditLedger, dict]:
     """Rich-vertex transform, scheme credits, colors, and initial loans.
 
@@ -208,7 +207,7 @@ def build_few_ledger(g: MultiGraph, dec: CoverDecomposition,
     return dec, led, info
 
 
-def build_many_ledger(dec: CoverDecomposition, params: StructuredParams,
+def build_many_ledger(dec: CoverDecomposition,
                       strict: bool = True) -> tuple[CreditLedger, dict]:
     delta = MANY_DELTA
     led = derive_credits(dec, MANY, delta)

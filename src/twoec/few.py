@@ -483,7 +483,7 @@ def run_few(g: MultiGraph, h0: set[int], params: StructuredParams,
             strict: bool = True) -> tuple[set[int], ExchangeState]:
     """Ledger build, bridge covering to bridgeless, gluing to one component."""
     dec0 = CoverDecomposition(g, h0, params)
-    dec, led, info = build_few_ledger(g, dec0, params, strict=strict)
+    dec, led, info = build_few_ledger(g, dec0, strict=strict)
     state = ExchangeState(g, dec, led, params, info)
     guard = g.m + len(dec.components) + 4
     while state.bridge_ids() and guard > 0:

@@ -132,16 +132,21 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
                          inner=lambda sub: cover_pipeline(sub, params)[0])
         report.trace = trace.to_json()
         if trace.step == "BruteForce":
+            # red solved the whole input exactly: no cover can beat it
+            report.branch = "exact"
             opt = len(sol)
-        # audit sidecar: exercise the cover machinery on the whole instance
-        # and keep its solution when it happens to win
-        try:
-            side_sol, main = cover_pipeline(g, params, mode="auto", strict=False)
-            report.branch = main["branch"]
-            if oracle._two_ec_on(g, side_sol) and len(side_sol) < len(sol):
-                sol = side_sol
-        except (NoProgress, LedgerError, oracle.TooLarge, oracle.Infeasible):
-            report.branch = "red-only"
+        else:
+            # audit sidecar: exercise the cover machinery on the whole
+            # instance and keep its solution when it happens to win
+            try:
+                side_sol, main = cover_pipeline(g, params, mode="auto",
+                                                strict=False)
+                report.branch = main["branch"]
+                if oracle._two_ec_on(g, side_sol) and len(side_sol) < len(sol):
+                    sol = side_sol
+            except (NoProgress, LedgerError, oracle.TooLarge,
+                    oracle.Infeasible):
+                report.branch = "red-only"
 
     if main:
         report.h0_size = main["h0_size"]

@@ -707,7 +707,7 @@ def _stitch_part(state: ManyState, L: int, part: list[int]) -> bool:
 def run_many(g: MultiGraph, h0: set[int], params: StructuredParams,
              strict: bool = True) -> tuple[set[int], ManyState]:
     dec = CoverDecomposition(g, h0, params)
-    led, info = build_many_ledger(dec, params, strict=strict)
+    led, info = build_many_ledger(dec, strict=strict)
     info = dict(info)
     info["h0_size"] = len(h0)
     m4, mr = info["m4"], info["mr"]

@@ -42,6 +42,16 @@ class StructuredParams:
         # condition-1 threshold of the k-cut algorithm with k = 4: 2k-2 = 6
         return _ceil(Fraction(2 * 4 - 2) / (self.alpha - 1)) - 1
 
+    @property
+    def four_cut_small_side(self) -> int:
+        """Fewest small-side vertices a condition-2 4-cut can have.  The
+        closure of a small side V1 has |V1| + 1 vertices, so its optimum
+        opt1 is at most 2|V1| (a 2EC graph on n' vertices has a 2EC spanning
+        subgraph of at most 2(n' - 1) edges, Nagamochi-Ibaraki).  Condition
+        2, opt1 + 4 <= alpha * opt1, needs opt1 >= ceil(4 / (alpha - 1)),
+        hence |V1| >= ceil(ceil(4 / (alpha - 1)) / 2)."""
+        return _ceil(Fraction(_ceil(Fraction(4) / (self.alpha - 1)), 2))
+
     def f(self, n: int) -> Fraction:
         """Slack term of the reduction invariant."""
         return 4 * self.epsilon * n - 16

@@ -177,7 +177,12 @@ def find_non_isolating_2vc(g: MultiGraph) -> Optional[CutDescriptor]:
 
 def find_large_3vc(g: MultiGraph, params: StructuredParams
                    ) -> Optional[CutDescriptor]:
+    """The first 3-vertex cut whose sides both reach ``three_cut_side``.
+    The sides share the n - 3 vertices off the cut, so none exists, and no
+    cut is scanned, when n - 3 < 2 * three_cut_side (n < 19 on desk)."""
     t = params.three_cut_side
+    if g.n - 3 < 2 * t:
+        return None
     for trip in _vertex_cuts(g, 3):
         grouping = _grouping(g, set(trip), t)
         if grouping is not None:
@@ -187,13 +192,21 @@ def find_large_3vc(g: MultiGraph, params: StructuredParams
 
 def find_large_ck(g: MultiGraph, params: StructuredParams
                   ) -> Optional[CutDescriptor]:
+    """The first cycle cut, shortest cycle first, whose sides both reach
+    ``ck_side(k)`` for its length k.  A k-cycle leaves n - k vertices for
+    the two sides, so only lengths with n - k >= 2 * ck_side(k) can fire
+    and the others are not tried.  ck_side grows with k, so no length fits
+    when 4 does not (n < 38 on desk; 5..8 need n >= 47, 58, 67, 76), and
+    then the cycles are not listed at all."""
+    side = {k: params.ck_side(k) for k in range(4, 9)
+            if g.n - k >= 2 * params.ck_side(k)}
+    if not side:
+        return None
     cycles = simple_cycles_upto(g, 8, limit=CYCLE_CAP)
-    by_len = sorted((c for c in cycles if len(c) >= 4),
+    by_len = sorted((c for c in cycles if len(c) in side),
                     key=lambda c: (len(c), c))
     for cyc in by_len:
-        k = len(cyc)
-        t = params.ck_side(k)
-        grouping = _grouping(g, set(cyc), t)
+        grouping = _grouping(g, set(cyc), side[len(cyc)])
         if grouping is not None:
             return CutDescriptor("CycleCut", tuple(sorted(cyc)), grouping,
                                  large=True, cycle_order=tuple(cyc))
@@ -202,18 +215,34 @@ def find_large_ck(g: MultiGraph, params: StructuredParams
 
 def find_large_4vc(g: MultiGraph, params: StructuredParams
                    ) -> Optional[CutDescriptor]:
+    """The first 4-vertex cut meeting condition 1 (both sides reach
+    ``four_cut_side_2``) or condition 2 (the small side V1 has at most
+    four_cut_side_2 - 2 vertices and its closure's optimum opt1 has
+    opt1 + 4 <= alpha * opt1).  V1 is a smallest component of G - cut, so
+    n - 4 >= 2|V1|.  Condition 1 is tried only when n - 4 >= 2 *
+    four_cut_side_2 (n >= 56 on desk).  Condition 2 needs |V1| >=
+    ``four_cut_small_side`` (9 on desk): cuts with a smaller V1 are skipped
+    before the closure is built, and none can fire when n - 4 < 2 *
+    four_cut_small_side.  When neither condition can fire (n < 22 on desk)
+    no cut is scanned."""
     t1 = params.four_cut_side_2
+    s2 = params.four_cut_small_side
+    try1 = g.n - 4 >= 2 * t1
+    try2 = g.n - 4 >= 2 * s2
+    if not (try1 or try2):
+        return None
     opt1_of: dict[frozenset[int], Optional[int]] = {}
     for quad in _vertex_cuts(g, 4):
         cut = set(quad)
         comps = _components_without(g, cut)
-        grouping = _grouping(g, cut, t1, comps=comps)
-        if grouping is not None:
-            return CutDescriptor("Vertex4", quad, grouping, large=True,
-                                 condition=1)
-        small = _grouping(g, cut, 1, 1, comps=comps)
-        if small is None:
+        if try1:
+            grouping = _grouping(g, cut, t1, comps=comps)
+            if grouping is not None:
+                return CutDescriptor("Vertex4", quad, grouping, large=True,
+                                     condition=1)
+        if not try2 or min(len(c) for c in comps) < s2:
             continue
+        small = _grouping(g, cut, 1, 1, comps=comps)
         v1 = small[0]
         if len(v1) > t1 - 2:
             continue

@@ -77,7 +77,7 @@ def test_nice_c5_detection_and_rich_transform():
     comp = [c for c in dec.components if c.bridges][0]
     assert len(comp.blocks) == 2 and len(comp.bridges) == 2
     assert all(is_nice_c5_block(g, dec, comp, b) for b in comp.blocks)
-    dec2, led, info = build_few_ledger(g, dec, P)
+    dec2, led, info = build_few_ledger(g, dec)
     assert info["rich_added"] == [5]
     rich = [c for c in dec2.components if c.is_rich]
     assert len(rich) == 1
@@ -98,7 +98,7 @@ def three_c4s_host():
 def test_few_ledger_three_c4s_no_loans():
     g, h = three_c4s_host()
     dec = CoverDecomposition(g, h, P)
-    dec2, led, info = build_few_ledger(g, dec, P)
+    dec2, led, info = build_few_ledger(g, dec)
     assert not led.loans
     assert cost(dec2, led) == 15       # (5/4) * 12
     assert info["beta"] == 1
@@ -120,7 +120,7 @@ def two_block_loan_host():
 def test_few_ledger_two_blocks_loan():
     g, h = two_block_loan_host()
     dec = CoverDecomposition(g, h, P)
-    dec2, led, info = build_few_ledger(g, dec, P)
+    dec2, led, info = build_few_ledger(g, dec)
     # k = 10 edges in blocks: loan = 3 - 10(1/4 - delta) = 1/2 + 10 delta
     assert list(led.loans.values()) == [Fraction(1, 2) + 10 * D_FEW]
     assert not check_invariants(g, dec2, led)
@@ -130,7 +130,7 @@ def test_few_ledger_two_blocks_loan():
 def test_corrupted_loan_flags_violation():
     g, h = two_block_loan_host()
     dec = CoverDecomposition(g, h, P)
-    dec2, led, info = build_few_ledger(g, dec, P)
+    dec2, led, info = build_few_ledger(g, dec)
     color = next(iter(led.loans))
     led.loans[color] = Fraction(10)
     problems = check_invariants(g, dec2, led)
@@ -140,7 +140,7 @@ def test_corrupted_loan_flags_violation():
 def test_many_ledger_bound():
     g, h = three_c4s_host()
     dec = CoverDecomposition(g, h, P)
-    led, info = build_many_ledger(dec, P)
+    led, info = build_many_ledger(dec)
     assert info["bound_ok"]
     assert cost(dec, led) == (Fraction(5, 4) - D_MANY) * 12
 

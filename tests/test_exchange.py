@@ -294,7 +294,7 @@ def test_merged_commit_matches_the_two_routines(monkeypatch):
     # exchange that creates no bridge and frees no cost to repay the loan,
     # and only the forced repayment makes some cheap exchanges too dear
     g = gadgets.bridge_chain()
-    dec, led, _ = build_few_ledger(g, CoverDecomposition(g, set(range(19)), P), P)
+    dec, led, _ = build_few_ledger(g, CoverDecomposition(g, set(range(19)), P))
     assert not differs[FEW](ExchangeState(g, dec, led, P, {}), (), (),
                             "empty", "empty")
     led.loans[0] = Fraction(1)

@@ -16,7 +16,7 @@ P = desk_params()
 
 def make_state(g, h):
     dec0 = CoverDecomposition(g, h, P)
-    dec, led, info = build_few_ledger(g, dec0, P)
+    dec, led, info = build_few_ledger(g, dec0)
     return ExchangeState(g, dec, led, P, info)
 
 
@@ -156,7 +156,7 @@ def test_monotone_metrics_on_gadgets():
                     hub_with_pendant_cycles, nice_c5_rich_host):
         g, h0 = builder()
         dec0 = CoverDecomposition(g, h0, P)
-        dec, led, info = build_few_ledger(g, dec0, P)
+        dec, led, info = build_few_ledger(g, dec0)
         state = ExchangeState(g, dec, led, P, info)
         metric = cost(state.dec, state.led) - state.led.total_loan()
         bridges = len(state.bridge_ids())

@@ -113,6 +113,39 @@ def test_opt_computed_once(mode, monkeypatch):
         assert rep.trace["step"] == "BruteForce"
 
 
+def test_base_size_auto_solve_skips_the_sidecar(monkeypatch):
+    """Once ``red`` has solved the whole input exactly, no cover can beat
+    it: auto mode reports the exact branch without calling the pipeline."""
+    def no_pipeline(*args, **kw):
+        raise AssertionError("cover_pipeline called after an exact solve")
+
+    monkeypatch.setattr(harness, "cover_pipeline", no_pipeline)
+    g = harness.generate("random2ec", seed=3, n=10, p=0.3)
+    sol, rep = harness.solve(g, harness.SolverConfig(profile="desk",
+                                                     with_oracle=True))
+    assert rep.verified and rep.trace["step"] == "BruteForce"
+    assert rep.branch == "exact" and rep.opt == len(sol)
+    assert (rep.h0_size, rep.beta, rep.step_counts, rep.pipeline_steps) == (
+        None, None, {}, 0)
+
+
+def test_non_base_auto_solve_runs_the_sidecar(monkeypatch):
+    """Above base size the sidecar still runs on the whole input."""
+    calls = []
+    real = harness.cover_pipeline
+
+    def counting(g, *args, **kw):
+        calls.append(g)
+        return real(g, *args, **kw)
+
+    monkeypatch.setattr(harness, "cover_pipeline", counting)
+    g = harness.generate("vertex3_c3")
+    sol, rep = harness.solve(g, harness.SolverConfig(profile="desk"))
+    assert rep.verified and rep.trace["step"] != "BruteForce"
+    assert any(sub is g for sub in calls)
+    assert rep.branch in ("few", "many", "red-only")
+
+
 def test_determinism_same_seed():
     g = harness.generate("random2ec", seed=11, n=11, p=0.5)
     cfg = harness.SolverConfig(profile="desk", mode="auto", seed=3,

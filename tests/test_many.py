@@ -17,7 +17,7 @@ P = desk_params()
 
 def make_state(g, h):
     dec = CoverDecomposition(g, h, P)
-    led, info = build_many_ledger(dec, P, strict=False)
+    led, info = build_many_ledger(dec, strict=False)
     return ManyState(g, dec, led, P, dict(info))
 
 
@@ -286,7 +286,7 @@ def test_gluing_path_complex_pattern_rule():
     h = set(range(12)) | {12, 13, 14}
     dec = CoverDecomposition(g, h, P)
     from twoec.credit import build_many_ledger
-    led, info = build_many_ledger(dec, P, strict=False)
+    led, info = build_many_ledger(dec, strict=False)
     state = ManyState(g, dec, led, P, dict(info))
     comp = [c for c in dec.components if c.bridges][0]
     e_in = [e for e, (u, v) in enumerate(g.edges) if {u, v} == {5, 11}][0]

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,8 @@ from twoec.graph import (MultiGraph, articulation_points, find_bridges,
                          two_edge_classes)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
 from twoec.params import StructuredParams, desk_params
-from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CutDescriptor,
+from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CYCLE_CAP,
+                              CutDescriptor,
                               _c2_path_pair,
                               _class_connector, _components_without,
                               _contracted_side,
@@ -75,6 +78,7 @@ def test_thresholds_desk():
     assert P.ck_side(4) == 17
     assert P.ck_side(8) == 34
     assert P.four_cut_side_2 == 26
+    assert P.four_cut_small_side == 9
 
 
 def test_find_cut_structures():
@@ -404,6 +408,96 @@ def test_finders_match_reference_gadget(name):
 
 
 
+# -- the large-cut finders without their side-size gates ----------------------
+
+def ungated_find_large_3vc(g, params):
+    t = params.three_cut_side
+    for trip in _vertex_cuts(g, 3):
+        grouping = _grouping(g, set(trip), t)
+        if grouping is not None:
+            return CutDescriptor("Vertex3", trip, grouping, large=True)
+    return None
+
+
+def ungated_find_large_ck(g, params):
+    cycles = simple_cycles_upto(g, 8, limit=CYCLE_CAP)
+    for cyc in sorted((c for c in cycles if len(c) >= 4),
+                      key=lambda c: (len(c), c)):
+        grouping = _grouping(g, set(cyc), params.ck_side(len(cyc)))
+        if grouping is not None:
+            return CutDescriptor("CycleCut", tuple(sorted(cyc)), grouping,
+                                 large=True, cycle_order=tuple(cyc))
+    return None
+
+
+def ungated_find_large_4vc(g, params):
+    t1 = params.four_cut_side_2
+    opt1_of = {}
+    for quad in _vertex_cuts(g, 4):
+        cut = set(quad)
+        comps = _components_without(g, cut)
+        grouping = _grouping(g, cut, t1, comps=comps)
+        if grouping is not None:
+            return CutDescriptor("Vertex4", quad, grouping, large=True,
+                                 condition=1)
+        small = _grouping(g, cut, 1, 1, comps=comps)
+        v1 = small[0]
+        if len(v1) > t1 - 2:
+            continue
+        key = frozenset(v1)
+        if key not in opt1_of:
+            try:
+                opt1_of[key] = len(oracle.exact_min_2ecss(
+                    _contracted_side(g, v1, quad),
+                    limit=oracle.STRUCTURED_LIMIT))
+            except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
+                opt1_of[key] = None
+        opt1 = opt1_of[key]
+        if opt1 is not None and Fraction(opt1 + 4) <= params.alpha * opt1:
+            return CutDescriptor("Vertex4", quad, small, large=True,
+                                 condition=2)
+    return None
+
+
+def reduce_exchange_graphs():
+    """The benchmark's ``reduce_exchange`` graphs (seed 1)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    from twoec import harness
+    return [(inst.name, harness.parse_graph(inst.text))
+            for inst in workloads.build("reduce_exchange", 1, harness)]
+
+
+# n on both sides of each desk gate: 3-cuts at 19, 4-cut condition 2 at 22,
+# 4-cycle cuts at 38, 4-cut condition 1 at 56 (each 4-cut scan near 56 takes
+# about 2 s, so that gate gets one n on each side)
+GATE_NS = [*range(18, 24), *range(36, 41), 55, 56]
+
+
+def test_gated_finders_match_ungated():
+    """The side-size gates drop only scans that cannot fire: each gated
+    finder returns the ungated one's record on the ``reduce_exchange``
+    graphs and on random graphs whose n straddles every desk gate."""
+    assert [n for n in GATE_NS if n - 3 >= 2 * P.three_cut_side][0] == 19
+    assert [n for n in GATE_NS if n - 4 >= 2 * P.four_cut_small_side][0] == 22
+    assert [n for n in GATE_NS if n - 4 >= 2 * P.ck_side(4)][0] == 38
+    assert [n for n in GATE_NS if n - 4 >= 2 * P.four_cut_side_2][0] == 56
+    graphs = reduce_exchange_graphs()
+    graphs += [(f"random2ec-{n}", gadgets.random2ec(n, 2 / n, n))
+               for n in GATE_NS]
+    fired = set()
+    for name, g in graphs:
+        for find, ref in ((find_large_3vc, ungated_find_large_3vc),
+                          (find_large_ck, ungated_find_large_ck),
+                          (find_large_4vc, ungated_find_large_4vc)):
+            got = find(g, P)
+            assert got == ref(g, P), (name, find.__name__)
+            if got is not None:
+                fired.add((got.kind, got.condition))
+    assert fired == {("Vertex3", None), ("CycleCut", None), ("Vertex4", 1),
+                     ("Vertex4", 2)}
+
+
 # ---------------------------------------------------------------------------
 # oracle calls the detectors make
 # ---------------------------------------------------------------------------
@@ -425,7 +519,8 @@ def counting_oracle(monkeypatch):
                                          ("vertex4_case2", False)])
 def test_find_large_4vc_one_oracle_call_per_side(name, shared, monkeypatch):
     """The condition-2 closure is computed once per distinct small side of
-    the 4-cuts the finder reaches, not once per cut.  On ``vertex3_c3``
+    the 4-cuts the finder reaches, not once per cut, and only for small
+    sides of ``four_cut_small_side`` vertices or more.  On ``vertex3_c3``
     several of those cuts share a side; ``vertex4_case2`` stops at its
     first."""
     g = gadgets.GADGETS[name]()
@@ -438,7 +533,7 @@ def test_find_large_4vc_one_oracle_call_per_side(name, shared, monkeypatch):
         if _grouping(g, set(quad), t1) is not None:
             break
         v1 = _grouping(g, set(quad), 1, 1)[0]
-        if len(v1) <= t1 - 2:
+        if P.four_cut_small_side <= len(v1) <= t1 - 2:
             cuts += 1
             sides.add(frozenset(v1))
         if found is not None and quad == found.vertices:
