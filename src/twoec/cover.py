@@ -12,7 +12,7 @@ from typing import Iterator
 
 from . import oracle
 from .decomp import CoverDecomposition
-from .graph import MultiGraph, connected_components
+from .graph import MultiGraph, connected_components, lowpoint_forest
 from .params import StructuredParams
 
 
@@ -83,56 +83,30 @@ def min_triangle_free_cover(g: MultiGraph, mode: str = "exact") -> tuple[set[int
 def _measure(g: MultiGraph, h: set[int]) -> tuple[int, int, int, int]:
     """(|H|, #components, #bridges, #cut vertices of bridgeless components).
 
-    One iterative lowpoint DFS over H.  It skips only the parent *edge id*,
-    so a parallel copy of a tree edge is a back edge and never a bridge.
+    Off ``lowpoint_forest`` over H, tree by tree: the tree edge into v is a
+    bridge when low[v] > disc[parent], and heads a block at the parent when
+    low[v] >= disc[parent].  A root is a cut vertex with two block heads
+    below it, any other vertex with one.  In reverse preorder a vertex comes
+    after all of its subtree and a root after its whole tree.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in h:
-        u, v = g.edges[eid]
-        if u != v:
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-    disc = [-1] * g.n
-    low = [0] * g.n
-    is_cut = [False] * g.n
-    counter = itertools.count()
+    order, parent, _, disc, low = lowpoint_forest(g, h)
+    heads = [0] * g.n
     ncomp = nbridges = ncut = 0
-    for root in range(g.n):
-        if disc[root] != -1:
+    bridges = cuts = 0                  # of the tree being finished
+    for v in reversed(order):
+        p = parent[v]
+        if p == -1:
+            ncomp += 1
+            nbridges += bridges
+            if not bridges:
+                ncut += cuts + (heads[v] >= 2)
+            bridges = cuts = 0
             continue
-        ncomp += 1
-        disc[root] = low[root] = next(counter)
-        children = bridges = cuts = 0
-        # stack holds (vertex, parent edge, neighbour iterator)
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, pe, it = stack[-1]
-            for w, eid in it:
-                if eid == pe:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = next(counter)
-                    stack.append((w, eid, iter(adj[w])))
-                    break
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                stack.pop()
-                if not stack:
-                    break
-                parent = stack[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if low[v] > disc[parent]:
-                    bridges += 1
-                if parent == root:
-                    children += 1
-                elif low[v] >= disc[parent] and not is_cut[parent]:
-                    is_cut[parent] = True
-                    cuts += 1
-        nbridges += bridges
-        if not bridges:
-            ncut += cuts + (children >= 2)
+        cuts += heads[v] > 0
+        if low[v] > disc[p]:
+            bridges += 1
+        if low[v] >= disc[p]:
+            heads[p] += 1
     return (len(h), ncomp, nbridges, ncut)
 
 

@@ -503,6 +503,16 @@ def _cover_l_bridge(state: ManyState, L: int) -> bool:
     return False
 
 
+def _merge_in(state: ManyState, segs: list[set[int]]) -> bool:
+    """Apply the first merge found inside one of ``segs``, tried in order;
+    a failed attempt changes nothing."""
+    for seg in segs:
+        cand = find_merge(state, segments=[seg])
+        if cand is not None and apply_merge(state, cand, phase="core"):
+            return True
+    return False
+
+
 def build_core_square(state: ManyState) -> dict:
     """Exhaustively apply the ordered reductions until the cover is a
     bridgeless core-square configuration; at most one +2 step."""
@@ -527,40 +537,20 @@ def build_core_square(state: ManyState) -> dict:
                         break
         if progressed:
             continue
+        # per component: i for a C_i (5..8), else 0; large or complex
+        ci = [CYCLE_TAGS[c.tag] if c.tag in CYCLE_TAGS and c.tag != C4 else 0
+              for c in dec.components]
+        big = [c.tag in (COMPLEX, LARGE2EC) for c in dec.components]
         # 2. segment with a C_i (5..8) and at most i components
-        for seg in view.segments:
-            ci = [x for x in seg if dec.components[x].tag in CYCLE_TAGS
-                  and dec.components[x].tag != C4]
-            if not ci:
-                continue
-            i_val = min(CYCLE_TAGS[dec.components[x].tag] for x in ci)
-            if len(seg) <= i_val:
-                cand = find_merge(state, segments=[seg])
-                if cand is not None and apply_merge(state, cand, phase="core"):
-                    progressed = True
-                    break
-        if progressed:
-            continue
-        # 3. small segment holding two large-or-complex components
-        for seg in view.segments:
-            if len(seg) > 4:
-                continue
-            bigs = [x for x in seg if dec.components[x].tag in (COMPLEX, LARGE2EC)]
-            if len(bigs) >= 2:
-                cand = find_merge(state, segments=[seg])
-                if cand is not None and apply_merge(state, cand, phase="core"):
-                    progressed = True
-                    break
-        if progressed:
-            continue
-        # 4. big segment without a huge component
-        for seg in view.segments:
-            if len(seg) >= 5 and (L is None or L not in seg):
-                cand = find_merge(state, segments=[seg])
-                if cand is not None and apply_merge(state, cand, phase="core"):
-                    progressed = True
-                    break
-        if progressed:
+        if (_merge_in(state, [s for s in view.segments
+                              if (lens := [ci[x] for x in s if ci[x]])
+                              and len(s) <= min(lens)])
+                # 3. small segment holding two large-or-complex components
+                or _merge_in(state, [s for s in view.segments
+                                     if len(s) <= 4 and sum(big[x] for x in s) >= 2])
+                # 4. big segment without a huge component
+                or _merge_in(state, [s for s in view.segments
+                                     if len(s) >= 5 and L not in s])):
             continue
         # 5. another large or complex component besides L
         if L is not None:

@@ -41,7 +41,6 @@ class CutDescriptor:
                                    # Vertex2 | Vertex3 | CycleCut | Vertex4
     vertices: tuple[int, ...] = ()
     sides: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-    large: bool = False
     cycle_order: Optional[tuple[int, ...]] = None
     edge: Optional[int] = None
     condition: Optional[int] = None
@@ -186,7 +185,7 @@ def find_large_3vc(g: MultiGraph, params: StructuredParams
     for trip in _vertex_cuts(g, 3):
         grouping = _grouping(g, set(trip), t)
         if grouping is not None:
-            return CutDescriptor("Vertex3", trip, grouping, large=True)
+            return CutDescriptor("Vertex3", trip, grouping)
     return None
 
 
@@ -209,7 +208,7 @@ def find_large_ck(g: MultiGraph, params: StructuredParams
         grouping = _grouping(g, set(cyc), side[len(cyc)])
         if grouping is not None:
             return CutDescriptor("CycleCut", tuple(sorted(cyc)), grouping,
-                                 large=True, cycle_order=tuple(cyc))
+                                 cycle_order=tuple(cyc))
     return None
 
 
@@ -238,8 +237,7 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
         if try1:
             grouping = _grouping(g, cut, t1, comps=comps)
             if grouping is not None:
-                return CutDescriptor("Vertex4", quad, grouping, large=True,
-                                     condition=1)
+                return CutDescriptor("Vertex4", quad, grouping, condition=1)
         if not try2 or min(len(c) for c in comps) < s2:
             continue
         small = _grouping(g, cut, 1, 1, comps=comps)
@@ -261,8 +259,7 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
         if opt1 is None:
             continue
         if Fraction(opt1 + 4) <= params.alpha * opt1:
-            return CutDescriptor("Vertex4", quad, small, large=True,
-                                 condition=2)
+            return CutDescriptor("Vertex4", quad, small, condition=2)
     return None
 
 
@@ -766,9 +763,10 @@ class Reducer:
         opt1 = table.minima[typ]
         h2, t = self._reduce_child(_contracted_side(g, v2, cut))
         budget = {"B1": 1, "B2": 2, "C1": 2}[typ]
-        f = min_augment_to_2ec(g, set(opt1) | h2, budget)
-        if f is None:
-            f = min_augment_to_2ec(g, set(opt1) | h2, budget + 2) or set()
+        # one call with the fallback budget: the greedy phase and the patch
+        # sizes run in the same order under any budget, and a larger one only
+        # tries more, so it returns what the smaller one would have found
+        f = min_augment_to_2ec(g, set(opt1) | h2, budget + 2) or set()
         return _step(set(opt1) | h2 | f, "Remove3VC", g,
                      {"cut": list(cut), "branch": typ,
                       "opt1": len(opt1), "f_edges": sorted(f)}, [t])

@@ -75,10 +75,8 @@ def test_irrelevant_edge_detected():
 def test_large_3vc_sides():
     g = gadgets.planted_3vc_both_large()
     out = enumerate_cuts(g, P)
-    assert out[0].kind in ("Vertex2", "Vertex3")
-    if out[0].kind == "Vertex3":
-        assert out[0].large
-        assert all(len(s) >= P.three_cut_side for s in out[0].sides)
+    assert out[0].kind == "Vertex3"
+    assert all(len(s) >= P.three_cut_side for s in out[0].sides)
 
 
 def test_planted_cycle_cut_found():

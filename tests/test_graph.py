@@ -170,6 +170,62 @@ def test_biconnected_segments():
     assert sorted(sorted(c) for c in comps) == [[0, 1], [1, 2]]
 
 
+def reference_blocks(g, eids):
+    """The maximal vertex sets of size >= 2 whose induced subgraph over
+    ``eids`` is connected and has no cut vertex, by trying every set (as
+    bitmasks, so n <= 8 stays cheap).  Sorted lists, in sorted order."""
+    nbr = [0] * g.n
+    for e in eids:
+        u, v = g.edges[e]
+        if u != v:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+
+    def connected(mask):
+        reach = frontier = mask & -mask
+        while frontier:
+            grown = 0
+            for v in range(g.n):
+                if frontier >> v & 1:
+                    grown |= nbr[v]
+            frontier = grown & mask & ~reach
+            reach |= frontier
+        return reach == mask
+
+    def members(mask):
+        return [v for v in range(g.n) if mask >> v & 1]
+
+    good = [mask for mask in range(1 << g.n) if len(members(mask)) >= 2
+            and connected(mask)
+            and all(connected(mask & ~(1 << v)) for v in members(mask))]
+    return sorted(members(a) for a in good
+                  if not any(a != b and a & b == a for b in good))
+
+
+def test_biconnected_components_match_reference():
+    """Random multigraphs with n <= 8, self-loops, parallel pairs and
+    isolated vertices, over every edge and over a random edge subset."""
+    rnd = random.Random(3131)
+    seen = {"loop": 0, "parallel": 0, "isolated": 0, "several": 0}
+    for _ in range(400):
+        n = rnd.randint(0, 8)
+        edges = [(rnd.randrange(n), rnd.randrange(n))
+                 for _ in range(rnd.randint(0, 2 * n))]
+        edges += [rnd.choice(edges) for _ in range(rnd.randint(0, 2))
+                  if edges]
+        g = MultiGraph(n, edges)
+        sub = [e for e in range(g.m) if rnd.random() < 0.7]
+        for eids in (None, sub):
+            got = sorted(sorted(b) for b in biconnected_components(g, eids))
+            want = reference_blocks(g, range(g.m) if eids is None else eids)
+            assert got == want, (g.edges, eids)
+            seen["several"] += len(want) >= 2
+        seen["loop"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(g.edges)) < g.m
+        seen["isolated"] += any(not adj for adj in g.adj())
+    assert min(seen.values()) >= 40, seen
+
+
 def test_simple_cycles_upto():
     g = complete_graph(4)
     cycles = simple_cycles_upto(g, 4)

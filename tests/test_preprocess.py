@@ -303,7 +303,7 @@ def reference_find_large_3vc(g, params):
     for trip in itertools.combinations(range(g.n), 3):
         grouping = _grouping(g, set(trip), t)
         if grouping is not None:
-            return CutDescriptor("Vertex3", trip, grouping, large=True)
+            return CutDescriptor("Vertex3", trip, grouping)
     return None
 
 
@@ -315,8 +315,7 @@ def reference_find_large_4vc(g, params):
             continue
         grouping = _grouping(g, cut, t1)
         if grouping is not None:
-            return CutDescriptor("Vertex4", quad, grouping, large=True,
-                                 condition=1)
+            return CutDescriptor("Vertex4", quad, grouping, condition=1)
         small = _grouping(g, cut, 1, 1)
         if small is None:
             continue
@@ -329,8 +328,7 @@ def reference_find_large_4vc(g, params):
         except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
             continue
         if Fraction(opt1 + 4) <= params.alpha * opt1:
-            return CutDescriptor("Vertex4", quad, small, large=True,
-                                 condition=2)
+            return CutDescriptor("Vertex4", quad, small, condition=2)
     return None
 
 
@@ -415,7 +413,7 @@ def ungated_find_large_3vc(g, params):
     for trip in _vertex_cuts(g, 3):
         grouping = _grouping(g, set(trip), t)
         if grouping is not None:
-            return CutDescriptor("Vertex3", trip, grouping, large=True)
+            return CutDescriptor("Vertex3", trip, grouping)
     return None
 
 
@@ -426,7 +424,7 @@ def ungated_find_large_ck(g, params):
         grouping = _grouping(g, set(cyc), params.ck_side(len(cyc)))
         if grouping is not None:
             return CutDescriptor("CycleCut", tuple(sorted(cyc)), grouping,
-                                 large=True, cycle_order=tuple(cyc))
+                                 cycle_order=tuple(cyc))
     return None
 
 
@@ -438,8 +436,7 @@ def ungated_find_large_4vc(g, params):
         comps = _components_without(g, cut)
         grouping = _grouping(g, cut, t1, comps=comps)
         if grouping is not None:
-            return CutDescriptor("Vertex4", quad, grouping, large=True,
-                                 condition=1)
+            return CutDescriptor("Vertex4", quad, grouping, condition=1)
         small = _grouping(g, cut, 1, 1, comps=comps)
         v1 = small[0]
         if len(v1) > t1 - 2:
@@ -454,8 +451,7 @@ def ungated_find_large_4vc(g, params):
                 opt1_of[key] = None
         opt1 = opt1_of[key]
         if opt1 is not None and Fraction(opt1 + 4) <= params.alpha * opt1:
-            return CutDescriptor("Vertex4", quad, small, large=True,
-                                 condition=2)
+            return CutDescriptor("Vertex4", quad, small, condition=2)
     return None
 
 
