@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import (MultiGraph, biconnected_components, connected_components,
-                    two_edge_classes)
+                    simple_cycles_upto, two_edge_classes)
 from .params import StructuredParams
 
 # classification tags
@@ -249,13 +249,16 @@ class BlockTree:
 
 class ComponentGraphView:
     """Contraction of the host graph by the cover's components, without
-    self-loops; segments are its biconnected components."""
+    self-loops; segments are its biconnected components.  ``pairs[(a, b)]``
+    (a < b) holds the host edge ids between components a and b, ascending,
+    and ``nbrs[a]`` the components adjacent to a, ascending."""
 
     def __init__(self, g: MultiGraph, dec: CoverDecomposition):
         self.g = g
         self.dec = dec
         ncomp = len(dec.components)
         self.node_edges: list[tuple[int, int, int]] = []  # (node_u, node_v, g_eid)
+        self.pairs: dict[tuple[int, int], list[int]] = {}
         for eid, (u, v) in enumerate(g.edges):
             cu, cv = dec.comp_of_vertex[u], dec.comp_of_vertex[v]
             if cu == cv:
@@ -264,6 +267,11 @@ class ComponentGraphView:
                 continue
             a, b = min(cu, cv), max(cu, cv)
             self.node_edges.append((a, b, eid))
+            self.pairs.setdefault((a, b), []).append(eid)
+        self.nbrs: list[list[int]] = [[] for _ in range(ncomp)]
+        for a, b in sorted(self.pairs):     # a node's smaller neighbours first
+            self.nbrs[a].append(b)
+            self.nbrs[b].append(a)
         mg = MultiGraph(ncomp, [(a, b) for a, b, _ in self.node_edges])
         self.mg = mg
         segs = biconnected_components(mg)
@@ -275,19 +283,11 @@ class ComponentGraphView:
         self.cut_nodes = {i for i in range(ncomp) if seg_count[i] > 1}
 
     def edges_between(self, a: int, b: int) -> list[int]:
-        """Host edge ids running between components a and b."""
-        if a > b:
-            a, b = b, a
-        return sorted(eid for (x, y, eid) in self.node_edges if (x, y) == (a, b))
+        """Host edge ids running between components a and b, ascending."""
+        return self.pairs.get((min(a, b), max(a, b)), [])
 
     def neighbors(self, node: int) -> list[int]:
-        out = set()
-        for (x, y, _) in self.node_edges:
-            if x == node:
-                out.add(y)
-            elif y == node:
-                out.add(x)
-        return sorted(out)
+        return self.nbrs[node]
 
     def segments_of(self, node: int) -> list[set[int]]:
         return [s for s in self.segments if node in s]
@@ -314,39 +314,22 @@ def instantiate_node_cycle(view: ComponentGraphView, node_cycle: list[int],
             return
 
 
-def segment_cycles_through(view: ComponentGraphView, seg: set[int],
-                           node: int, max_len: int = 6) -> list[list[int]]:
-    """Simple node cycles inside ``seg`` through ``node``; 2-node 'cycles'
-    stand for parallel host edges."""
-    nodes = sorted(seg)
-    adj: dict[int, set[int]] = {x: set() for x in nodes}
-    parallel_pairs: dict[tuple[int, int], list[int]] = {}
-    for a, b, eid in view.node_edges:
-        if a in seg and b in seg:
-            adj[a].add(b)
-            adj[b].add(a)
-            parallel_pairs.setdefault((a, b), []).append(eid)
-    out: list[list[int]] = []
-    for (a, b), ids in sorted(parallel_pairs.items()):
-        if node in (a, b) and len(ids) >= 2:
-            out.append([a, b])
-
-    def dfs(path: list[int], seen: set[int]):
-        cur = path[-1]
-        for nxt in sorted(adj[cur]):
-            if nxt == node and len(path) >= 3:
-                out.append(list(path))
-            elif nxt not in seen and len(path) < max_len:
-                dfs(path + [nxt], seen | {nxt})
-
-    dfs([node], {node})
-    dedup = []
-    seen_keys = set()
-    for cyc in out:
-        key = (frozenset(cyc), len(cyc))
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        dedup.append(cyc)
-    dedup.sort(key=lambda c: (len(c), c))
-    return dedup
+def segment_cycles(view: ComponentGraphView, seg: set[int], max_len: int,
+                   through: Optional[int] = None) -> list[list[int]]:
+    """Simple node cycles inside ``seg`` with at most ``max_len`` nodes,
+    only those through ``through`` when it is set, sorted by (length,
+    sequence).  A node set appears once, as its least sequence from
+    ``simple_cycles_upto`` (rooted at ``through``, else at its smallest
+    node); a 2-node 'cycle' [a, b] stands for parallel host edges."""
+    inside = [(a, b) for a, b in view.pairs if a in seg and b in seg]
+    least: dict[frozenset[int], list[int]] = {}
+    for cyc in simple_cycles_upto(MultiGraph(view.mg.n, inside), max_len,
+                                  through=through):
+        key = frozenset(cyc)
+        if key not in least or cyc < least[key]:
+            least[key] = cyc
+    out = list(least.values())
+    out += [[a, b] for a, b in inside if len(view.pairs[(a, b)]) >= 2
+            and through in (None, a, b)]
+    out.sort(key=lambda c: (len(c), c))
+    return out

@@ -12,6 +12,7 @@ fallback keeps the run total (a BoundWaiver).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -19,7 +20,7 @@ from typing import Iterable
 from .credit import build_few_ledger
 from .decomp import (C4, LARGE2EC, BlockTree, Component, ComponentGraphView,
                      CoverDecomposition, instantiate_node_cycle,
-                     segment_cycles_through)
+                     segment_cycles)
 from .exchange import (ExchangeState, NoProgress, commit,
                        weakly_canonical_enough)
 from .graph import MultiGraph, ham_path_exists, path_edge_ids
@@ -62,13 +63,25 @@ class ComponentContext:
         self.dec = dec
         self.comp = comp
         self.tree = BlockTree(g, comp)
-        ncomp = len(dec.components)
         # nodes: 0..len(tree.nodes)-1 are T_C nodes; then one per other component
         self.tnodes = len(self.tree.nodes)
         self.other_ids: list[int] = [c.cid for c in dec.components
                                      if c.cid != comp.cid]
         self.node_of_comp = {cid: self.tnodes + i
                              for i, cid in enumerate(self.other_ids)}
+        # (node, host edge) pairs per node, sorted, for host edges outside H
+        # and outside the contraction classes
+        self.adj: list[list[tuple[int, int]]] = [
+            [] for _ in range(self.tnodes + len(self.other_ids))]
+        for eid, (u, v) in enumerate(g.edges):
+            if eid in dec.h:
+                continue
+            a, b = self.node_of_vertex(u), self.node_of_vertex(v)
+            if a != b:
+                self.adj[a].append((b, eid))
+                self.adj[b].append((a, eid))
+        for nb in self.adj:
+            nb.sort()
 
     def node_of_vertex(self, v: int) -> int:
         cid = self.dec.comp_of_vertex[v]
@@ -76,50 +89,26 @@ class ComponentContext:
             return self.tree.node_of_vertex[v]
         return self.node_of_comp[cid]
 
-    def nonbridge_links(self) -> list[tuple[int, int, int]]:
-        """(node_a, node_b, g_eid) for host edges outside H and outside the
-        contraction classes."""
-        out = []
-        for eid, (u, v) in enumerate(self.g.edges):
-            if eid in self.dec.h:
-                continue
-            a, b = self.node_of_vertex(u), self.node_of_vertex(v)
-            if a == b:
-                continue
-            out.append((min(a, b), max(a, b), eid))
-        return out
-
     def bridge_paths_from(self, u: int) -> dict[int, BridgePath]:
         """Shortest bridge-covering path from T_C node u to every reachable
         T_C node (interior nodes are contracted other-components only)."""
-        links = self.nonbridge_links()
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for a, b, eid in links:
-            adj.setdefault(a, []).append((b, eid))
-            adj.setdefault(b, []).append((a, eid))
-        for k in adj:
-            adj[k].sort()
         best: dict[int, BridgePath] = {}
-        from collections import deque
-        start = u
-        dist = {start: (0, ())}
-        dq = deque([start])
+        reached = {u: ()}      # node -> host edges of its BFS path from u
+        dq = deque([u])
         while dq:
             x = dq.popleft()
-            d, path = dist[x]
-            if x != start and x < self.tnodes:
+            if x != u and x < self.tnodes:
                 continue    # T_C nodes terminate a path
-            for y, eid in adj.get(x, ()):
-                if y in dist:
-                    continue
-                dist[y] = (d + 1, path + (eid,))
-                dq.append(y)
-        for y, (d, path) in dist.items():
-            if y == start or y >= self.tnodes:
+            for y, eid in self.adj[x]:
+                if y not in reached:
+                    reached[y] = reached[x] + (eid,)
+                    dq.append(y)
+        for y, path in reached.items():
+            if y == u or y >= self.tnodes:
                 continue
-            nodes, bridge_eids = self.tree.tree_path(start, y)
+            nodes, bridge_eids = self.tree.tree_path(u, y)
             bl = sum(1 for n in nodes if self.tree.is_block(n))
-            best[y] = BridgePath(u=start, v=y, edge_ids=path,
+            best[y] = BridgePath(u=u, v=y, edge_ids=path,
                                  br=len(bridge_eids), bl=bl,
                                  covered=tuple(bridge_eids))
         return best
@@ -211,9 +200,11 @@ def cover_bridges_step(state: ExchangeState) -> bool:
                        key=lambda c: min(c.vertices))
     if not complexes:
         return False
+    listed: list[list[BridgePath]] = []
     for comp in complexes:
         ctx = ComponentContext(state.g, state.dec, comp)
         paths = ctx.all_bridge_paths()
+        listed.append(paths)
         if not paths:
             continue
         # single-path dispatch: cheap paths first, then repayment-funded ones
@@ -240,10 +231,10 @@ def cover_bridges_step(state: ExchangeState) -> bool:
             if apply_candidate(state, adds, removes, "bridge_cover",
                                "nice-c5-exchange", need_fewer_bridges=True):
                 return True
-    # total fallback: any single bridge-covering path, waiving the bound
-    for comp in complexes:
-        ctx = ComponentContext(state.g, state.dec, comp)
-        for bp in ctx.all_bridge_paths():
+    # total fallback: any single bridge-covering path, waiving the bound;
+    # nothing was committed above, so the listed paths still hold
+    for paths in listed:
+        for bp in paths:
             if apply_candidate(state, bp.edge_ids, (), "bridge_cover",
                                "fallback-path", need_fewer_bridges=True,
                                waiver=True, strict_structure=False):
@@ -362,7 +353,7 @@ def _two_segment_exchange(state: ExchangeState, view: ComponentGraphView,
     g = state.g
     compA = state.dec.components[A]
     idsLA = view.edges_between(L, A)
-    cycles = segment_cycles_through(view, seg2, A, max_len=4)
+    cycles = segment_cycles(view, seg2, 4, through=A)
     for cyc in cycles:
         for combo in instantiate_node_cycle(view, cyc):
             for rem_extra in _cycle_removals_few(state, cyc, combo, skip={A}):
@@ -430,7 +421,7 @@ def _glue_wide_segment(state: ExchangeState, view: ComponentGraphView,
     # rejected while the state is unchanged
     c4_nodes = [x for x in seg if state.dec.components[x].tag == C4 and x != L]
     targets = list(dict.fromkeys(c4_nodes + [x for x in sorted(seg) if x != L]))
-    cycles = segment_cycles_through(view, seg, L, max_len=6)
+    cycles = segment_cycles(view, seg, 6, through=L)
     for cyc in cycles:
         label = ("nontrivial-long-cycle" if len(cyc) >= 6 else
                  "nontrivial-cycle")

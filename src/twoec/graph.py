@@ -333,11 +333,14 @@ def biconnected_components(g: MultiGraph, edge_subset: Optional[Iterable[int]] =
 # ---------------------------------------------------------------------------
 
 def simple_cycles_upto(g: MultiGraph, max_len: int,
-                       limit: Optional[int] = None) -> list[list[int]]:
+                       limit: Optional[int] = None,
+                       through: Optional[int] = None) -> list[list[int]]:
     """Vertex sequences of simple cycles with 3..max_len vertices.
 
     Each cycle is reported once, rooted at its smallest vertex with the
-    smaller second vertex first (canonical orientation).
+    smaller second vertex first (canonical orientation).  With ``through``
+    set, only the cycles through that vertex are reported, each rooted
+    there in the same orientation.
     """
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.simple_pairs():
@@ -346,7 +349,8 @@ def simple_cycles_upto(g: MultiGraph, max_len: int,
     for a in adj:
         a.sort()
     out: list[list[int]] = []
-    for root in range(g.n):
+    for root in range(g.n) if through is None else (through,):
+        low = root if through is None else -1
         stack = [(root, [root], {root})]
         while stack:
             v, path, onpath = stack.pop()
@@ -356,7 +360,7 @@ def simple_cycles_upto(g: MultiGraph, max_len: int,
                         out.append(list(path))
                         if limit is not None and len(out) >= limit:
                             return out
-                elif w > root and w not in onpath and len(path) < max_len:
+                elif w > low and w not in onpath and len(path) < max_len:
                     stack.append((w, path + [w], onpath | {w}))
     return out
 

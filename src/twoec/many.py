@@ -20,7 +20,7 @@ from . import oracle
 from .credit import CreditLedger, build_many_ledger, cost
 from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree, Component,
                      ComponentGraphView, CoverDecomposition,
-                     instantiate_node_cycle, segment_cycles_through)
+                     instantiate_node_cycle, segment_cycles)
 from .exchange import ExchangeState, NoProgress, canonical_shape_ok, commit
 from .graph import MultiGraph, connected_components, contract_many
 from .params import MANY_DELTA, StructuredParams
@@ -74,12 +74,12 @@ def _touch_map(state: ManyState, edge_set: Iterable[int]) -> dict[int, list[int]
     return touched
 
 
-def _shortcut_edges(state: ManyState, edge_set: tuple[int, ...]
+def _shortcut_edges(state: ManyState, touched: dict[int, list[int]]
                     ) -> tuple[dict[int, int], set[int]]:
     """Per touched C4: the shortcut H edge if two candidate edges enter at
-    adjacent cycle vertices; also the set of non-shortcut C4 component ids."""
+    adjacent cycle vertices; also the set of non-shortcut C4 component ids.
+    ``touched`` is the candidate's ``_touch_map``, as for the next two."""
     g, dec = state.g, state.dec
-    touched = _touch_map(state, edge_set)
     shortcuts: dict[int, int] = {}
     open_c4: set[int] = set()
     for cid, verts in touched.items():
@@ -98,8 +98,7 @@ def _shortcut_edges(state: ManyState, edge_set: tuple[int, ...]
     return shortcuts, open_c4
 
 
-def _complex_incidence_ok(state: ManyState, edge_set: tuple[int, ...]) -> bool:
-    touched = _touch_map(state, edge_set)
+def _complex_incidence_ok(state: ManyState, touched: dict[int, list[int]]) -> bool:
     for cid, verts in touched.items():
         comp = state.dec.components[cid]
         if comp.tag != COMPLEX:
@@ -111,8 +110,7 @@ def _complex_incidence_ok(state: ManyState, edge_set: tuple[int, ...]) -> bool:
     return True
 
 
-def _covers_bridge(state: ManyState, edge_set: tuple[int, ...]) -> bool:
-    touched = _touch_map(state, edge_set)
+def _covers_bridge(state: ManyState, touched: dict[int, list[int]]) -> bool:
     for cid, verts in touched.items():
         comp = state.dec.components[cid]
         if comp.tag != COMPLEX:
@@ -136,11 +134,11 @@ def evaluate_cycle(state: ManyState, combo: tuple[int, ...],
                    double: bool) -> Optional[MergeCandidate]:
     touched = _touch_map(state, combo)
     k = len(touched)
-    if not _complex_incidence_ok(state, combo):
+    if not _complex_incidence_ok(state, touched):
         return None
-    shortcuts, open_c4 = _shortcut_edges(state, combo)
+    shortcuts, open_c4 = _shortcut_edges(state, touched)
     j = len(open_c4)
-    covers = _covers_bridge(state, combo)
+    covers = _covers_bridge(state, touched)
     heavy = any(state.dec.components[cid].tag in CYCLE_TAGS
                 and state.dec.components[cid].tag != C4
                 for cid in touched)
@@ -162,21 +160,6 @@ def evaluate_cycle(state: ManyState, combo: tuple[int, ...],
     return None
 
 
-def _all_segment_cycles(view: ComponentGraphView, seg: set[int],
-                        max_len: int) -> list[list[int]]:
-    seen: set[tuple] = set()
-    out: list[list[int]] = []
-    for node in sorted(seg):
-        for cyc in segment_cycles_through(view, seg, node, max_len):
-            key = (frozenset(cyc), len(cyc))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(cyc)
-    out.sort(key=lambda c: (len(c), c))
-    return out
-
-
 def find_merge(state: ManyState, segments: Optional[list[set[int]]] = None
                ) -> Optional[MergeCandidate]:
     """Bounded search for a short heavy cycle, then a single merge, then a
@@ -186,7 +169,7 @@ def find_merge(state: ManyState, segments: Optional[list[set[int]]] = None
     best_single: Optional[MergeCandidate] = None
     cycle_nodes: set[int] = set()
     for seg in segs:
-        for cyc in _all_segment_cycles(view, seg, max_len=min(8, len(seg) + 1)):
+        for cyc in segment_cycles(view, seg, min(8, len(seg) + 1)):
             cycle_nodes.update(cyc)
             for combo in instantiate_node_cycle(view, cyc):
                 cand = evaluate_cycle(state, combo, (tuple(cyc),), double=False)
@@ -219,14 +202,13 @@ def _partial_cycles_through(state: ManyState, view: ComponentGraphView,
     its segments (used to compose double merges)."""
     out = []
     for seg in view.segments_of(node):
-        for cyc in segment_cycles_through(view, seg, node, max_len=5):
+        for cyc in segment_cycles(view, seg, 5, through=node):
             for combo in instantiate_node_cycle(view, cyc, cap=12):
                 out.append((tuple(cyc), combo))
     return out
 
 
-def apply_merge(state: ManyState, cand: MergeCandidate, phase: str = "merge"
-                ) -> bool:
+def apply_merge(state: ManyState, cand: MergeCandidate, phase: str) -> bool:
     """Commit (H + X) - F(X) with the closed-form audit."""
     before = cost(state.dec, state.led)
     cr_before = state.led.total_credit()
@@ -266,15 +248,15 @@ def find_31_merge(state: ManyState, target_cid: int, seg: set[int]
         comp = state.dec.components[cid]
         if comp.tag not in (C4, LARGE2EC):
             return None
-    for cyc in segment_cycles_through(view, seg, target_cid, max_len=4):
+    for cyc in segment_cycles(view, seg, 4, through=target_cid):
         for combo in instantiate_node_cycle(view, cyc):
-            shortcuts, open_c4 = _shortcut_edges(state, combo)
+            touched = _touch_map(state, combo)
+            shortcuts, open_c4 = _shortcut_edges(state, touched)
             if target_cid in shortcuts:
                 continue
             cand = evaluate_cycle(state, combo, (tuple(cyc),), double=False)
             if cand is None:
                 # accept the weaker 31-merge contract directly
-                touched = _touch_map(state, combo)
                 k = len(touched)
                 j = len(open_c4)
                 if k in (3, 4) and k - j >= 2:
@@ -483,7 +465,7 @@ def _cover_l_bridge(state: ManyState, L: int) -> bool:
     """Short-heavy bridge covering of the huge complex component."""
     view = state.view()
     for seg in view.segments_of(L):
-        for cyc in _all_segment_cycles(view, seg, max_len=6):
+        for cyc in segment_cycles(view, seg, 6):
             if L not in cyc:
                 continue
             for combo in instantiate_node_cycle(view, cyc):
@@ -574,7 +556,7 @@ def build_core_square(state: ManyState) -> dict:
             for seg in wide:
                 if any(x in view.cut_nodes for x in seg):
                     continue
-                for cyc in _all_segment_cycles(view, seg, max_len=4):
+                for cyc in segment_cycles(view, seg, 4):
                     if set(cyc) != set(seg):
                         continue
                     for combo in instantiate_node_cycle(view, cyc):

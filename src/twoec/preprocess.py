@@ -101,15 +101,12 @@ def _vertex_cuts(g: MultiGraph, k: int) -> Iterator[tuple[int, ...]]:
                     yield prefix + (d,)
 
 
-def _grouping(g: MultiGraph, cut: set[int], min1: int,
-              min2: Optional[int] = None,
+def _grouping(g: MultiGraph, cut: set[int], side: int,
               comps: Optional[list[list[int]]] = None
               ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Partition of V - cut into sorted (V1, V2) along component boundaries
-    with |V1| >= min1 minimal and |V2| >= min2 (defaults to min1).  ``comps``
-    are the components of G - cut, when the caller has them already."""
-    if min2 is None:
-        min2 = min1
+    with |V1| >= side minimal and |V2| >= side.  ``comps`` are the
+    components of G - cut, when the caller has them already."""
     if comps is None:
         comps = _components_without(g, cut)
     if len(comps) < 2:
@@ -126,7 +123,7 @@ def _grouping(g: MultiGraph, cut: set[int], min1: int,
     best = None
     for s in sorted(reach):
         chosen = reach[s]
-        if s >= min1 and total - s >= min2 and 0 < len(chosen) < len(comps):
+        if s >= side and total - s >= side and 0 < len(chosen) < len(comps):
             best = chosen
             break
     if best is None:
@@ -240,7 +237,7 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
                 return CutDescriptor("Vertex4", quad, grouping, condition=1)
         if not try2 or min(len(c) for c in comps) < s2:
             continue
-        small = _grouping(g, cut, 1, 1, comps=comps)
+        small = _grouping(g, cut, 1, comps=comps)
         v1 = small[0]
         if len(v1) > t1 - 2:
             continue

@@ -252,7 +252,7 @@ def test_criterion_5_step_monotonicity():
             cand = find_merge(state)
             if cand is None:
                 break
-            assert apply_merge(state, cand)
+            assert apply_merge(state, cand, "merge")
             bridges_now = len(state.bridge_ids())
             assert len(state.dec.components) < comps or bridges_now < comps
             comps = len(state.dec.components)
@@ -293,7 +293,7 @@ def test_criterion_6_merge_arithmetic():
             cand = find_merge(state)
             if cand is None:
                 break
-            assert apply_merge(state, cand)
+            assert apply_merge(state, cand, "merge")
         audits.extend(state.merge_audits)
     singles = [a for a in audits if a["kind"] == "single"]
     doubles = [a for a in audits if a["kind"] == "double"]

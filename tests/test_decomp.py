@@ -3,8 +3,9 @@ from collections import deque
 
 from twoec.decomp import (C4, C5, COMPLEX, LARGE2EC, RICH, Block,
                           BlockTree, Component, ComponentGraphView,
-                          CoverDecomposition)
-from twoec.graph import MultiGraph, connected_components, find_bridges
+                          CoverDecomposition, segment_cycles)
+from twoec.graph import (MultiGraph, connected_components, find_bridges,
+                         simple_cycles_upto)
 from twoec.params import desk_params
 
 P = desk_params()
@@ -184,3 +185,113 @@ def test_decomposition_matches_reference(multigraph_cases):
                     if all(g.edges[e][0] == g.edges[e][1] for e in b.edges))
                 multi_block += c.tag == COMPLEX and len(c.blocks) >= 2
     assert loop_only > 0 and multi_block > 0
+
+
+def segment_cycles_through(view: ComponentGraphView, seg: set[int],
+                           node: int, max_len: int = 6) -> list[list[int]]:
+    """Simple node cycles inside ``seg`` through ``node``; 2-node 'cycles'
+    stand for parallel host edges."""
+    nodes = sorted(seg)
+    adj: dict[int, set[int]] = {x: set() for x in nodes}
+    parallel_pairs: dict[tuple[int, int], list[int]] = {}
+    for a, b, eid in view.node_edges:
+        if a in seg and b in seg:
+            adj[a].add(b)
+            adj[b].add(a)
+            parallel_pairs.setdefault((a, b), []).append(eid)
+    out: list[list[int]] = []
+    for (a, b), ids in sorted(parallel_pairs.items()):
+        if node in (a, b) and len(ids) >= 2:
+            out.append([a, b])
+
+    def dfs(path: list[int], seen: set[int]):
+        cur = path[-1]
+        for nxt in sorted(adj[cur]):
+            if nxt == node and len(path) >= 3:
+                out.append(list(path))
+            elif nxt not in seen and len(path) < max_len:
+                dfs(path + [nxt], seen | {nxt})
+
+    dfs([node], {node})
+    dedup = []
+    seen_keys = set()
+    for cyc in out:
+        key = (frozenset(cyc), len(cyc))
+        if key in seen_keys:
+            continue
+        seen_keys.add(key)
+        dedup.append(cyc)
+    dedup.sort(key=lambda c: (len(c), c))
+    return dedup
+
+
+def _all_segment_cycles(view: ComponentGraphView, seg: set[int],
+                        max_len: int) -> list[list[int]]:
+    seen: set[tuple] = set()
+    out: list[list[int]] = []
+    for node in sorted(seg):
+        for cyc in segment_cycles_through(view, seg, node, max_len):
+            key = (frozenset(cyc), len(cyc))
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(cyc)
+    out.sort(key=lambda c: (len(c), c))
+    return out
+
+
+def random_view(rnd):
+    """A component-graph view with many nodes: a random host multigraph
+    (parallel copies included) under a sparse random cover."""
+    n = rnd.randint(4, 14)
+    edges = [(rnd.randrange(n), rnd.randrange(n))
+             for _ in range(rnd.randint(n, 3 * n))]
+    edges += [rnd.choice(edges) for _ in range(rnd.randint(0, n // 2))]
+    g = MultiGraph(n, edges)
+    h = {e for e in range(g.m) if rnd.random() < 0.15}
+    return ComponentGraphView(g, CoverDecomposition(g, h, P))
+
+
+def test_view_index_matches_edge_scan():
+    """``edges_between`` and ``neighbors`` read the index built once; they
+    answer what a scan of every node edge gives, on seeded random views."""
+    rnd = random.Random(2727)
+    for _ in range(300):
+        view = random_view(rnd)
+        for x in range(view.mg.n):
+            assert view.neighbors(x) == sorted(
+                {a + b - x for a, b, _ in view.node_edges if x in (a, b)})
+            for y in range(view.mg.n):
+                assert view.edges_between(x, y) == sorted(
+                    eid for a, b, eid in view.node_edges
+                    if (a, b) == (min(x, y), max(x, y)))
+
+
+def test_segment_cycles_match_reference_dfs():
+    """``segment_cycles`` against the per-node DFS and the all-roots wrapper
+    it replaced, on 500 seeded random views: every node of a random
+    segment (one of three or more nodes when there is one) as ``through``,
+    and no ``through``, for ``max_len`` 2..8."""
+    rnd = random.Random(1818)
+    seen = {"parallel": 0, "shared_set": 0, "cases": 0}
+    for _ in range(500):
+        view = random_view(rnd)
+        g = view.mg
+        if not view.segments:
+            continue
+        seg = rnd.choice([s for s in view.segments if len(s) >= 3]
+                         or view.segments)
+        for max_len in range(2, 9):
+            want = _all_segment_cycles(view, seg, max_len)
+            assert segment_cycles(view, seg, max_len) == want
+            seen["parallel"] += any(len(c) == 2 for c in want)
+            raw = simple_cycles_upto(MultiGraph(
+                g.n, [p for p in view.pairs if p[0] in seg and p[1] in seg]),
+                max_len)
+            seen["shared_set"] += len(raw) > len({frozenset(c) for c in raw})
+            for node in sorted(seg):
+                assert (segment_cycles(view, seg, max_len, through=node)
+                        == segment_cycles_through(view, seg, node, max_len))
+                seen["cases"] += 1
+    assert min(seen["parallel"], seen["shared_set"]) >= 100, seen
+    assert seen["cases"] >= 15000, seen

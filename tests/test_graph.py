@@ -233,6 +233,48 @@ def test_simple_cycles_upto():
     assert lens == [3, 3, 3, 3, 4, 4, 4]
 
 
+def brute_cycles_through(g, v):
+    """Every simple cycle through v with at least three vertices, as the
+    vertex sequence from v with the smaller second vertex first, found by
+    trying every sequence of distinct vertices."""
+    adj = {frozenset(e) for e in g.edges if e[0] != e[1]}
+    others = [x for x in range(g.n) if x != v]
+    out = set()
+    for k in range(2, len(others) + 1):
+        for rest in itertools.permutations(others, k):
+            seq = (v,) + rest
+            if seq[1] < seq[-1] and all(
+                    frozenset((a, b)) in adj
+                    for a, b in zip(seq, seq[1:] + (v,))):
+                out.add(seq)
+    return out
+
+
+def test_simple_cycles_through_match_brute_force():
+    """``through=v``: each simple cycle through v with at most L vertices
+    exactly once, rooted at v with ``path[1] < path[-1]``, on seeded random
+    multigraphs of up to 7 vertices (self-loops and parallel copies
+    included), for every v and every L from 2 to n + 1."""
+    rnd = random.Random(4242)
+    found = 0
+    for _ in range(300):
+        n = rnd.randint(1, 7)
+        edges = [(rnd.randrange(n), rnd.randrange(n))
+                 for _ in range(rnd.randint(0, 3 * n))]
+        edges += [rnd.choice(edges) for _ in range(len(edges) // 4)]
+        g = MultiGraph(n, edges)
+        for v in range(n):
+            brute = brute_cycles_through(g, v)
+            found += len(brute)
+            for max_len in range(2, n + 2):
+                got = simple_cycles_upto(g, max_len, through=v)
+                assert all(c[0] == v and c[1] < c[-1] for c in got), got
+                assert len(got) == len({tuple(c) for c in got}), got
+                assert ({tuple(c) for c in got}
+                        == {c for c in brute if len(c) <= max_len}), g.edges
+    assert found >= 1000, found
+
+
 def test_ham_path():
     g = cycle_graph(4)
     assert ham_path_exists(g, {0, 1, 2, 3}, 0, 1) is not None

@@ -98,7 +98,7 @@ def test_single_merge_3_0():
     assert cand is not None
     assert cand.kind == "single" and cand.k == 3 and cand.j == 0
     before = cost(state.dec, state.led)
-    assert apply_merge(state, cand)
+    assert apply_merge(state, cand, "merge")
     assert len(state.dec.components) == 1
     audit = state.merge_audits[-1]
     assert audit["bound_ok"]
@@ -121,7 +121,7 @@ def test_short_heavy_cycle():
     cand = find_merge(state)
     assert cand is not None and cand.kind == "short_heavy"
     before_cr = state.led.total_credit()
-    assert apply_merge(state, cand)
+    assert apply_merge(state, cand, "merge")
     audit = state.merge_audits[-1]
     assert audit["bound_ok"]
     assert audit["cr_drop"] >= audit["x_size"]
@@ -152,7 +152,7 @@ def test_compose_double_from_31():
     cand = compose_double_from_31(state, 0)
     assert cand is not None
     assert cand.kind == "double" and cand.k == 5 and cand.j == 1
-    assert apply_merge(state, cand)
+    assert apply_merge(state, cand, "merge")
     audit = state.merge_audits[-1]
     assert audit["bound_ok"]
     assert len(state.dec.components) == 1

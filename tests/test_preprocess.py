@@ -316,7 +316,7 @@ def reference_find_large_4vc(g, params):
         grouping = _grouping(g, cut, t1)
         if grouping is not None:
             return CutDescriptor("Vertex4", quad, grouping, condition=1)
-        small = _grouping(g, cut, 1, 1)
+        small = _grouping(g, cut, 1)
         if small is None:
             continue
         v1 = small[0]
@@ -437,7 +437,7 @@ def ungated_find_large_4vc(g, params):
         grouping = _grouping(g, cut, t1, comps=comps)
         if grouping is not None:
             return CutDescriptor("Vertex4", quad, grouping, condition=1)
-        small = _grouping(g, cut, 1, 1, comps=comps)
+        small = _grouping(g, cut, 1, comps=comps)
         v1 = small[0]
         if len(v1) > t1 - 2:
             continue
@@ -528,7 +528,7 @@ def test_find_large_4vc_one_oracle_call_per_side(name, shared, monkeypatch):
     for quad in _vertex_cuts(g, 4):
         if _grouping(g, set(quad), t1) is not None:
             break
-        v1 = _grouping(g, set(quad), 1, 1)[0]
+        v1 = _grouping(g, set(quad), 1)[0]
         if P.four_cut_small_side <= len(v1) <= t1 - 2:
             cuts += 1
             sides.add(frozenset(v1))
