@@ -6,16 +6,15 @@ import json
 import sys
 
 from . import harness
-from .credit import LedgerError
 from .exchange import NoProgress
 from .graph import GraphError
 from .oracle import Infeasible, NotTwoEdgeConnected, TooLarge
 
 # exit codes 0 (verified), 1 (not verified) and 2 (usage, from argparse) are
 # taken; each typed failure gets its own code from 3 up, and 9 is a file that
-# cannot be read or written
+# cannot be read or written; 8 stays unused so that no code changes meaning
 ERROR_EXIT_CODES = {GraphError: 3, NotTwoEdgeConnected: 4, TooLarge: 5,
-                    Infeasible: 6, NoProgress: 7, LedgerError: 8, OSError: 9}
+                    Infeasible: 6, NoProgress: 7, OSError: 9}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,10 +13,6 @@ FEW = "FEW"
 MANY = "MANY"
 
 
-class LedgerError(ValueError):
-    pass
-
-
 @dataclass
 class CreditLedger:
     scheme: str
@@ -141,12 +137,13 @@ def apply_rich_transform(g: MultiGraph, dec: CoverDecomposition
     return CoverDecomposition(g, h, dec.params, rich), converted
 
 
-def build_few_ledger(g: MultiGraph, dec: CoverDecomposition,
-                     strict: bool = True) -> tuple[CoverDecomposition, CreditLedger, dict]:
+def build_few_ledger(g: MultiGraph, dec: CoverDecomposition
+                     ) -> tuple[CoverDecomposition, CreditLedger, dict]:
     """Rich-vertex transform, scheme credits, colors, and initial loans.
 
     Returns the (possibly transformed) decomposition, the ledger, and an
-    info dict carrying beta and the pre-transform size for bound audits.
+    info dict carrying beta and the pre-transform size for bound audits.  A
+    loan over its colour's bridge credits is clipped and recorded as a waiver.
     """
     delta = FEW_DELTA
     h0_size = len(dec.h)
@@ -189,10 +186,6 @@ def build_few_ledger(g: MultiGraph, dec: CoverDecomposition,
             waivers.append(f"component {min(comp.vertices)}: non-canonical block sizes")
         cap = led.bridge_credit_of_color(color)
         if loan > cap:
-            if strict:
-                raise LedgerError(
-                    f"loan {loan} exceeds bridge credits {cap} (component "
-                    f"{sorted(comp.vertices)[:4]}...); cover is not canonical")
             waivers.append(f"color {color}: loan clipped {loan} -> {cap}")
             loan = cap
         if loan > 0:
@@ -201,22 +194,18 @@ def build_few_ledger(g: MultiGraph, dec: CoverDecomposition,
             "waivers": waivers}
     bound = (Fraction(5, 4) - (1 - beta) * delta) * h0_size
     info["initial_bound_ok"] = (cost(dec, led) - led.total_loan()) <= bound
-    info["initial_bound"] = bound
-    if strict and not info["initial_bound_ok"]:
-        raise LedgerError("initial cost - loan exceeds the FEW starting bound")
     return dec, led, info
 
 
-def build_many_ledger(dec: CoverDecomposition,
-                      strict: bool = True) -> tuple[CreditLedger, dict]:
+def build_many_ledger(dec: CoverDecomposition) -> tuple[CreditLedger, dict]:
+    """Scheme credits for MANY; ``info["bound_ok"]`` says whether the
+    starting cost is within (5/4 - delta) m4 + 5 mr."""
     delta = MANY_DELTA
     led = derive_credits(dec, MANY, delta)
     m4 = dec.c4_edge_count()
     mr = len(dec.h) - m4
     bound = (Fraction(5, 4) - delta) * m4 + 5 * mr
     ok = cost(dec, led) <= bound
-    if strict and not ok:
-        raise LedgerError("MANY starting cost exceeds (5/4 - delta) m4 + 5 mr")
     return led, {"m4": m4, "mr": mr, "bound": bound, "bound_ok": ok}
 
 

@@ -173,12 +173,13 @@ class CoverDecomposition:
             deg[v] += 1
         return deg
 
-    def is_two_edge_cover(self, allow_rich: bool = True) -> bool:
+    def is_two_edge_cover(self) -> bool:
+        """Every vertex has degree >= 2 in H, isolated rich vertices aside."""
         deg = self.vertex_degrees()
         for v in range(self.g.n):
             if deg[v] >= 2:
                 continue
-            if allow_rich and v in self.rich_vertices and deg[v] == 0:
+            if v in self.rich_vertices and deg[v] == 0:
                 continue
             return False
         return True
@@ -198,13 +199,13 @@ class BlockTree:
         node_of_vertex: dict[int, int] = {}
         for bi, blk in enumerate(comp.blocks):
             idx = len(self.nodes)
-            self.nodes.append({"kind": "block", "block": blk, "vertices": blk.vertices})
+            self.nodes.append({"kind": "block", "block": blk})
             for v in blk.vertices:
                 node_of_vertex[v] = idx
         for v in sorted(comp.vertices):
             if v not in node_of_vertex:
                 idx = len(self.nodes)
-                self.nodes.append({"kind": "lonely", "vertex": v, "vertices": {v}})
+                self.nodes.append({"kind": "lonely"})
                 node_of_vertex[v] = idx
         self.node_of_vertex = node_of_vertex
         self.adj: list[list[tuple[int, int]]] = [[] for _ in self.nodes]

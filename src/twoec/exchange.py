@@ -70,7 +70,7 @@ class ExchangeState:
 def weakly_canonical_enough(dec: CoverDecomposition) -> bool:
     """FEW's structure rule: the cover property (rich vertices excepted) and
     the block-size floor of complex components."""
-    if not dec.is_two_edge_cover(allow_rich=True):
+    if not dec.is_two_edge_cover():
         return False
     return all(len(blk.edges) >= 5 for c in dec.components
                if c.tag == COMPLEX for blk in c.blocks)

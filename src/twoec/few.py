@@ -470,11 +470,11 @@ def _glue_wide_segment(state: ExchangeState, view: ComponentGraphView,
 # driver
 # ---------------------------------------------------------------------------
 
-def run_few(g: MultiGraph, h0: set[int], params: StructuredParams,
-            strict: bool = True) -> tuple[set[int], ExchangeState]:
+def run_few(g: MultiGraph, h0: set[int], params: StructuredParams
+            ) -> tuple[set[int], ExchangeState]:
     """Ledger build, bridge covering to bridgeless, gluing to one component."""
     dec0 = CoverDecomposition(g, h0, params)
-    dec, led, info = build_few_ledger(g, dec0, strict=strict)
+    dec, led, info = build_few_ledger(g, dec0)
     state = ExchangeState(g, dec, led, params, info)
     guard = g.m + len(dec.components) + 4
     while state.bridge_ids() and guard > 0:
@@ -485,8 +485,6 @@ def run_few(g: MultiGraph, h0: set[int], params: StructuredParams,
         guard -= 1
     if guard <= 0:
         raise NoProgress("step budget exhausted")
-    if strict and state.led.total_loan() != 0:
-        raise NoProgress("terminal loan is nonzero")
     beta = info["beta"]
     bound = (Fraction(5, 4) - (1 - beta) * FEW_DELTA) * info["h0_size"]
     state.info["final_bound"] = bound

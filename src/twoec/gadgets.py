@@ -241,27 +241,6 @@ def shortcut_ring(k: int = 5) -> MultiGraph:
     return g
 
 
-def branch_fig() -> MultiGraph:
-    """The branching-gluing-path topology: a C4 with two 2-petal branches
-    whose composition is a double (5,1)-merge."""
-    b = Builder()
-    z = b.vertices(4)
-    b.cycle(z)
-    petals = []
-    for base_v in (z[0], z[2]):
-        p1 = b.vertices(4)
-        b.cycle(p1)
-        p2 = b.vertices(4)
-        b.cycle(p2)
-        b.edge(base_v, p1[0])
-        b.edge(p1[1], p2[0])
-        b.edge(p2[1], base_v)
-        petals.append((p1, p2))
-    g = b.graph()
-    assert is_two_edge_connected(g)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # planted-cut gadgets for the reduction branches
 # ---------------------------------------------------------------------------

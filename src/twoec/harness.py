@@ -8,7 +8,6 @@ from typing import Optional
 
 from . import gadgets, oracle
 from .cover import canonicalize, min_triangle_free_cover
-from .credit import LedgerError
 from .exchange import NoProgress
 from .few import run_few
 from .graph import GraphError, MultiGraph, is_two_edge_connected
@@ -84,8 +83,8 @@ class RunReport:
         return out
 
 
-def cover_pipeline(g: MultiGraph, params: StructuredParams, mode: str = "auto",
-                   strict: bool = False) -> tuple[set[int], dict]:
+def cover_pipeline(g: MultiGraph, params: StructuredParams, mode: str = "auto"
+                   ) -> tuple[set[int], dict]:
     """Canonical cover, then the FEW or MANY transformation by the 4-cycle
     edge fraction; returns the solution and step statistics."""
     h_min, certified = min_triangle_free_cover(g, mode="exact")
@@ -101,9 +100,9 @@ def cover_pipeline(g: MultiGraph, params: StructuredParams, mode: str = "auto",
     stats = {"h0_size": len(h0), "beta": beta, "branch": branch,
              "canonicalize_steps": canon_steps, "cover_certified": certified}
     if branch == "few":
-        sol, state = run_few(g, h0, params, strict=strict)
+        sol, state = run_few(g, h0, params)
     else:
-        sol, state = run_many(g, h0, params, strict=strict)
+        sol, state = run_many(g, h0, params)
     stats["steps"] = [r.to_json() for r in state.trace]
     stats["waivers"] = sum(1 for r in state.trace if r.waiver)
     stats["info"] = state.info
@@ -125,7 +124,7 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
         report.branch = "exact"
         opt = len(sol)
     elif config.mode in ("few", "many"):
-        sol, main = cover_pipeline(g, params, mode=config.mode, strict=False)
+        sol, main = cover_pipeline(g, params, mode=config.mode)
         report.branch = main["branch"]
     else:
         sol, trace = red(g, params,
@@ -139,13 +138,11 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
             # audit sidecar: exercise the cover machinery on the whole
             # instance and keep its solution when it happens to win
             try:
-                side_sol, main = cover_pipeline(g, params, mode="auto",
-                                                strict=False)
+                side_sol, main = cover_pipeline(g, params, mode="auto")
                 report.branch = main["branch"]
                 if oracle._two_ec_on(g, side_sol) and len(side_sol) < len(sol):
                     sol = side_sol
-            except (NoProgress, LedgerError, oracle.TooLarge,
-                    oracle.Infeasible):
+            except (NoProgress, oracle.TooLarge, oracle.Infeasible):
                 report.branch = "red-only"
 
     if main:
@@ -194,7 +191,7 @@ def generate(kind: str, seed: int = 0, **kw) -> MultiGraph:
     if kind == "loan_complex":
         return gadgets.loan_complex(kw.get("bridges", 3))
     if kind == "branch_fig":
-        return gadgets.branch_fig()
+        return gadgets.double_merge_host()
     if kind == "star_complex":
         return gadgets.star_complex(kw.get("k", 3), kw.get("hub_len", 9),
                                     kw.get("chain", 1))

@@ -306,9 +306,6 @@ class GluingPath:
     nodes: list[int]
     edges: list[int]          # host edge ids; edges[i] joins nodes[i], nodes[i+1]
 
-    def length(self) -> int:
-        return len(self.edges)
-
 
 def _node_pattern_ok(state: ManyState, node: int, e_in: Optional[int],
                      e_out: Optional[int]) -> bool:
@@ -676,16 +673,15 @@ def _stitch_part(state: ManyState, L: int, part: list[int]) -> bool:
                       cost_slack=Fraction(4 * len(part), 1) * MANY_DELTA)
 
 
-def run_many(g: MultiGraph, h0: set[int], params: StructuredParams,
-             strict: bool = True) -> tuple[set[int], ManyState]:
+def run_many(g: MultiGraph, h0: set[int], params: StructuredParams
+             ) -> tuple[set[int], ManyState]:
     dec = CoverDecomposition(g, h0, params)
-    led, info = build_many_ledger(dec, strict=strict)
+    led, info = build_many_ledger(dec)
     info = dict(info)
     info["h0_size"] = len(h0)
     m4, mr = info["m4"], info["mr"]
     state = ManyState(g, dec, led, params, info)
-    rep = build_core_square(state)
-    state.info["core_square"] = rep
+    build_core_square(state)
     guard = len(state.dec.components) + 4
     while len(state.dec.components) > 1 and guard > 0:
         guard -= 1

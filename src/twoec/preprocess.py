@@ -524,12 +524,12 @@ class SideTypeTable:
         sol = self.minima.get(t)
         return None if sol is None else len(sol)
 
-    def t_min(self, available: Optional[set[str]] = None
+    def t_min(self, available: set[str]
               ) -> tuple[Optional[str], Optional[set[int]]]:
         order = T2_ORDER if len(self.cut) == 2 else T3_ORDER
         best_t, best_sol = None, None
         for t in order:
-            if available is not None and t not in available:
+            if t not in available:
                 continue
             sol = self.minima.get(t)
             if sol is None:

@@ -52,6 +52,17 @@ def c4_merge_witness(g: MultiGraph, dec: CoverDecomposition
     return None
 
 
+def is_two_edge_cover(dec: CoverDecomposition, allow_rich: bool) -> bool:
+    """Every vertex has degree at least 2 in the cover; ``allow_rich``
+    excepts the rich vertices of degree 0."""
+    deg = [0] * dec.g.n
+    for eid in dec.h:
+        for v in dec.g.edges[eid]:
+            deg[v] += 1
+    return all(d >= 2 or (allow_rich and d == 0 and v in dec.rich_vertices)
+               for v, d in enumerate(deg))
+
+
 def is_canonical(g: MultiGraph, h: set[int], params: StructuredParams,
                  rich_vertices: Optional[set[int]] = None,
                  weak: bool = False) -> CanonicalReport:
@@ -59,7 +70,7 @@ def is_canonical(g: MultiGraph, h: set[int], params: StructuredParams,
     vertices (degree-0) instead of requiring the full cover property."""
     dec = CoverDecomposition(g, h, params, rich_vertices)
     rep = CanonicalReport()
-    rep.clauses["two_edge_cover"] = dec.is_two_edge_cover(allow_rich=weak)
+    rep.clauses["two_edge_cover"] = is_two_edge_cover(dec, weak)
     bad_comp = None
     for comp in dec.components:
         if comp.is_rich:

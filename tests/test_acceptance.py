@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from canonical import is_canonical
+from ledger_checks import assert_few_ledger_ok, assert_many_ledger_ok
 from twoec import gadgets, harness, oracle
 from twoec.cover import canonicalize, min_triangle_free_cover
 from twoec.credit import build_few_ledger, check_invariants, cost
@@ -193,6 +194,7 @@ def test_criterion_4_few_ledger_bound():
             dec0 = CoverDecomposition(g, h0, P)
         beta = Fraction(dec0.c4_edge_count(), len(h0))
         dec, led, info = build_few_ledger(g, dec0)
+        assert_few_ledger_ok(info)
         bound = (Fraction(5, 4) - (1 - beta) * FEW_DELTA) * len(h0)
         assert cost(dec, led) - led.total_loan() <= bound
         assert not check_invariants(g, dec, led)
@@ -220,6 +222,7 @@ def test_criterion_5_step_monotonicity():
         h0 = cover_for(g)
         dec0 = CoverDecomposition(g, h0, P)
         dec, led, info = build_few_ledger(g, dec0)
+        assert_few_ledger_ok(info)
         state = ExchangeState(g, dec, led, P, info)
         metric = cost(state.dec, state.led) - state.led.total_loan()
         bridges = len(state.bridge_ids())
@@ -244,7 +247,7 @@ def test_criterion_5_step_monotonicity():
     # MANY phase gadgets
     for g, h0 in many_merge_instances():
         dec = CoverDecomposition(g, h0, P)
-        led, info = build_many_ledger(dec, strict=False)
+        led, info = build_many_ledger(dec)
         state = ManyState(g, dec, led, P, dict(info))
         comps = len(state.dec.components)
         c = cost(state.dec, state.led)
@@ -274,7 +277,7 @@ def many_merge_instances():
                if (u < 9) == (v < 9)}
     g3 = gadgets.shortcut_ring(5)
     yield g3, set(range(20))
-    g4 = gadgets.branch_fig()
+    g4 = gadgets.double_merge_host()
     yield g4, {e for e, (u, v) in enumerate(g4.edges)
                if abs(u - v) <= 3 and (u // 4 == v // 4)}
 
@@ -287,7 +290,7 @@ def test_criterion_6_merge_arithmetic():
     audits = []
     for g, h0 in many_merge_instances():
         dec = CoverDecomposition(g, h0, P)
-        led, info = build_many_ledger(dec, strict=False)
+        led, info = build_many_ledger(dec)
         state = ManyState(g, dec, led, P, dict(info))
         while True:
             cand = find_merge(state)
@@ -322,6 +325,7 @@ def test_criterion_7_core_square():
         dec = CoverDecomposition(g, h0, P)
         assert is_canonical(g, h0, P).ok
         led, info = build_many_ledger(dec)
+        assert_many_ledger_ok(info)
         state = ManyState(g, dec, led, P, dict(info))
         before = cost(state.dec, state.led)
         rep = build_core_square(state)
@@ -342,6 +346,7 @@ def test_criterion_8_many_bound():
         h0 = non_hub_cover(g, 9)
         opt = len(oracle.exact_min_2ecss(g))
         sol, state = run_many(g, h0, P)
+        assert_many_ledger_ok(state.info)
         assert oracle._two_ec_on(g, sol)
         dec0 = CoverDecomposition(g, h0, P)
         m4 = dec0.c4_edge_count()

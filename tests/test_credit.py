@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from twoec.credit import (FEW, MANY, LedgerError, build_few_ledger,
-                          build_many_ledger, check_invariants, cost,
-                          derive_credits, is_nice_c5_block)
+from ledger_checks import assert_few_ledger_ok, assert_many_ledger_ok
+from twoec.credit import (FEW, MANY, build_few_ledger, build_many_ledger,
+                          check_invariants, cost, derive_credits,
+                          is_nice_c5_block)
 from twoec.decomp import CoverDecomposition
 from twoec.graph import MultiGraph
 from twoec.params import desk_params
@@ -78,13 +79,12 @@ def test_nice_c5_detection_and_rich_transform():
     assert len(comp.blocks) == 2 and len(comp.bridges) == 2
     assert all(is_nice_c5_block(g, dec, comp, b) for b in comp.blocks)
     dec2, led, info = build_few_ledger(g, dec)
+    assert_few_ledger_ok(info)
     assert info["rich_added"] == [5]
     rich = [c for c in dec2.components if c.is_rich]
     assert len(rich) == 1
     assert led.rich_credit[5] == 2 * (Fraction(5, 4) - D_FEW)
     assert not check_invariants(g, dec2, led)
-    # initial FEW bound holds
-    assert info["initial_bound_ok"]
 
 
 def three_c4s_host():
@@ -99,6 +99,7 @@ def test_few_ledger_three_c4s_no_loans():
     g, h = three_c4s_host()
     dec = CoverDecomposition(g, h, P)
     dec2, led, info = build_few_ledger(g, dec)
+    assert_few_ledger_ok(info)
     assert not led.loans
     assert cost(dec2, led) == 15       # (5/4) * 12
     assert info["beta"] == 1
@@ -121,16 +122,17 @@ def test_few_ledger_two_blocks_loan():
     g, h = two_block_loan_host()
     dec = CoverDecomposition(g, h, P)
     dec2, led, info = build_few_ledger(g, dec)
+    assert_few_ledger_ok(info)
     # k = 10 edges in blocks: loan = 3 - 10(1/4 - delta) = 1/2 + 10 delta
     assert list(led.loans.values()) == [Fraction(1, 2) + 10 * D_FEW]
     assert not check_invariants(g, dec2, led)
-    assert info["initial_bound_ok"]
 
 
 def test_corrupted_loan_flags_violation():
     g, h = two_block_loan_host()
     dec = CoverDecomposition(g, h, P)
     dec2, led, info = build_few_ledger(g, dec)
+    assert_few_ledger_ok(info)
     color = next(iter(led.loans))
     led.loans[color] = Fraction(10)
     problems = check_invariants(g, dec2, led)
@@ -141,7 +143,7 @@ def test_many_ledger_bound():
     g, h = three_c4s_host()
     dec = CoverDecomposition(g, h, P)
     led, info = build_many_ledger(dec)
-    assert info["bound_ok"]
+    assert_many_ledger_ok(info)
     assert cost(dec, led) == (Fraction(5, 4) - D_MANY) * 12
 
 

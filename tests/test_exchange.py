@@ -13,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
+from canonical import is_two_edge_cover
+from ledger_checks import assert_few_ledger_ok
 from twoec import few, gadgets, many
 from twoec.cover import canonicalize, min_triangle_free_cover
 from twoec.credit import (FEW, MANY, build_few_ledger, check_invariants, cost,
@@ -39,7 +41,7 @@ def _reject(scheme: str, reason: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def reference_weakly_canonical_enough(g, dec) -> bool:
-    if not dec.is_two_edge_cover(allow_rich=True):
+    if not is_two_edge_cover(dec, allow_rich=True):
         return False
     for comp in dec.components:
         if comp.tag == COMPLEX:
@@ -50,7 +52,7 @@ def reference_weakly_canonical_enough(g, dec) -> bool:
 
 
 def reference_canonical_shape_ok(g, dec) -> bool:
-    if not dec.is_two_edge_cover(allow_rich=True):
+    if not is_two_edge_cover(dec, allow_rich=True):
         return False
     for comp in dec.components:
         if comp.is_rich:
@@ -287,14 +289,15 @@ def test_merged_commit_matches_the_two_routines(monkeypatch):
         for h0 in starting_covers(name, g):
             for run in (few.run_few, many.run_many):
                 try:
-                    run(g, h0, P, strict=False)
+                    run(g, h0, P)
                 except NoProgress:
                     pass
     # a loan over its 2-leaf cap: only the ledger check turns down an
     # exchange that creates no bridge and frees no cost to repay the loan,
     # and only the forced repayment makes some cheap exchanges too dear
     g = gadgets.bridge_chain()
-    dec, led, _ = build_few_ledger(g, CoverDecomposition(g, set(range(19)), P))
+    dec, led, info = build_few_ledger(g, CoverDecomposition(g, set(range(19)), P))
+    assert_few_ledger_ok(info)
     assert not differs[FEW](ExchangeState(g, dec, led, P, {}), (), (),
                             "empty", "empty")
     led.loans[0] = Fraction(1)

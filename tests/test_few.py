@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ledger_checks import assert_few_ledger_ok, assert_few_run_ok
 from twoec.credit import build_few_ledger, check_invariants, cost
 from twoec.decomp import CoverDecomposition
 from twoec.exchange import ExchangeState
@@ -17,6 +18,7 @@ P = desk_params()
 def make_state(g, h):
     dec0 = CoverDecomposition(g, h, P)
     dec, led, info = build_few_ledger(g, dec0)
+    assert_few_ledger_ok(info)
     return ExchangeState(g, dec, led, P, info)
 
 
@@ -127,9 +129,9 @@ def test_run_few_rich_vertex_end_to_end():
     g, h0 = nice_c5_rich_host()
     assert is_two_edge_connected(g)
     sol, state = run_few(g, h0, P)
+    assert_few_run_ok(state)
     assert _two_ec_on(g, sol)
     assert len({v for e in sol for v in g.edges[e]}) == g.n
-    assert state.led.total_loan() == 0
     assert state.info["final_bound_ok"]
     assert not any(r.waiver for r in state.trace)
     labels = [r.label for r in state.trace]
@@ -139,6 +141,7 @@ def test_run_few_rich_vertex_end_to_end():
 def test_run_few_loan_host_end_to_end():
     g, h0 = two_block_loan_host()
     sol, state = run_few(g, h0, P)
+    assert_few_run_ok(state)
     assert _two_ec_on(g, sol)
     assert state.info["final_bound_ok"]
     assert not any(r.waiver for r in state.trace)
@@ -147,6 +150,7 @@ def test_run_few_loan_host_end_to_end():
 def test_run_few_already_spanning():
     g = MultiGraph(9, [(i, (i + 1) % 9) for i in range(9)])
     sol, state = run_few(g, set(range(9)), P)
+    assert_few_run_ok(state)
     assert sol == set(range(9))
     assert not state.trace
 
@@ -157,6 +161,7 @@ def test_monotone_metrics_on_gadgets():
         g, h0 = builder()
         dec0 = CoverDecomposition(g, h0, P)
         dec, led, info = build_few_ledger(g, dec0)
+        assert_few_ledger_ok(info)
         state = ExchangeState(g, dec, led, P, info)
         metric = cost(state.dec, state.led) - state.led.total_loan()
         bridges = len(state.bridge_ids())
@@ -211,6 +216,7 @@ def test_run_few_on_square_free_seed():
     g, _ = hub_with_pendant_cycles()
     h0 = exact_min_cover(g, {3, 4})
     sol, state = run_few(g, h0, P)
+    assert_few_run_ok(state)
     assert _two_ec_on(g, sol)
     assert state.info["beta"] == 0
     assert state.info["final_bound"] == Fraction(5, 4) * len(h0) - Fraction(len(h0), 100)

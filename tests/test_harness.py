@@ -7,7 +7,6 @@ import pytest
 
 from twoec import harness, oracle
 from twoec.cli import main as cli_main
-from twoec.credit import LedgerError
 from twoec.graph import GraphError, MultiGraph
 
 
@@ -238,7 +237,6 @@ def test_cli_missing_file(tmp_path, capsys):
 @pytest.mark.parametrize("exc,code", [
     (oracle.TooLarge("cover search budget exhausted"), 5),
     (oracle.Infeasible("no feasible cover under the forbidden-cycle rule"), 6),
-    (LedgerError("initial cost - loan exceeds the FEW starting bound"), 8),
 ])
 def test_cli_typed_solver_errors(exc, code, tmp_path, capsys, monkeypatch):
     def failing(g, config):
@@ -279,7 +277,7 @@ def test_pipeline_total_on_random_instances():
                              n=rnd.randint(6, 12),
                              p=rnd.choice([0.35, 0.6, 0.85]))
         for mode in ("few", "many"):
-            sol, stats = cover_pipeline(g, P, mode=mode, strict=False)
+            sol, stats = cover_pipeline(g, P, mode=mode)
             assert _two_ec_on(g, sol)
 
 

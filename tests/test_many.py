@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from ledger_checks import assert_few_run_ok, assert_many_ledger_ok
+from twoec import harness
 from twoec.credit import build_many_ledger, cost
 from twoec.decomp import C4, CoverDecomposition
 from twoec.graph import MultiGraph, is_two_edge_connected
@@ -17,7 +19,7 @@ P = desk_params()
 
 def make_state(g, h):
     dec = CoverDecomposition(g, h, P)
-    led, info = build_many_ledger(dec, strict=False)
+    led, info = build_many_ledger(dec)
     return ManyState(g, dec, led, P, dict(info))
 
 
@@ -67,6 +69,7 @@ def test_run_many_hub_c4():
         g, h = hub_c4(k)
         opt = len(exact_min_2ecss(g))
         sol, state = run_many(g, h, P)
+        assert_many_ledger_ok(state.info)
         assert _two_ec_on(g, sol)
         assert {v for e in sol for v in g.edges[e]} == set(range(g.n))
         # one stitched edge net per petal on top of H0
@@ -196,7 +199,7 @@ def test_gluing_path_extension():
     assert path is not None
     longer = extend_gluing_path(state, view, seg, path)
     assert longer is not None
-    assert longer.length() == path.length() + 1
+    assert len(longer.edges) == len(path.edges) + 1
     assert gluing_path_progress(state, seg) == "extended"
 
 
@@ -233,15 +236,22 @@ def test_many_with_large_component_behind_cut_c4():
     assert is_two_edge_connected(g)
     h0 = {e for e, (u, v) in enumerate(g.edges)
           if (u < 10) == (v < 10) and (u < 14) == (v < 14)}
-    sol, state = run_many(g, h0, P, strict=False)
+    sol, state = run_many(g, h0, P)
     assert _two_ec_on(g, sol)
     assert {v for e in sol for v in g.edges[e]} == set(range(g.n))
     assert not any(r.waiver for r in state.trace)
 
 
-def test_composite_few_pipeline_strict():
+def test_composite_few_pipeline_strict(monkeypatch):
     from twoec.gadgets import Builder, add_c4_petal
-    from twoec.harness import cover_pipeline
+    real_run_few = harness.run_few
+    few_runs = []
+
+    def recorded_run_few(*args):
+        few_runs.append(real_run_few(*args))
+        return few_runs[-1]
+
+    monkeypatch.setattr(harness, "run_few", recorded_run_few)
     b = Builder()
     hub = b.vertices(12)
     b.cycle(hub)
@@ -268,9 +278,11 @@ def test_composite_few_pipeline_strict():
     b.edge(c[3], hub[11])
     g = b.graph()
     for mode in ("few", "many"):
-        sol, stats = cover_pipeline(g, P, mode=mode, strict=(mode == "few"))
+        sol, stats = harness.cover_pipeline(g, P, mode=mode)
         assert _two_ec_on(g, sol)
         assert stats["waivers"] == 0
+    [(_, few_state)] = few_runs
+    assert_few_run_ok(few_state)
 
 
 def test_gluing_path_complex_pattern_rule():
@@ -286,7 +298,7 @@ def test_gluing_path_complex_pattern_rule():
     h = set(range(12)) | {12, 13, 14}
     dec = CoverDecomposition(g, h, P)
     from twoec.credit import build_many_ledger
-    led, info = build_many_ledger(dec, strict=False)
+    led, info = build_many_ledger(dec)
     state = ManyState(g, dec, led, P, dict(info))
     comp = [c for c in dec.components if c.bridges][0]
     e_in = [e for e, (u, v) in enumerate(g.edges) if {u, v} == {5, 11}][0]

@@ -12,7 +12,7 @@ from twoec.graph import (MultiGraph, articulation_points, find_bridges,
                          two_edge_classes)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
 from twoec.params import StructuredParams, desk_params
-from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CYCLE_CAP,
+from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CYCLE_CAP, T2_ORDER,
                               CutDescriptor,
                               _c2_path_pair,
                               _class_connector, _components_without,
@@ -122,7 +122,7 @@ def test_side_types_c4_through_cut():
     table = classify_side_types(g, {2, 3}, [0, 1])
     assert table.opt_size("A") == 4
     assert table.opt_size("B") == 3
-    t, sol = table.t_min()
+    t, sol = table.t_min(set(T2_ORDER))
     assert t == "B"
 
 
