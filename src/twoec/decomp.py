@@ -48,6 +48,13 @@ class Component:
         return tuple(sorted(self.vertices))
 
 
+def cover_edge(g: MultiGraph, comp: Component, u: int, v: int
+               ) -> Optional[int]:
+    """The first edge of ``comp.edges``, in its iteration order, that joins
+    u and v, or None."""
+    return next((e for e in comp.edges if set(g.edges[e]) == {u, v}), None)
+
+
 def _cycle_order(vertices: set[int], edges: list[tuple[int, int]]) -> Optional[list[int]]:
     """Vertex order if the edge list is a single simple cycle on vertices."""
     if len(edges) != len(vertices) or len(vertices) < 3:

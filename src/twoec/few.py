@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .credit import build_few_ledger
 from .decomp import (C4, LARGE2EC, BlockTree, Component, ComponentGraphView,
-                     CoverDecomposition, instantiate_node_cycle,
+                     CoverDecomposition, cover_edge, instantiate_node_cycle,
                      segment_cycles)
 from .exchange import (ExchangeState, NoProgress, commit,
                        weakly_canonical_enough)
@@ -322,11 +322,10 @@ def _glue_trivial_segment(state: ExchangeState, view: ComponentGraphView,
             k = len(compA.cycle_order)
             pos = {x: i for i, x in enumerate(compA.cycle_order)}
             if (pos[u] - pos[v]) % k in (1, k - 1):
-                join = [e for e in compA.edges if set(g.edges[e]) == {u, v}]
-                if join and apply_candidate(state, pair, (join[0],), "glue",
-                                            "cycle-hamiltonian",
-                                            need_fewer_components=True,
-                                            need_huge=need_huge):
+                join = cover_edge(g, compA, u, v)
+                if join is not None and apply_candidate(
+                        state, pair, (join,), "glue", "cycle-hamiltonian",
+                        need_fewer_components=True, need_huge=need_huge):
                     return True
         path = ham_path_exists(g, compA.vertices, u, v)
         if path:
@@ -383,9 +382,9 @@ def _removal_options_for_node(state: ExchangeState, node: int,
         return opts
     incident = sorted({x for e in adds for x in g.edges[e] if x in comp.vertices})
     for u, v in itertools.combinations(incident, 2):
-        ids = [e for e in comp.edges if set(g.edges[e]) == {u, v}]
-        if ids:
-            opts.append((ids[0],))
+        e = cover_edge(g, comp, u, v)
+        if e is not None:
+            opts.append((e,))
     return opts
 
 
@@ -404,9 +403,9 @@ def _cycle_removals_few(state: ExchangeState, node_cycle: list[int], combo,
         p = [x for x in g.edges[e_in] if x in comp.vertices]
         q = [x for x in g.edges[e_out] if x in comp.vertices]
         if p and q and p[0] != q[0]:
-            ids = [e for e in comp.edges if set(g.edges[e]) == {p[0], q[0]}]
-            if ids:
-                singles.append(ids[0])
+            e = cover_edge(g, comp, p[0], q[0])
+            if e is not None:
+                singles.append(e)
     for r in range(1, len(singles) + 1):
         for sub in itertools.combinations(singles, r):
             yield tuple(sub)

@@ -167,25 +167,6 @@ def lowpoint_forest(g: MultiGraph, eids: Optional[Iterable[int]] = None,
     return order, parent, pedge, disc, low
 
 
-def articulation_points(g: MultiGraph, skip: Iterable[int] = ()
-                        ) -> tuple[int, list[int]]:
-    """(number of components, ascending cut vertices) of G - skip, off
-    ``lowpoint_forest``.  A child v with low[v] >= disc[p] heads a block at
-    p; a root is a cut vertex with two such children, any other vertex with
-    one.  A parallel copy of the tree edge p-v sets low[v] only to disc[p],
-    so it changes neither."""
-    order, parent, _, disc, low = lowpoint_forest(g, skip=skip)
-    heads = [0] * g.n
-    ncomp = 0
-    for v in order:
-        p = parent[v]
-        if p == -1:
-            ncomp += 1
-        elif low[v] >= disc[p]:
-            heads[p] += 1
-    return ncomp, [v for v in range(g.n) if heads[v] > (parent[v] == -1)]
-
-
 def is_two_edge_connected(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> bool:
     """Connected and bridge-free; self-loops are ignored.  The 1-vertex graph
     counts as 2EC (contracted instances may collapse to a point).

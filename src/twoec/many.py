@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from . import oracle
 from .credit import CreditLedger, build_many_ledger, cost
 from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree, Component,
-                     ComponentGraphView, CoverDecomposition,
+                     ComponentGraphView, CoverDecomposition, cover_edge,
                      instantiate_node_cycle, segment_cycles)
 from .exchange import ExchangeState, NoProgress, canonical_shape_ok, commit
 from .graph import MultiGraph, connected_components, contract_many
@@ -88,9 +88,9 @@ def _shortcut_edges(state: ManyState, touched: dict[int, list[int]]
             continue
         found = None
         for u, v in itertools.combinations(sorted(set(verts)), 2):
-            ids = [e for e in comp.edges if set(g.edges[e]) == {u, v}]
-            if ids:
-                found = ids[0] if found is None else min(found, ids[0])
+            e = cover_edge(g, comp, u, v)
+            if e is not None:
+                found = e if found is None else min(found, e)
         if found is not None:
             shortcuts[cid] = found
         else:
@@ -321,7 +321,7 @@ def _node_pattern_ok(state: ManyState, node: int, e_in: Optional[int],
     if comp.tag == C4:
         if u == v:
             return False
-        return any(set(g.edges[e]) == {u, v} for e in comp.edges)
+        return cover_edge(g, comp, u, v) is not None
     if comp.tag == COMPLEX:
         in_block_u = any(u in blk.vertices for blk in comp.blocks)
         in_block_v = any(v in blk.vertices for blk in comp.blocks)
@@ -492,7 +492,26 @@ def _merge_in(state: ManyState, segs: list[set[int]]) -> bool:
     return False
 
 
-def build_core_square(state: ManyState) -> dict:
+def _final_plus_two(state: ManyState, view: ComponentGraphView, L: int
+                    ) -> bool:
+    """Commit the first final-plus-two cycle through a segment of L with three
+    or four components, none a cut node; a failed attempt changes nothing."""
+    for seg in view.segments_of(L):
+        if not 3 <= len(seg) <= 4 or any(x in view.cut_nodes for x in seg):
+            continue
+        for cyc in segment_cycles(view, seg, 4):
+            if set(cyc) != set(seg):
+                continue
+            for combo in instantiate_node_cycle(view, cyc):
+                if apply_many(state, combo, (), "core", "final-plus-two",
+                              need_fewer_components=True,
+                              cost_slack=Fraction(2)):
+                    state.plus_two_used = True
+                    return True
+    return False
+
+
+def build_core_square(state: ManyState) -> None:
     """Exhaustively apply the ordered reductions until the cover is a
     bridgeless core-square configuration; at most one +2 step."""
     guard = 4 * state.g.n + 16
@@ -547,34 +566,14 @@ def build_core_square(state: ManyState) -> dict:
             if _cover_l_bridge(state, L):
                 continue
         # 7. the final cycle through L's one wide segment, at most once, +2
-        if L is not None and not state.plus_two_used:
-            wide = [s for s in view.segments_of(L) if 3 <= len(s) <= 4]
-            done = False
-            for seg in wide:
-                if any(x in view.cut_nodes for x in seg):
-                    continue
-                for cyc in segment_cycles(view, seg, 4):
-                    if set(cyc) != set(seg):
-                        continue
-                    for combo in instantiate_node_cycle(view, cyc):
-                        if apply_many(state, combo, (), "core", "final-plus-two",
-                                      need_fewer_components=True,
-                                      cost_slack=Fraction(2)):
-                            state.plus_two_used = True
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                continue
+        if (L is not None and not state.plus_two_used
+                and _final_plus_two(state, view, L)):
+            continue
         # generic merge anywhere before giving up
         cand = find_merge(state)
         if cand is not None and apply_merge(state, cand, phase="core"):
             continue
         break
-    return core_square_report(state)
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +641,11 @@ def _stitch_part(state: ManyState, L: int, part: list[int]) -> bool:
                 if len(ends) != 2:
                     continue
                 u, v = ends
-                join = [e for e in comp.edges if set(g.edges[e]) == {u, v}]
-                if not join:
+                join = cover_edge(g, comp, u, v)
+                if join is None:
                     continue
                 adds_total += [e1, e2]
-                removes_total.append(join[0])
+                removes_total.append(join)
                 merged_vertices |= comp.vertices
                 remaining.remove(cid)
                 placed = True

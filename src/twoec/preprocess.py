@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import oracle
-from .graph import (MultiGraph, articulation_points, connected_components,
-                    contract, is_two_edge_connected, simple_cycles_upto,
+from .graph import (MultiGraph, connected_components, contract,
+                    is_two_edge_connected, lowpoint_forest, simple_cycles_upto,
                     two_edge_classes)
 from .params import StructuredParams
 
@@ -72,43 +72,59 @@ class TraceNode:
 # detection helpers
 # ---------------------------------------------------------------------------
 
-def _components_without(g: MultiGraph, cut: set[int]) -> list[list[int]]:
-    return connected_components(g, None, set(cut))
+def _vertex_cuts(g: MultiGraph, k: int
+                 ) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """Every k-subset of V whose removal leaves two or more components, as
+    (cut, comps) in ``itertools.combinations`` order: the cut a sorted tuple,
+    comps the components of G - cut as ``connected_components`` lists them.
 
-
-def _vertex_cuts(g: MultiGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """Every k-subset of V whose removal leaves at least two components, as a
-    sorted tuple, in ``itertools.combinations`` order.
-
-    One articulation-point pass per (k-1)-prefix P replaces one BFS per
-    k-subset.  If G - P is connected, P + (d,) is a cut iff d is a cut vertex
-    of G - P.  If G - P has c >= 2 components, removing d leaves fewer than
-    two only when c == 2 and d is one of them on its own."""
-    adj = g.adj()
-    for prefix in itertools.combinations(range(g.n), k - 1):
+    One lowpoint forest of G - P per (k-1)-prefix P replaces one BFS per
+    k-subset (Tarjan 1972).  A child c of d with low[c] >= disc[d] heads a
+    component of G - P - d: c's subtree, a contiguous run of the preorder.
+    So G - P - d has (trees - 1) + heads(d) + [d is no root] components:
+    the other trees, the head subtrees, and the rest of d's tree, which
+    holds its root unless d is that root."""
+    n = g.n
+    for prefix in itertools.combinations(range(n), k - 1):
         lo = prefix[-1] + 1 if prefix else 0
-        if lo == g.n:
+        if lo == n:
             continue                    # no d may follow the prefix
-        ncomp, cut_vertices = articulation_points(g, prefix)
-        if ncomp == 1:
-            for d in cut_vertices:
-                if d >= lo:
-                    yield prefix + (d,)
-        elif ncomp >= 2:
-            for d in range(lo, g.n):
-                if ncomp > 2 or any(w != d and w not in prefix
-                                    for w, _ in adj[d]):
-                    yield prefix + (d,)
+        order, parent, _, disc, low = lowpoint_forest(g, skip=prefix)
+        end = [i + 1 for i in disc]     # one past v's subtree in the preorder
+        heads = [0] * n
+        for v in reversed(order):
+            p = parent[v]
+            if p != -1:
+                end[p] = max(end[p], end[v])
+                heads[p] += low[v] >= disc[p]
+        roots = [v for v in order if parent[v] == -1]
+        for d in range(lo, n):
+            if len(roots) - 1 + heads[d] + (parent[d] != -1) < 2:
+                continue
+            comps = []
+            for r in roots:
+                if not disc[r] <= disc[d] < end[r]:
+                    comps.append(order[disc[r]:end[r]])
+                    continue
+                # d's tree: the head subtrees, then the rest without d
+                rest = order[disc[r]:disc[d]] + order[end[d]:end[r]]
+                i = disc[d] + 1
+                while i < end[d]:
+                    c = order[i]
+                    if low[c] >= disc[d]:
+                        comps.append(order[i:end[c]])
+                    else:
+                        rest += order[i:end[c]]
+                    i = end[c]
+                comps.append(rest)      # empty when d is the root
+            yield prefix + (d,), sorted(sorted(comp) for comp in comps if comp)
 
 
-def _grouping(g: MultiGraph, cut: set[int], side: int,
-              comps: Optional[list[list[int]]] = None
+def _grouping(comps: list[list[int]], side: int
               ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Partition of V - cut into sorted (V1, V2) along component boundaries
-    with |V1| >= side minimal and |V2| >= side.  ``comps`` are the
-    components of G - cut, when the caller has them already."""
-    if comps is None:
-        comps = _components_without(g, cut)
+    """Partition of V - cut into sorted (V1, V2) along the boundaries of
+    ``comps``, the components of G - cut, with |V1| >= side minimal and
+    |V2| >= side."""
     if len(comps) < 2:
         return None
     total = sum(len(c) for c in comps)
@@ -134,8 +150,7 @@ def _grouping(g: MultiGraph, cut: set[int], side: int,
 
 
 def find_cut_vertex(g: MultiGraph) -> Optional[CutDescriptor]:
-    for (v,) in _vertex_cuts(g, 1):
-        comps = _components_without(g, {v})
+    for (v,), comps in _vertex_cuts(g, 1):
         rest = tuple(sorted(x for c in comps[1:] for x in c))
         return CutDescriptor("Vertex1", (v,), (tuple(comps[0]), rest))
     return None
@@ -152,7 +167,7 @@ def find_loop_or_parallel(g: MultiGraph) -> Optional[CutDescriptor]:
 
 
 def find_irrelevant_edge(g: MultiGraph) -> Optional[CutDescriptor]:
-    cuts = set(_vertex_cuts(g, 2))
+    cuts = {pair for pair, _ in _vertex_cuts(g, 2)}
     for eid, (u, v) in enumerate(g.edges):
         if u != v and (u, v) in cuts:
             return CutDescriptor("IrrelevantEdge", (u, v), edge=eid)
@@ -162,12 +177,10 @@ def find_irrelevant_edge(g: MultiGraph) -> Optional[CutDescriptor]:
 def find_non_isolating_2vc(g: MultiGraph) -> Optional[CutDescriptor]:
     """The first 2-vertex cut that does not cut off one vertex alone, with
     sides of two vertices or more (None if G - cut is three vertices)."""
-    for pair in _vertex_cuts(g, 2):
-        comps = _components_without(g, set(pair))
+    for pair, comps in _vertex_cuts(g, 2):
         if len(comps) == 2 and min(len(c) for c in comps) == 1:
             continue
-        return CutDescriptor("Vertex2", pair,
-                             _grouping(g, set(pair), 2, comps=comps))
+        return CutDescriptor("Vertex2", pair, _grouping(comps, 2))
     return None
 
 
@@ -179,8 +192,8 @@ def find_large_3vc(g: MultiGraph, params: StructuredParams
     t = params.three_cut_side
     if g.n - 3 < 2 * t:
         return None
-    for trip in _vertex_cuts(g, 3):
-        grouping = _grouping(g, set(trip), t)
+    for trip, comps in _vertex_cuts(g, 3):
+        grouping = _grouping(comps, t)
         if grouping is not None:
             return CutDescriptor("Vertex3", trip, grouping)
     return None
@@ -202,7 +215,8 @@ def find_large_ck(g: MultiGraph, params: StructuredParams
     by_len = sorted((c for c in cycles if len(c) in side),
                     key=lambda c: (len(c), c))
     for cyc in by_len:
-        grouping = _grouping(g, set(cyc), side[len(cyc)])
+        grouping = _grouping(connected_components(g, None, set(cyc)),
+                             side[len(cyc)])
         if grouping is not None:
             return CutDescriptor("CycleCut", tuple(sorted(cyc)), grouping,
                                  cycle_order=tuple(cyc))
@@ -228,16 +242,14 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
     if not (try1 or try2):
         return None
     opt1_of: dict[frozenset[int], Optional[int]] = {}
-    for quad in _vertex_cuts(g, 4):
-        cut = set(quad)
-        comps = _components_without(g, cut)
+    for quad, comps in _vertex_cuts(g, 4):
         if try1:
-            grouping = _grouping(g, cut, t1, comps=comps)
+            grouping = _grouping(comps, t1)
             if grouping is not None:
                 return CutDescriptor("Vertex4", quad, grouping, condition=1)
         if not try2 or min(len(c) for c in comps) < s2:
             continue
-        small = _grouping(g, cut, 1, comps=comps)
+        small = _grouping(comps, 1)
         v1 = small[0]
         if len(v1) > t1 - 2:
             continue

@@ -16,7 +16,8 @@ from twoec.decomp import CoverDecomposition
 from twoec.exchange import ExchangeState
 from twoec.few import cover_bridges_step, glue_step, run_few
 from twoec.graph import MultiGraph, is_two_edge_connected
-from twoec.many import ManyState, apply_merge, build_core_square, find_merge, run_many
+from twoec.many import (ManyState, apply_merge, build_core_square,
+                        core_square_report, find_merge, run_many)
 from twoec.credit import build_many_ledger
 from twoec.params import FEW_DELTA, MANY_DELTA, desk_params
 from twoec.preprocess import red
@@ -328,7 +329,8 @@ def test_criterion_7_core_square():
         assert_many_ledger_ok(info)
         state = ManyState(g, dec, led, P, dict(info))
         before = cost(state.dec, state.led)
-        rep = build_core_square(state)
+        build_core_square(state)
+        rep = core_square_report(state)
         after = cost(state.dec, state.led)
         ok = ok and rep["ok"] and rep["pendant_segments_3_or_4"]
         ok = ok and after <= before + 2

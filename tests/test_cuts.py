@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cut_reference import _components_without
 from twoec import gadgets, preprocess
 from twoec.graph import MultiGraph
 from twoec.params import desk_params
-from twoec.preprocess import (DETECTORS, Reducer, _components_without,
-                              _grouping, enumerate_cuts, find_contractible,
-                              find_loop_or_parallel, red)
+from twoec.preprocess import (DETECTORS, Reducer, _grouping, enumerate_cuts,
+                              find_contractible, find_loop_or_parallel, red)
 
 P = desk_params()
 
@@ -34,7 +34,7 @@ def exhaustive_structured_check(g, params):
                 if not (len(comps) == 2 and min(len(c) for c in comps) == 1):
                     return False        # non-isolating 2-vertex cut
             if size == 3:
-                if _grouping(g, set(cut), params.three_cut_side) is not None:
+                if _grouping(comps, params.three_cut_side) is not None:
                     return False
             if size == 4:
                 # cycle cuts on 4 vertices and condition-1 large 4-cuts
@@ -47,9 +47,9 @@ def exhaustive_structured_check(g, params):
                     deg[u] += 1
                     deg[v] += 1
                 if len(sub) >= 4 and all(d >= 2 for d in deg.values()):
-                    if _grouping(g, set(cut), params.ck_side(4)) is not None:
+                    if _grouping(comps, params.ck_side(4)) is not None:
                         return False
-                if _grouping(g, set(cut), params.four_cut_side_2) is not None:
+                if _grouping(comps, params.four_cut_side_2) is not None:
                     return False
     return True
 

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoec.decomp import CoverDecomposition
-from twoec.graph import (GraphError, MultiGraph, articulation_points,
-                         biconnected_components, connected_components,
-                         contract, contract_many, find_bridges,
-                         ham_path_exists,
+from twoec.graph import (GraphError, MultiGraph, biconnected_components,
+                         connected_components, contract, contract_many,
+                         find_bridges, ham_path_exists,
                          is_two_edge_connected, simple_cycles_upto,
                          two_edge_classes)
 from twoec.params import desk_params
@@ -305,25 +304,6 @@ def test_bridges_match_removal_oracle(n, rnd):
     slow = {e for e in range(g.m)
             if len(connected_components(g, [x for x in range(g.m) if x != e])) > 1}
     assert fast == slow
-
-
-def test_articulation_points_match_removal():
-    """Components and cut vertices of G - skip against deleting each vertex
-    and counting components, on random multigraphs with self-loops, parallel
-    edges and disconnected parts."""
-    rnd = random.Random(4242)
-    cut_seen = 0
-    for _ in range(3000):
-        n = rnd.randint(1, 10)
-        g = MultiGraph(n, [(rnd.randrange(n), rnd.randrange(n))
-                           for _ in range(rnd.randint(0, 2 * n))])
-        skip = set(rnd.sample(range(n), rnd.randint(0, n // 2)))
-        base = len(connected_components(g, None, skip))
-        want = [v for v in range(n) if v not in skip and
-                len(connected_components(g, None, skip | {v})) > base]
-        assert articulation_points(g, skip) == (base, want), (g.edges, skip)
-        cut_seen += bool(want)
-    assert cut_seen > 500
 
 
 def reference_components(g, edge_subset=None, skip_vertices=None):

@@ -132,7 +132,6 @@ SETTABLE_VALUES = [
     "gadgets.sub_wheel(members)",
     "graph.MultiGraph.__init__(edges)",
     "graph.MultiGraph.__init__(origin)",
-    "graph.articulation_points(skip)",
     "graph.biconnected_components(edge_subset)",
     "graph.connected_components(edge_subset)",
     "graph.connected_components(skip_vertices)",
@@ -164,7 +163,6 @@ SETTABLE_VALUES = [
     "preprocess.Reducer._split_and_rejoin(budget)",
     "preprocess.Reducer._split_and_rejoin(case)",
     "preprocess.SideTypeTable.__init__(collect_all)",
-    "preprocess._grouping(comps)",
     "preprocess._side_graph(drop_cut_edges)",
     "preprocess._side_graph(dummy_edges)",
     "preprocess._step(children)",

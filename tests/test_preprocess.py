@@ -6,17 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from cut_reference import _components_without
 from twoec import gadgets, oracle
-from twoec.graph import (MultiGraph, articulation_points, find_bridges,
-                         is_two_edge_connected, simple_cycles_upto,
-                         two_edge_classes)
+from twoec.graph import (MultiGraph, find_bridges, is_two_edge_connected,
+                         simple_cycles_upto, two_edge_classes)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
 from twoec.params import StructuredParams, desk_params
 from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CYCLE_CAP, T2_ORDER,
                               CutDescriptor,
                               _c2_path_pair,
-                              _class_connector, _components_without,
-                              _contracted_side,
+                              _class_connector, _contracted_side,
                               _grouping, _shape_of, _side_graph, _vertex_cuts,
                               classify_side_types,
                               find_contractible, find_cut_vertex,
@@ -294,14 +293,14 @@ def reference_find_non_isolating_2vc(g):
             continue
         if len(comps) == 2 and min(len(c) for c in comps) == 1:
             continue
-        return CutDescriptor("Vertex2", (u, v), _grouping(g, {u, v}, 2))
+        return CutDescriptor("Vertex2", (u, v), _grouping(comps, 2))
     return None
 
 
 def reference_find_large_3vc(g, params):
     t = params.three_cut_side
     for trip in itertools.combinations(range(g.n), 3):
-        grouping = _grouping(g, set(trip), t)
+        grouping = _grouping(_components_without(g, trip), t)
         if grouping is not None:
             return CutDescriptor("Vertex3", trip, grouping)
     return None
@@ -310,13 +309,13 @@ def reference_find_large_3vc(g, params):
 def reference_find_large_4vc(g, params):
     t1 = params.four_cut_side_2
     for quad in itertools.combinations(range(g.n), 4):
-        cut = set(quad)
-        if len(_components_without(g, cut)) < 2:
+        comps = _components_without(g, quad)
+        if len(comps) < 2:
             continue
-        grouping = _grouping(g, cut, t1)
+        grouping = _grouping(comps, t1)
         if grouping is not None:
             return CutDescriptor("Vertex4", quad, grouping, condition=1)
-        small = _grouping(g, cut, 1)
+        small = _grouping(comps, 1)
         if small is None:
             continue
         v1 = small[0]
@@ -355,12 +354,20 @@ CUT_PARAMS = [P, StructuredParams(alpha=Fraction(2), epsilon=Fraction(1, 2)),
               StructuredParams(alpha=Fraction(3, 2), epsilon=Fraction(1, 2))]
 
 
+def subset_scan(g, k):
+    """(cut, components of G - cut) for every k-subset that leaves two or
+    more components, by one BFS per subset."""
+    return [(c, comps) for c in itertools.combinations(range(g.n), k)
+            if len(comps := _components_without(g, c)) >= 2]
+
+
 def test_vertex_cuts_match_subset_scan():
     """The generator yields exactly the k-subsets whose removal leaves two
-    or more components, in combinations order, on random multigraphs with
-    self-loops, parallel edges and disconnected parts.  Both kinds of
-    disconnected prefix occur: G - P with three or more components, and
-    with two, one of them a single vertex that is then no cut."""
+    or more components, in combinations order, each with the components of
+    G - cut as the BFS gives them, on random multigraphs with self-loops,
+    parallel edges and disconnected parts.  Both kinds of disconnected
+    prefix occur: G - P with three or more components, and with two, one of
+    them a single vertex that is then no cut."""
     rnd = random.Random(8080)
     many = lone = 0
     for _ in range(400):
@@ -368,16 +375,22 @@ def test_vertex_cuts_match_subset_scan():
         g = MultiGraph(n, [(rnd.randrange(n), rnd.randrange(n))
                            for _ in range(rnd.randint(0, 2 * n))])
         for k in (1, 2, 3, 4):
-            want = [c for c in itertools.combinations(range(n), k)
-                    if len(_components_without(g, set(c))) >= 2]
-            assert list(_vertex_cuts(g, k)) == want, (g.edges, k)
+            assert list(_vertex_cuts(g, k)) == subset_scan(g, k), (g.edges, k)
             for prefix in itertools.combinations(range(n), k - 1):
-                ncomp = articulation_points(g, prefix)[0]
-                many += ncomp > 2
-                lone += ncomp == 2 and any(
+                comps = _components_without(g, prefix)
+                many += len(comps) > 2
+                lone += len(comps) == 2 and any(
                     len(c) == 1 and c[0] > max(prefix, default=-1)
-                    for c in _components_without(g, set(prefix)))
+                    for c in comps)
     assert many > 0 and lone > 0
+
+
+@pytest.mark.parametrize("name", [k for k in gadgets.GADGETS if k != "cycle8"])
+def test_vertex_cuts_match_subset_scan_gadget(name):
+    """The same (cut, components) pairs on each planted gadget, k <= 3."""
+    g = gadgets.GADGETS[name]()
+    for k in (1, 2, 3):
+        assert list(_vertex_cuts(g, k)) == subset_scan(g, k), k
 
 
 @pytest.mark.parametrize("n", range(5, 15))
@@ -400,7 +413,7 @@ def test_finders_match_reference_gadget(name):
     g = gadgets.GADGETS[name]()
     # some 2-vertex prefix disconnects G, so the 3-cut scan meets the
     # generator's disconnected case
-    assert any(articulation_points(g, pair)[0] >= 2
+    assert any(len(_components_without(g, pair)) >= 2
                for pair in itertools.combinations(range(g.n), 2))
     assert_finders_match(g, P)
 
@@ -410,8 +423,8 @@ def test_finders_match_reference_gadget(name):
 
 def ungated_find_large_3vc(g, params):
     t = params.three_cut_side
-    for trip in _vertex_cuts(g, 3):
-        grouping = _grouping(g, set(trip), t)
+    for trip, comps in _vertex_cuts(g, 3):
+        grouping = _grouping(comps, t)
         if grouping is not None:
             return CutDescriptor("Vertex3", trip, grouping)
     return None
@@ -421,7 +434,8 @@ def ungated_find_large_ck(g, params):
     cycles = simple_cycles_upto(g, 8, limit=CYCLE_CAP)
     for cyc in sorted((c for c in cycles if len(c) >= 4),
                       key=lambda c: (len(c), c)):
-        grouping = _grouping(g, set(cyc), params.ck_side(len(cyc)))
+        grouping = _grouping(_components_without(g, cyc),
+                             params.ck_side(len(cyc)))
         if grouping is not None:
             return CutDescriptor("CycleCut", tuple(sorted(cyc)), grouping,
                                  cycle_order=tuple(cyc))
@@ -431,13 +445,11 @@ def ungated_find_large_ck(g, params):
 def ungated_find_large_4vc(g, params):
     t1 = params.four_cut_side_2
     opt1_of = {}
-    for quad in _vertex_cuts(g, 4):
-        cut = set(quad)
-        comps = _components_without(g, cut)
-        grouping = _grouping(g, cut, t1, comps=comps)
+    for quad, comps in _vertex_cuts(g, 4):
+        grouping = _grouping(comps, t1)
         if grouping is not None:
             return CutDescriptor("Vertex4", quad, grouping, condition=1)
-        small = _grouping(g, cut, 1, comps=comps)
+        small = _grouping(comps, 1)
         v1 = small[0]
         if len(v1) > t1 - 2:
             continue
@@ -525,10 +537,10 @@ def test_find_large_4vc_one_oracle_call_per_side(name, shared, monkeypatch):
     t1 = P.four_cut_side_2
     cuts = 0
     sides = set()
-    for quad in _vertex_cuts(g, 4):
-        if _grouping(g, set(quad), t1) is not None:
+    for quad, comps in _vertex_cuts(g, 4):
+        if _grouping(comps, t1) is not None:
             break
-        v1 = _grouping(g, set(quad), 1)[0]
+        v1 = _grouping(comps, 1)[0]
         if P.four_cut_small_side <= len(v1) <= t1 - 2:
             cuts += 1
             sides.add(frozenset(v1))
