@@ -12,7 +12,7 @@ from typing import Iterator
 
 from . import oracle
 from .decomp import CoverDecomposition
-from .graph import MultiGraph, connected_components, lowpoint_forest
+from .graph import MultiGraph, connected_components, degrees, lowpoint_forest
 from .params import StructuredParams
 
 
@@ -31,11 +31,7 @@ def min_triangle_free_cover(g: MultiGraph, mode: str = "exact") -> tuple[set[int
         return oracle.exact_min_cover(g, TRIANGLE), True
     # a self-loop never helps cover a vertex: drop loops before counting
     h = {eid for eid, (u, v) in enumerate(g.edges) if u != v}
-    deg = [0] * g.n
-    for eid in h:
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
+    deg = degrees(g, h)
     if any(d < 2 for d in deg):
         raise oracle.Infeasible("host graph has a vertex of degree < 2")
 
@@ -237,11 +233,7 @@ def canonicalize(g: MultiGraph, h: set[int],
     cur = _measure(g, h)
     floor = (g.n, 1, 0, 0)
     steps = 0
-    deg = [0] * g.n
-    for eid in h:
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
+    deg = degrees(g, h)
 
     def try_apply(remove: tuple[int, ...], add: tuple[int, ...]) -> bool:
         nonlocal h, cur, steps

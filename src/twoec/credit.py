@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree, Component,
                      CoverDecomposition)
-from .graph import MultiGraph
+from .graph import MultiGraph, degrees
 from .params import FEW_DELTA, MANY_DELTA
 
 FEW = "FEW"
@@ -88,26 +88,17 @@ def is_nice_c5_block(g: MultiGraph, dec: CoverDecomposition, comp: Component,
     degree 2 in the host graph."""
     if len(block.vertices) != 5 or len(block.edges) != 5:
         return False
-    deg = {v: 0 for v in block.vertices}
-    adj = {v: [] for v in block.vertices}
-    for eid in block.edges:
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(d != 2 for d in deg.values()):
+    deg = degrees(g, block.edges)
+    if any(deg[v] != 2 for v in block.vertices):
         return False
     bridge_verts = [v for eid in comp.bridges for v in g.edges[eid]
                     if v in block.vertices]
     if len(set(bridge_verts)) != 1:
         return False
     b1 = bridge_verts[0]
-    host_deg = [0] * g.n
-    for (u, v) in g.edges:
-        host_deg[u] += 1
-        host_deg[v] += 1
-    return all(host_deg[x] == 2 for x in adj[b1])
+    host_deg = degrees(g, range(g.m))
+    ends = [g.edges[eid] for eid in block.edges]
+    return all(host_deg[u + v - b1] == 2 for u, v in ends if b1 in (u, v))
 
 
 def apply_rich_transform(g: MultiGraph, dec: CoverDecomposition

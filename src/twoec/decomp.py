@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import (MultiGraph, biconnected_components, connected_components,
-                    simple_cycles_upto, two_edge_classes)
+                    degrees, simple_cycles_upto, two_edge_classes)
 from .params import StructuredParams
 
 # classification tags
@@ -172,17 +172,9 @@ class CoverDecomposition:
         return max(huge or self.components,
                    key=lambda c: (len(c.vertices), -c.cid))
 
-    def vertex_degrees(self) -> list[int]:
-        deg = [0] * self.g.n
-        for eid in self.h:
-            u, v = self.g.edges[eid]
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def is_two_edge_cover(self) -> bool:
         """Every vertex has degree >= 2 in H, isolated rich vertices aside."""
-        deg = self.vertex_degrees()
+        deg = degrees(self.g, self.h)
         for v in range(self.g.n):
             if deg[v] >= 2:
                 continue
@@ -265,24 +257,21 @@ class ComponentGraphView:
         self.g = g
         self.dec = dec
         ncomp = len(dec.components)
-        self.node_edges: list[tuple[int, int, int]] = []  # (node_u, node_v, g_eid)
+        ends: list[tuple[int, int]] = []    # one (a, b) per cross host edge
         self.pairs: dict[tuple[int, int], list[int]] = {}
         for eid, (u, v) in enumerate(g.edges):
             cu, cv = dec.comp_of_vertex[u], dec.comp_of_vertex[v]
-            if cu == cv:
-                continue
-            if eid in dec.h:
+            if cu == cv or eid in dec.h:
                 continue
             a, b = min(cu, cv), max(cu, cv)
-            self.node_edges.append((a, b, eid))
+            ends.append((a, b))
             self.pairs.setdefault((a, b), []).append(eid)
         self.nbrs: list[list[int]] = [[] for _ in range(ncomp)]
         for a, b in sorted(self.pairs):     # a node's smaller neighbours first
             self.nbrs[a].append(b)
             self.nbrs[b].append(a)
-        mg = MultiGraph(ncomp, [(a, b) for a, b, _ in self.node_edges])
-        self.mg = mg
-        segs = biconnected_components(mg)
+        self.mg = MultiGraph(ncomp, ends)
+        segs = biconnected_components(self.mg)
         self.segments: list[set[int]] = sorted(segs, key=lambda s: sorted(s))
         seg_count = [0] * ncomp
         for s in self.segments:

@@ -1,13 +1,23 @@
 """Bridge covering with loan repayment and gluing (the low-4-cycle-count
 phase).
 
-Every step is an edge exchange proposed by a lemma-shaped generator and
-committed only through ``apply_candidate``, FEW's entry to the shared
-``exchange.commit``: strictly fewer bridges (or components), no new bridges,
-weak canonicity, every ledger invariant, and cost - loan monotone
-non-increasing, all in exact rationals.  Generators are tried in the
-dispatch order of the underlying case analysis; if none validates, a logged
-fallback keeps the run total (a BoundWaiver).
+Every step is an edge exchange committed only through ``apply_candidate``,
+FEW's entry to the shared ``exchange.commit``: strictly fewer bridges (or
+components), no new bridges, weak canonicity, every ledger invariant, and
+cost - loan monotone non-increasing, all in exact rationals.  Each step is
+one lazy stream of ``(adds, removes, label)`` candidates in the dispatch
+order of the underlying case analysis, and the first one accepted is
+committed; if none is, a fallback stream waives the bound (a BoundWaiver)
+and keeps the run total.
+
+Dispatch order.  Bridge covering, per complex component with a
+bridge-covering path: ``cheap-path``/``path-repay``, ``helper2``-``4``,
+``three-paths``, ``nice-c5-exchange``; then ``fallback-path``.  Gluing,
+per segment holding the anchor L: for {L, A}, ``trivial-rich`` or
+``trivial-large`` alone, else ``cycle-hamiltonian(-reroute)`` per
+attachment pair, then ``two-segment-cycle``; for a wider segment,
+``nontrivial(-long)-cycle``, then ``cycle-through-c4``.  Then
+``fallback-attach`` and ``fallback-any``.
 """
 from __future__ import annotations
 
@@ -125,8 +135,9 @@ class ComponentContext:
 
 
 def _pair_candidates(ctx: ComponentContext, paths: list[BridgePath]):
-    """Two-path exchanges in the spirit of the helper lemmas: both paths end
-    in T_C; optionally one shared tree edge is removed."""
+    """Two-path exchanges in the spirit of the helper lemmas, as (adds,
+    removes, label): both paths end in T_C; optionally one shared tree edge
+    is removed."""
     tree = ctx.tree
     for p, q in itertools.combinations(paths, 2):
         if set(p.edge_ids) & set(q.edge_ids):
@@ -135,14 +146,15 @@ def _pair_candidates(ctx: ComponentContext, paths: list[BridgePath]):
         union_edges = set(p.covered) | set(q.covered)
         nodes_p, _ = tree.tree_path(p.u, p.v)
         nodes_q, _ = tree.tree_path(q.u, q.v)
+        adds = p.edge_ids + q.edge_ids
         if set(nodes_p) & set(nodes_q):
             if not shared and len(union_edges) >= 5:
-                yield (p, q, None, "helper2")
+                yield adds, (), "helper2"
         if len(shared) == 1:
             e = next(iter(shared))
-            yield (p, q, e, "helper3")
+            yield adds, (e,), "helper3"
             if len(union_edges) >= 5:
-                yield (p, q, e, "helper4")
+                yield adds, (e,), "helper4"
 
 
 def _triple_candidates(ctx: ComponentContext, paths: list[BridgePath],
@@ -194,6 +206,14 @@ def _nice_c5_exchanges(state: ExchangeState, comp: Component):
                 yield (e1, e2), (r1, r2)
 
 
+def _first_accepted(state: ExchangeState, candidates, phase: str,
+                    **flags) -> bool:
+    """Commit the first ``(adds, removes, label)`` of ``candidates`` that
+    ``apply_candidate`` accepts under ``flags``; read the stream no further."""
+    return any(apply_candidate(state, adds, removes, phase, label, **flags)
+               for adds, removes, label in candidates)
+
+
 def cover_bridges_step(state: ExchangeState) -> bool:
     """One bridge-covering step; True when a bridge was removed."""
     complexes = sorted(state.dec.complex_components,
@@ -201,44 +221,33 @@ def cover_bridges_step(state: ExchangeState) -> bool:
     if not complexes:
         return False
     listed: list[list[BridgePath]] = []
-    for comp in complexes:
-        ctx = ComponentContext(state.g, state.dec, comp)
-        paths = ctx.all_bridge_paths()
-        listed.append(paths)
-        if not paths:
-            continue
-        # single-path dispatch: cheap paths first, then repayment-funded ones
-        for bp in paths:
-            label = "cheap-path" if bp.cheap(FEW_DELTA) else "path-repay"
-            if apply_candidate(state, bp.edge_ids, (), "bridge_cover", label,
-                               need_fewer_bridges=True):
-                return True
-        # two-path helper-lemma shapes
-        for p, q, rem, label in _pair_candidates(ctx, paths):
-            removes = (rem,) if rem is not None else ()
-            if apply_candidate(state, p.edge_ids + q.edge_ids, removes,
-                               "bridge_cover", label, need_fewer_bridges=True):
-                return True
-        # three paths with up to two tree edges removed
-        target = set(comp.bridges)
-        for trio, rem in _triple_candidates(ctx, paths, target):
-            adds = tuple(e for p in trio for e in p.edge_ids)
-            if apply_candidate(state, adds, rem, "bridge_cover",
-                               "three-paths", need_fewer_bridges=True):
-                return True
-        # nice-C5 matching exchanges
-        for adds, removes in _nice_c5_exchanges(state, comp):
-            if apply_candidate(state, adds, removes, "bridge_cover",
-                               "nice-c5-exchange", need_fewer_bridges=True):
-                return True
+
+    def candidates():
+        for comp in complexes:
+            ctx = ComponentContext(state.g, state.dec, comp)
+            paths = ctx.all_bridge_paths()
+            listed.append(paths)
+            if not paths:
+                continue
+            for bp in paths:
+                yield (bp.edge_ids, (),
+                       "cheap-path" if bp.cheap(FEW_DELTA) else "path-repay")
+            yield from _pair_candidates(ctx, paths)
+            for trio, rem in _triple_candidates(ctx, paths, set(comp.bridges)):
+                yield tuple(e for p in trio for e in p.edge_ids), rem, "three-paths"
+            for adds, removes in _nice_c5_exchanges(state, comp):
+                yield adds, removes, "nice-c5-exchange"
+
+    if _first_accepted(state, candidates(), "bridge_cover",
+                       need_fewer_bridges=True):
+        return True
     # total fallback: any single bridge-covering path, waiving the bound;
     # nothing was committed above, so the listed paths still hold
-    for paths in listed:
-        for bp in paths:
-            if apply_candidate(state, bp.edge_ids, (), "bridge_cover",
-                               "fallback-path", need_fewer_bridges=True,
-                               waiver=True, strict_structure=False):
-                return True
+    fallback = ((bp.edge_ids, (), "fallback-path")
+                for paths in listed for bp in paths)
+    if _first_accepted(state, fallback, "bridge_cover", need_fewer_bridges=True,
+                       waiver=True, strict_structure=False):
+        return True
     raise NoProgress("no bridge-covering step applies")
 
 
@@ -254,49 +263,40 @@ def glue_step(state: ExchangeState) -> bool:
     view = ComponentGraphView(state.g, dec)
     anchor = dec.anchor()
     L = anchor.cid
-    segments = [s for s in view.segments if L in s] or view.segments
-    need_huge = anchor.huge
-    for seg in segments:
-        if len(seg) == 2:
-            if _glue_trivial_segment(state, view, seg, L, need_huge):
-                return True
-        else:
-            if _glue_wide_segment(state, view, seg, L, need_huge):
-                return True
-    # fallback: attach the smallest non-L component to L with two edges
-    order = sorted((c for c in dec.components if c.cid != L),
-                   key=lambda c: (len(c.vertices), c.cid))
-    for comp in order:
-        ids = view.edges_between(L, comp.cid)
-        for pair in itertools.combinations(ids, 2):
-            u1 = [x for x in state.g.edges[pair[0]] if x in comp.vertices][0]
-            u2 = [x for x in state.g.edges[pair[1]] if x in comp.vertices][0]
-            if u1 == u2:
-                continue
-            if apply_candidate(state, pair, (), "glue", "fallback-attach",
-                               need_fewer_components=True,
-                               waiver=True, strict_structure=False):
-                return True
-    # last resort: any two independent cross edges between two components
-    for a, b, eid in view.node_edges:
-        ids = view.edges_between(a, b)
-        for pair in itertools.combinations(ids, 2):
-            ends = {x for e in pair for x in state.g.edges[e]}
-            if len(ends) < 3:
-                continue
-            if apply_candidate(state, pair, (), "glue", "fallback-any",
-                               need_fewer_components=True,
-                               waiver=True, strict_structure=False):
-                return True
+    candidates = (cand for seg in view.segments_of(L)
+                  for cand in (_glue_trivial_segment if len(seg) == 2 else
+                               _glue_wide_segment)(state, view, seg, L))
+    if _first_accepted(state, candidates, "glue", need_fewer_components=True,
+                       need_huge=anchor.huge):
+        return True
+    if _first_accepted(state, _glue_fallbacks(state, view, L), "glue",
+                       need_fewer_components=True, waiver=True,
+                       strict_structure=False):
+        return True
     raise NoProgress("no gluing step applies")
 
 
+def _glue_fallbacks(state: ExchangeState, view: ComponentGraphView, L: int):
+    """Attach the smallest non-L component to L with two edges; as a last
+    resort, any two independent cross edges between two components."""
+    g = state.g
+    order = sorted((c for c in state.dec.components if c.cid != L),
+                   key=lambda c: (len(c.vertices), c.cid))
+    for comp in order:
+        for pair in itertools.combinations(view.edges_between(L, comp.cid), 2):
+            u1 = [x for x in g.edges[pair[0]] if x in comp.vertices][0]
+            u2 = [x for x in g.edges[pair[1]] if x in comp.vertices][0]
+            if u1 != u2:
+                yield pair, (), "fallback-attach"
+    for ids in view.pairs.values():
+        for pair in itertools.combinations(ids, 2):
+            if len({x for e in pair for x in g.edges[e]}) >= 3:
+                yield pair, (), "fallback-any"
+
+
 def _glue_trivial_segment(state: ExchangeState, view: ComponentGraphView,
-                          seg: set[int], L: int, need_huge: bool) -> bool:
-    other = [x for x in seg if x != L]
-    if L not in seg or not other:
-        return False
-    A = other[0]
+                          seg: set[int], L: int):
+    A = next(x for x in seg if x != L)
     g = state.g
     compA = state.dec.components[A]
     ids = view.edges_between(L, A)
@@ -306,12 +306,9 @@ def _glue_trivial_segment(state: ExchangeState, view: ComponentGraphView,
     if label:
         for pair in itertools.combinations(ids, 2):
             ends = {x for e in pair for x in g.edges[e] if x in compA.vertices}
-            if not compA.is_rich and len(ends) < 2:
-                continue
-            if apply_candidate(state, pair, (), "glue", label,
-                               need_fewer_components=True, need_huge=need_huge):
-                return True
-        return False
+            if compA.is_rich or len(ends) >= 2:
+                yield pair, (), label
+        return
     # cycle component: good cycle with a Hamiltonian-path exchange
     for pair in itertools.combinations(ids, 2):
         endsA = sorted({x for e in pair for x in g.edges[e] if x in compA.vertices})
@@ -323,37 +320,27 @@ def _glue_trivial_segment(state: ExchangeState, view: ComponentGraphView,
             pos = {x: i for i, x in enumerate(compA.cycle_order)}
             if (pos[u] - pos[v]) % k in (1, k - 1):
                 join = cover_edge(g, compA, u, v)
-                if join is not None and apply_candidate(
-                        state, pair, (join,), "glue", "cycle-hamiltonian",
-                        need_fewer_components=True, need_huge=need_huge):
-                    return True
+                if join is not None:
+                    yield pair, (join,), "cycle-hamiltonian"
         path = ham_path_exists(g, compA.vertices, u, v)
-        if path:
-            path_edges = path_edge_ids(g, path)
-            if path_edges is not None:
-                removes = tuple(sorted(compA.edges))
-                if apply_candidate(state, tuple(pair) + path_edges, removes,
-                                   "glue", "cycle-hamiltonian-reroute",
-                                   need_fewer_components=True, need_huge=need_huge):
-                    return True
+        path_edges = path and path_edge_ids(g, path)
+        if path_edges:
+            yield (tuple(pair) + path_edges, tuple(sorted(compA.edges)),
+                   "cycle-hamiltonian-reroute")
     # pendant C8-style: route through an adjacent segment of A
     for seg2 in view.segments_of(A):
-        if seg2 == seg:
-            continue
-        if _two_segment_exchange(state, view, L, A, seg2, need_huge):
-            return True
-    return False
+        if seg2 != seg:
+            yield from _two_segment_exchange(state, view, L, A, seg2)
 
 
 def _two_segment_exchange(state: ExchangeState, view: ComponentGraphView,
-                          L: int, A: int, seg2: set[int], need_huge: bool) -> bool:
+                          L: int, A: int, seg2: set[int]):
     """Attach L to A and absorb a cycle of A's other segment (handles the
     pendant-C8 and cut-node cases)."""
     g = state.g
     compA = state.dec.components[A]
     idsLA = view.edges_between(L, A)
-    cycles = segment_cycles(view, seg2, 4, through=A)
-    for cyc in cycles:
+    for cyc in segment_cycles(view, seg2, 4, through=A):
         for combo in instantiate_node_cycle(view, cyc):
             for rem_extra in _cycle_removals_few(state, cyc, combo, skip={A}):
                 for pair in itertools.combinations(idsLA, 2):
@@ -365,12 +352,7 @@ def _two_segment_exchange(state: ExchangeState, view: ComponentGraphView,
                     # one A-cycle edge may be dropped when a cycle edge and an
                     # attachment meet adjacent vertices of A
                     for remA in _removal_options_for_node(state, A, adds):
-                        if apply_candidate(state, adds, rem_extra + remA,
-                                           "glue", "two-segment-cycle",
-                                           need_fewer_components=True,
-                                           need_huge=need_huge):
-                            return True
-    return False
+                        yield adds, rem_extra + remA, "two-segment-cycle"
 
 
 def _removal_options_for_node(state: ExchangeState, node: int,
@@ -412,23 +394,18 @@ def _cycle_removals_few(state: ExchangeState, node_cycle: list[int], combo,
 
 
 def _glue_wide_segment(state: ExchangeState, view: ComponentGraphView,
-                       seg: set[int], L: int, need_huge: bool) -> bool:
+                       seg: set[int], L: int):
     g = state.g
-    if L not in seg:
-        return False
     # C4 nodes first, then the rest, each once: a rejected candidate stays
     # rejected while the state is unchanged
     c4_nodes = [x for x in seg if state.dec.components[x].tag == C4 and x != L]
     targets = list(dict.fromkeys(c4_nodes + [x for x in sorted(seg) if x != L]))
-    cycles = segment_cycles(view, seg, 6, through=L)
-    for cyc in cycles:
+    for cyc in segment_cycles(view, seg, 6, through=L):
         label = ("nontrivial-long-cycle" if len(cyc) >= 6 else
                  "nontrivial-cycle")
         for combo in instantiate_node_cycle(view, cyc):
             for removes in _cycle_removals_few(state, cyc, combo, skip={L}):
-                if apply_candidate(state, combo, removes, "glue", label,
-                                   need_fewer_components=True, need_huge=need_huge):
-                    return True
+                yield combo, removes, label
     for A in targets:
         compA = state.dec.components[A]
         if compA.cycle_order is None:
@@ -450,19 +427,10 @@ def _glue_wide_segment(state: ExchangeState, view: ComponentGraphView,
                         if u == v:
                             continue
                         path = ham_path_exists(g, compA.vertices, u, v)
-                        if not path:
-                            continue
-                        pe = path_edge_ids(g, path)
-                        if pe is None:
-                            continue
-                        adds = (e1, e2, e3) + pe
-                        removes = tuple(sorted(compA.edges))
-                        if apply_candidate(state, adds, removes, "glue",
-                                           "cycle-through-c4",
-                                           need_fewer_components=True,
-                                           need_huge=need_huge):
-                            return True
-    return False
+                        pe = path and path_edge_ids(g, path)
+                        if pe:
+                            yield ((e1, e2, e3) + pe,
+                                   tuple(sorted(compA.edges)), "cycle-through-c4")
 
 
 # ---------------------------------------------------------------------------

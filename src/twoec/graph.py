@@ -72,6 +72,18 @@ class MultiGraph:
 # connectivity primitives
 # ---------------------------------------------------------------------------
 
+def degrees(g: MultiGraph, eids: Iterable[int]) -> list[int]:
+    """Degree of every vertex in the edges ``eids``; a self-loop counts
+    twice."""
+    deg = [0] * g.n
+    edges = g.edges
+    for eid in eids:
+        u, v = edges[eid]
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
 def _subset_adj(g: MultiGraph, eids: Iterable[int]) -> list[list[tuple[int, int]]]:
     """Adjacency lists of (neighbor, edge_id) over ``eids``, self-loops
     dropped; ``eids`` is read once."""

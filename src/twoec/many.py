@@ -580,12 +580,6 @@ def build_core_square(state: ManyState) -> None:
 # final assembly
 # ---------------------------------------------------------------------------
 
-def _pendant_parts(state: ManyState, L: int) -> list[list[int]]:
-    """Connected parts of the component graph after removing L (lists of
-    component ids), deterministic order."""
-    return connected_components(state.view().mg, None, {L})
-
-
 def _optimal_part_replacement(state: ManyState, L: int, part: list[int]) -> bool:
     """Glue one pendant part optimally: contract everything else and solve
     exactly; replace when the optimum is at most 5|S| - 1 edges."""
@@ -685,10 +679,8 @@ def run_many(g: MultiGraph, h0: set[int], params: StructuredParams
     while len(state.dec.components) > 1 and guard > 0:
         guard -= 1
         L = state.dec.anchor().cid
-        parts = [p for p in _pendant_parts(state, L) if p]
-        if not parts:
-            raise NoProgress("disconnected component graph during assembly")
-        part = parts[0]
+        # the first connected part of the component graph without L
+        part = connected_components(state.view().mg, None, {L})[0]
         if _optimal_part_replacement(state, L, part):
             continue
         if not _stitch_part(state, L, part):

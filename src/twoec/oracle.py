@@ -5,7 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .graph import MultiGraph, is_two_edge_connected, two_edge_classes
+from .graph import (MultiGraph, degrees, is_two_edge_connected,
+                    two_edge_classes)
 
 
 class NotTwoEdgeConnected(ValueError):
@@ -43,11 +44,7 @@ def _simplify(g: MultiGraph, copies: int = 1) -> list[int]:
 def _forced_edges(g: MultiGraph, pool: list[int]) -> set[int]:
     """Edges incident to a degree-2 vertex (w.r.t. the pool) are in every
     solution that needs degree >= 2 everywhere."""
-    deg = [0] * g.n
-    for eid in pool:
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
+    deg = degrees(g, pool)
     forced: set[int] = set()
     for eid in pool:
         u, v = g.edges[eid]
@@ -58,12 +55,7 @@ def _forced_edges(g: MultiGraph, pool: list[int]) -> set[int]:
 
 def _two_ec_on(g: MultiGraph, eids: Iterable[int]) -> bool:
     eids = list(eids)
-    deg = [0] * g.n
-    for eid in eids:
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
-    if any(d < 2 for d in deg) and g.n > 1:
+    if g.n > 1 and any(d < 2 for d in degrees(g, eids)):
         return False
     return is_two_edge_connected(g, eids)
 
@@ -202,16 +194,9 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
         best_size = len(pool)
 
     chosen = sorted(forced)
-    deg = [0] * g.n
-    for eid in chosen:
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
+    deg = degrees(g, chosen)
     ends = [g.edges[eid] for eid in free]
-    slack = list(deg)
-    for u, v in ends:
-        slack[u] += 1
-        slack[v] += 1
+    slack = degrees(g, chosen + free)
     prune: Optional[Prune] = None
     if cut is not None and len(free) > CUT_MIN_LEFT:
         adj: Adjacency = [[] for _ in range(g.n)]
@@ -365,12 +350,7 @@ def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozen
     # a minimum cover never holds a third copy of an edge: dropping it keeps
     # both ends at degree >= 2 and leaves no cycle component behind
     pool = _simplify(g, copies=2)
-    deg_all = [0] * g.n
-    for eid in pool:
-        u, v = g.edges[eid]
-        deg_all[u] += 1
-        deg_all[v] += 1
-    if any(d < 2 for d in deg_all):
+    if any(d < 2 for d in degrees(g, pool)):
         raise Infeasible("a vertex has degree below 2 in the host graph")
 
     forced = _forced_edges(g, pool)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import oracle
@@ -73,10 +74,13 @@ class TraceNode:
 # ---------------------------------------------------------------------------
 
 def _vertex_cuts(g: MultiGraph, k: int
-                 ) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+                 ) -> Iterator[tuple[tuple[int, ...],
+                                     Callable[[], list[list[int]]]]]:
     """Every k-subset of V whose removal leaves two or more components, as
-    (cut, comps) in ``itertools.combinations`` order: the cut a sorted tuple,
-    comps the components of G - cut as ``connected_components`` lists them.
+    (cut, split) in ``itertools.combinations`` order: the cut a sorted
+    tuple, split a zero-argument callable that builds the components of
+    G - cut as ``connected_components`` lists them (a caller that needs only
+    the cuts builds none).
 
     One lowpoint forest of G - P per (k-1)-prefix P replaces one BFS per
     k-subset (Tarjan 1972).  A child c of d with low[c] >= disc[d] heads a
@@ -99,25 +103,32 @@ def _vertex_cuts(g: MultiGraph, k: int
                 heads[p] += low[v] >= disc[p]
         roots = [v for v in order if parent[v] == -1]
         for d in range(lo, n):
-            if len(roots) - 1 + heads[d] + (parent[d] != -1) < 2:
-                continue
-            comps = []
-            for r in roots:
-                if not disc[r] <= disc[d] < end[r]:
-                    comps.append(order[disc[r]:end[r]])
-                    continue
-                # d's tree: the head subtrees, then the rest without d
-                rest = order[disc[r]:disc[d]] + order[end[d]:end[r]]
-                i = disc[d] + 1
-                while i < end[d]:
-                    c = order[i]
-                    if low[c] >= disc[d]:
-                        comps.append(order[i:end[c]])
-                    else:
-                        rest += order[i:end[c]]
-                    i = end[c]
-                comps.append(rest)      # empty when d is the root
-            yield prefix + (d,), sorted(sorted(comp) for comp in comps if comp)
+            if len(roots) - 1 + heads[d] + (parent[d] != -1) >= 2:
+                yield prefix + (d,), partial(_split_forest, order, disc, end,
+                                             low, roots, d)
+
+
+def _split_forest(order: list[int], disc: list[int], end: list[int],
+                  low: list[int], roots: list[int], d: int) -> list[list[int]]:
+    """The components of G - P - d, sorted, from preorder slices of the
+    lowpoint forest of G - P (see ``_vertex_cuts``)."""
+    comps = []
+    for r in roots:
+        if not disc[r] <= disc[d] < end[r]:
+            comps.append(order[disc[r]:end[r]])
+            continue
+        # d's tree: the head subtrees, then the rest without d
+        rest = order[disc[r]:disc[d]] + order[end[d]:end[r]]
+        i = disc[d] + 1
+        while i < end[d]:
+            c = order[i]
+            if low[c] >= disc[d]:
+                comps.append(order[i:end[c]])
+            else:
+                rest += order[i:end[c]]
+            i = end[c]
+        comps.append(rest)      # empty when d is the root
+    return sorted(sorted(comp) for comp in comps if comp)
 
 
 def _grouping(comps: list[list[int]], side: int
@@ -150,7 +161,8 @@ def _grouping(comps: list[list[int]], side: int
 
 
 def find_cut_vertex(g: MultiGraph) -> Optional[CutDescriptor]:
-    for (v,), comps in _vertex_cuts(g, 1):
+    for (v,), split in _vertex_cuts(g, 1):
+        comps = split()
         rest = tuple(sorted(x for c in comps[1:] for x in c))
         return CutDescriptor("Vertex1", (v,), (tuple(comps[0]), rest))
     return None
@@ -177,7 +189,8 @@ def find_irrelevant_edge(g: MultiGraph) -> Optional[CutDescriptor]:
 def find_non_isolating_2vc(g: MultiGraph) -> Optional[CutDescriptor]:
     """The first 2-vertex cut that does not cut off one vertex alone, with
     sides of two vertices or more (None if G - cut is three vertices)."""
-    for pair, comps in _vertex_cuts(g, 2):
+    for pair, split in _vertex_cuts(g, 2):
+        comps = split()
         if len(comps) == 2 and min(len(c) for c in comps) == 1:
             continue
         return CutDescriptor("Vertex2", pair, _grouping(comps, 2))
@@ -192,8 +205,8 @@ def find_large_3vc(g: MultiGraph, params: StructuredParams
     t = params.three_cut_side
     if g.n - 3 < 2 * t:
         return None
-    for trip, comps in _vertex_cuts(g, 3):
-        grouping = _grouping(comps, t)
+    for trip, split in _vertex_cuts(g, 3):
+        grouping = _grouping(split(), t)
         if grouping is not None:
             return CutDescriptor("Vertex3", trip, grouping)
     return None
@@ -242,7 +255,8 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
     if not (try1 or try2):
         return None
     opt1_of: dict[frozenset[int], Optional[int]] = {}
-    for quad, comps in _vertex_cuts(g, 4):
+    for quad, split in _vertex_cuts(g, 4):
+        comps = split()
         if try1:
             grouping = _grouping(comps, t1)
             if grouping is not None:

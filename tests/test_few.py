@@ -1,13 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from ledger_checks import assert_few_ledger_ok, assert_few_run_ok
 from twoec.credit import build_few_ledger, check_invariants, cost
-from twoec.decomp import CoverDecomposition
+from twoec import few, gadgets
+from twoec.decomp import ComponentGraphView, CoverDecomposition
 from twoec.exchange import ExchangeState
-from twoec.few import (ComponentContext, NoProgress, cover_bridges_step,
-                       glue_step, run_few)
+from twoec.few import (ComponentContext, NoProgress, _glue_trivial_segment,
+                       _glue_wide_segment, _nice_c5_exchanges,
+                       _triple_candidates, cover_bridges_step, glue_step,
+                       run_few)
 from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.oracle import _two_ec_on
 from twoec.params import FEW_DELTA, desk_params
@@ -231,3 +235,144 @@ def test_find_bridge_paths_reachability():
     # both block nodes reach each other through the escape edge
     assert any(reach[u] for u in reach)
     assert all(v in reach for v in range(len(reach)))
+
+
+# ---------------------------------------------------------------------------
+# the order of the candidate streams, on inputs that reach each family; the
+# pinned candidates are those the per-family loops proposed before the
+# streams replaced them
+# ---------------------------------------------------------------------------
+
+def c5_c8_one_bridge():
+    """A C5 block and a C8 block joined by one bridge, with two host
+    escapes: the pendant C5 has two edges leaving it outside H."""
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(4, 5)]
+    edges += [(5 + i, 5 + (i + 1) % 8) for i in range(8)]
+    edges += [(3, 7), (1, 9)]
+    return MultiGraph(13, edges), set(range(14))
+
+
+def add_cycle(edges, base, k):
+    edges += [(base + i, base + (i + 1) % k) for i in range(k)]
+    return list(range(base, base + k))
+
+
+def hub_c4_triangle():
+    """Hub C9 (the anchor) with a C4 A attached at two far vertices, so
+    {hub, A} is a trivial segment no good cycle or Hamiltonian path glues,
+    and A in a second segment, a triangle of C4s A, B, C."""
+    edges = []
+    add_cycle(edges, 0, 9)
+    a, b, c = (add_cycle(edges, base, 4) for base in (9, 13, 17))
+    edges += [(0, a[0]), (1, a[2])]
+    edges += [(a[1], b[0]), (b[2], c[0]), (c[2], a[3])]
+    edges += [(a[2], b[1]), (b[3], c[1]), (c[3], a[0])]
+    return MultiGraph(21, edges), set(range(21))
+
+
+def hub_two_c4s():
+    """Hub C9 and two C4s A, B pairwise joined by two edges: one wide
+    segment {hub, A, B}."""
+    edges = []
+    add_cycle(edges, 0, 9)
+    a, b = (add_cycle(edges, base, 4) for base in (9, 13))
+    edges += [(0, a[0]), (a[2], b[0]), (b[2], 4)]
+    edges += [(2, a[1]), (a[3], b[1]), (b[3], 6)]
+    return MultiGraph(17, edges), set(range(17))
+
+
+def bridge_chain_state():
+    return make_state(gadgets.bridge_chain(), set(range(19)))
+
+
+def test_three_path_candidates():
+    state = bridge_chain_state()
+    comp, = state.dec.complex_components
+    ctx = ComponentContext(state.g, state.dec, comp)
+    got = [(tuple(e for p in trio for e in p.edge_ids), rem) for trio, rem in
+           _triple_candidates(ctx, ctx.all_bridge_paths(), set(comp.bridges))]
+    assert len(got) == 50
+    assert got[:4] == [((20, 22, 23), ()), ((20, 22, 23), (12,)),
+                       ((20, 22, 23), (13,)), ((20, 22, 23), (14,))]
+    assert got[-1] == ((23, 19, 21), (18,))
+
+
+def test_nice_c5_exchanges():
+    state = make_state(*c5_c8_one_bridge())
+    comp, = state.dec.complex_components
+    got = list(_nice_c5_exchanges(state, comp))
+    assert len(got) == 15
+    assert got[:3] == [((14, 15), (0, 1)), ((14, 15), (0, 2)),
+                       ((14, 15), (0, 3))]
+
+
+def anchor_segment(state, size):
+    view = ComponentGraphView(state.g, state.dec)
+    L = state.dec.anchor().cid
+    seg, = [s for s in view.segments_of(L) if len(s) == size]
+    return view, seg, L
+
+
+def test_two_segment_stream():
+    state = make_state(*hub_c4_triangle())
+    got = list(_glue_trivial_segment(state, *anchor_segment(state, 2)))
+    assert {label for _, _, label in got} == {"two-segment-cycle"}
+    assert len(got) == 78
+    assert got[:3] == [((21, 22, 23, 26), (), "two-segment-cycle"),
+                       ((21, 22, 23, 26), (9,), "two-segment-cycle"),
+                       ((21, 22, 23, 26), (10,), "two-segment-cycle")]
+
+
+def test_cycle_through_c4_stream():
+    state = make_state(*hub_two_c4s())
+    got = [c for c in _glue_wide_segment(state, *anchor_segment(state, 3))
+           if c[2] == "cycle-through-c4"]
+    assert len(got) == 8
+    c4 = (9, 10, 11, 12)
+    assert [c[:2] for c in got[:3]] == [((17, 21, 19, 9, 10, 11), c4),
+                                        ((17, 21, 22, 9, 10, 11), c4),
+                                        ((20, 18, 19, 9, 12, 11), c4)]
+
+
+def rejected_dispatch(monkeypatch, step, state):
+    """Run ``step`` with every candidate turned down; (label, flags, count)
+    runs of the candidates in the order proposed."""
+    seen = []
+
+    def reject(state, adds, removes, phase, label, **flags):
+        seen.append((label, tuple(sorted(flags))))
+        return False
+
+    monkeypatch.setattr(few, "apply_candidate", reject)
+    with pytest.raises(NoProgress):
+        step(state)
+    return [(*key, len(list(run))) for key, run in itertools.groupby(seen)]
+
+
+BRIDGE = ("need_fewer_bridges",)
+GLUE = ("need_fewer_components", "need_huge")
+WAIVED_BRIDGE = ("need_fewer_bridges", "strict_structure", "waiver")
+WAIVED_GLUE = ("need_fewer_components", "strict_structure", "waiver")
+
+
+def test_dispatch_order(monkeypatch):
+    """The whole order of both steps, fallbacks included; fallback-any
+    proposes each pair of components' edge pairs once."""
+    assert rejected_dispatch(monkeypatch, cover_bridges_step,
+                             bridge_chain_state()) == [
+        ("path-repay", BRIDGE, 5), ("helper3", BRIDGE, 1),
+        ("helper4", BRIDGE, 1), ("helper3", BRIDGE, 1), ("helper4", BRIDGE, 1),
+        ("helper2", BRIDGE, 2), ("three-paths", BRIDGE, 50),
+        ("fallback-path", WAIVED_BRIDGE, 5)]
+    assert rejected_dispatch(monkeypatch, cover_bridges_step,
+                             make_state(*c5_c8_one_bridge())) == [
+        ("cheap-path", BRIDGE, 1), ("nice-c5-exchange", BRIDGE, 15),
+        ("fallback-path", WAIVED_BRIDGE, 1)]
+    assert rejected_dispatch(monkeypatch, glue_step,
+                             make_state(*hub_c4_triangle())) == [
+        ("two-segment-cycle", GLUE, 78), ("fallback-attach", WAIVED_GLUE, 1),
+        ("fallback-any", WAIVED_GLUE, 4)]
+    assert rejected_dispatch(monkeypatch, glue_step,
+                             make_state(*hub_two_c4s())) == [
+        ("nontrivial-cycle", GLUE, 26), ("cycle-through-c4", GLUE, 8),
+        ("fallback-attach", WAIVED_GLUE, 2), ("fallback-any", WAIVED_GLUE, 3)]

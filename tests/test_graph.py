@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from twoec.decomp import CoverDecomposition
 from twoec.graph import (GraphError, MultiGraph, biconnected_components,
                          connected_components, contract, contract_many,
-                         find_bridges, ham_path_exists,
+                         degrees, find_bridges, ham_path_exists,
                          is_two_edge_connected, simple_cycles_upto,
                          two_edge_classes)
 from twoec.params import desk_params
@@ -32,6 +32,13 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     return MultiGraph(10, outer + inner + spokes)
+
+
+def test_degrees_count_a_self_loop_twice():
+    g = MultiGraph(4, [(0, 1), (1, 1), (1, 2), (0, 1), (2, 2)])
+    assert degrees(g, range(g.m)) == [2, 5, 3, 0]
+    assert degrees(g, [1, 3]) == [1, 3, 0, 0]
+    assert degrees(g, []) == [0, 0, 0, 0]
 
 
 def test_two_edge_connected_basics():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cut_reference import _components_without
-from twoec import gadgets, oracle
+from twoec import gadgets, oracle, preprocess
 from twoec.graph import (MultiGraph, find_bridges, is_two_edge_connected,
                          simple_cycles_upto, two_edge_classes)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
@@ -361,6 +361,11 @@ def subset_scan(g, k):
             if len(comps := _components_without(g, c)) >= 2]
 
 
+def built_cuts(g, k):
+    """``_vertex_cuts(g, k)`` with every cut's components built."""
+    return [(cut, split()) for cut, split in _vertex_cuts(g, k)]
+
+
 def test_vertex_cuts_match_subset_scan():
     """The generator yields exactly the k-subsets whose removal leaves two
     or more components, in combinations order, each with the components of
@@ -375,7 +380,7 @@ def test_vertex_cuts_match_subset_scan():
         g = MultiGraph(n, [(rnd.randrange(n), rnd.randrange(n))
                            for _ in range(rnd.randint(0, 2 * n))])
         for k in (1, 2, 3, 4):
-            assert list(_vertex_cuts(g, k)) == subset_scan(g, k), (g.edges, k)
+            assert built_cuts(g, k) == subset_scan(g, k), (g.edges, k)
             for prefix in itertools.combinations(range(n), k - 1):
                 comps = _components_without(g, prefix)
                 many += len(comps) > 2
@@ -385,12 +390,25 @@ def test_vertex_cuts_match_subset_scan():
     assert many > 0 and lone > 0
 
 
+def test_irrelevant_edge_builds_no_components(monkeypatch):
+    """``find_irrelevant_edge`` asks only which pairs are cuts, so no cut's
+    components are built; it still agrees with the reference."""
+    def fail(*args):
+        raise AssertionError("components built")
+    monkeypatch.setattr(preprocess, "_split_forest", fail)
+    rnd = random.Random(4242)
+    graphs = [gadgets.planted_irrelevant(), gadgets.hub_c4(3)] + [
+        gadgets.random2ec(rnd.randint(5, 10), 0.4, seed) for seed in range(20)]
+    for g in graphs:
+        assert find_irrelevant_edge(g) == reference_find_irrelevant_edge(g)
+
+
 @pytest.mark.parametrize("name", [k for k in gadgets.GADGETS if k != "cycle8"])
 def test_vertex_cuts_match_subset_scan_gadget(name):
     """The same (cut, components) pairs on each planted gadget, k <= 3."""
     g = gadgets.GADGETS[name]()
     for k in (1, 2, 3):
-        assert list(_vertex_cuts(g, k)) == subset_scan(g, k), k
+        assert built_cuts(g, k) == subset_scan(g, k), k
 
 
 @pytest.mark.parametrize("n", range(5, 15))
@@ -423,8 +441,8 @@ def test_finders_match_reference_gadget(name):
 
 def ungated_find_large_3vc(g, params):
     t = params.three_cut_side
-    for trip, comps in _vertex_cuts(g, 3):
-        grouping = _grouping(comps, t)
+    for trip, split in _vertex_cuts(g, 3):
+        grouping = _grouping(split(), t)
         if grouping is not None:
             return CutDescriptor("Vertex3", trip, grouping)
     return None
@@ -445,7 +463,8 @@ def ungated_find_large_ck(g, params):
 def ungated_find_large_4vc(g, params):
     t1 = params.four_cut_side_2
     opt1_of = {}
-    for quad, comps in _vertex_cuts(g, 4):
+    for quad, split in _vertex_cuts(g, 4):
+        comps = split()
         grouping = _grouping(comps, t1)
         if grouping is not None:
             return CutDescriptor("Vertex4", quad, grouping, condition=1)
@@ -537,7 +556,8 @@ def test_find_large_4vc_one_oracle_call_per_side(name, shared, monkeypatch):
     t1 = P.four_cut_side_2
     cuts = 0
     sides = set()
-    for quad, comps in _vertex_cuts(g, 4):
+    for quad, split in _vertex_cuts(g, 4):
+        comps = split()
         if _grouping(comps, t1) is not None:
             break
         v1 = _grouping(comps, 1)[0]
