@@ -8,13 +8,24 @@ rebuilt and the exchange commits only when components or bridges strictly
 decrease, no new bridge appears, every component keeps a canonical shape,
 and the exact-rational cost respects the step's slack (0 everywhere except
 the single +2 step of the core construction).
+
+Core-square dispatch order, one lazy stream whose first accepted proposal
+is committed: per segment of 5+ nodes holding the huge component L, its
+merge, then chords over a growing gluing path (phase ``gluing-path``);
+merges per segment with a C_i and at most i nodes, per small segment with
+two large or complex components, per big segment without L; with another
+large or complex component, a merge anywhere, then a (3,1)-composed
+double; the bridge-covering cycles through L, then ``bridge-chord``;
+once, ``final-plus-two``; a merge anywhere.  A merge is labelled
+``single(k,j)``, ``double(k,j)`` or ``short-heavy(n)``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import oracle
 from .credit import CreditLedger, build_many_ledger, cost
@@ -142,22 +153,17 @@ def evaluate_cycle(state: ManyState, combo: tuple[int, ...],
     heavy = any(state.dec.components[cid].tag in CYCLE_TAGS
                 and state.dec.components[cid].tag != C4
                 for cid in touched)
-    if not double and len(combo) <= 6 and (heavy or covers):
-        return MergeCandidate(kind="short_heavy", edges=combo,
-                              shortcut_edges=(), k=k, j=j,
-                              covers_bridge=covers, node_cycles=cycles)
     f_edges = tuple(sorted(shortcuts.values()))
-    if double:
-        if k >= 5 and j <= 3 and k - j >= 4:
-            return MergeCandidate(kind="double", edges=combo,
-                                  shortcut_edges=f_edges, k=k, j=j,
-                                  covers_bridge=covers, node_cycles=cycles)
+    if not double and len(combo) <= 6 and (heavy or covers):
+        kind, f_edges = "short_heavy", ()
+    elif double and k >= 5 and j <= 3 and k - j >= 4:
+        kind = "double"
+    elif not double and k >= 3 and j <= 2 and k - j >= 3:
+        kind = "single"
+    else:
         return None
-    if k >= 3 and j <= 2 and k - j >= 3:
-        return MergeCandidate(kind="single", edges=combo,
-                              shortcut_edges=f_edges, k=k, j=j,
-                              covers_bridge=covers, node_cycles=cycles)
-    return None
+    return MergeCandidate(kind=kind, edges=combo, shortcut_edges=f_edges, k=k,
+                          j=j, covers_bridge=covers, node_cycles=cycles)
 
 
 def find_merge(state: ManyState, segments: Optional[list[set[int]]] = None
@@ -252,23 +258,12 @@ def find_31_merge(state: ManyState, target_cid: int, seg: set[int]
         for combo in instantiate_node_cycle(view, cyc):
             touched = _touch_map(state, combo)
             shortcuts, open_c4 = _shortcut_edges(state, touched)
-            if target_cid in shortcuts:
-                continue
-            cand = evaluate_cycle(state, combo, (tuple(cyc),), double=False)
-            if cand is None:
-                # accept the weaker 31-merge contract directly
-                k = len(touched)
-                j = len(open_c4)
-                if k in (3, 4) and k - j >= 2:
-                    cand = MergeCandidate(kind="single", edges=combo,
-                                          shortcut_edges=tuple(sorted(
-                                              e for c, e in shortcuts.items())),
-                                          k=k, j=j, covers_bridge=False,
-                                          node_cycles=(tuple(cyc),))
-                else:
-                    continue
-            if cand.k in (3, 4) and cand.k - cand.j >= 2:
-                return cand
+            k, j = len(touched), len(open_c4)
+            if target_cid not in shortcuts and k in (3, 4) and k - j >= 2:
+                return MergeCandidate(kind="single", edges=combo,
+                                      shortcut_edges=tuple(sorted(shortcuts.values())),
+                                      k=k, j=j, covers_bridge=False,
+                                      node_cycles=(tuple(cyc),))
     return None
 
 
@@ -280,13 +275,8 @@ def compose_double_from_31(state: ManyState, target_cid: int
     segs = view.segments_of(target_cid)
     if len(segs) < 2:
         return None
-    parts = []
-    for seg in segs:
-        cand = find_31_merge(state, target_cid, seg)
-        if cand is not None:
-            parts.append(cand)
-        if len(parts) == 2:
-            break
+    found = (find_31_merge(state, target_cid, seg) for seg in segs)
+    parts = list(itertools.islice(filter(None, found), 2))
     if len(parts) < 2:
         return None
     a, b = parts
@@ -364,49 +354,37 @@ def extend_gluing_path(state: ManyState, view: ComponentGraphView,
             if x in path.nodes:
                 continue
             for eid in view.edges_between(end, x)[:4]:
-                if endpos == 0:
-                    cand = GluingPath(nodes=[x] + path.nodes,
-                                      edges=[eid] + path.edges)
-                else:
-                    cand = GluingPath(nodes=path.nodes + [x],
-                                      edges=path.edges + [eid])
+                cand = (GluingPath([x] + path.nodes, [eid] + path.edges)
+                        if endpos == 0 else
+                        GluingPath(path.nodes + [x], path.edges + [eid]))
                 if validate_gluing_path(state, seg, cand):
                     return cand
     return None
 
 
-def gluing_path_progress(state: ManyState, seg: set[int]) -> Optional[str]:
-    """One progress action on a >= 5 node segment: 'improved' (fewer
-    components at non-increasing cost) or 'extended' (longer gluing path)."""
+def gluing_path_merges(state: ManyState, seg: set[int]
+                       ) -> Iterator[MergeCandidate]:
+    """Merge candidates for a >= 5 node segment: the merge ``find_merge``
+    finds in it, then the chords over a gluing path grown one node at a
+    time, each searched only when asked for."""
     view = state.view()
     cand = find_merge(state, segments=[seg])
-    if cand is not None and apply_merge(state, cand, phase="gluing-path"):
-        return "improved"
+    if cand is not None:
+        yield cand
     path = start_gluing_path(state, view, seg)
-    if path is None:
-        return None
-    extended = False
-    for _ in range(state.g.n):
+    while path is not None:
         # chords over the current path give single merges
-        k = len(path.nodes)
-        for i in range(k):
-            for jx in range(i + 2, k):
-                chords = [e for e in view.edges_between(path.nodes[i], path.nodes[jx])
-                          if e not in path.edges]
-                for ch in chords:
-                    combo = tuple(path.edges[i:jx]) + (ch,)
-                    cc = evaluate_cycle(state, combo,
+        for i in range(len(path.nodes)):
+            for jx in range(i + 2, len(path.nodes)):
+                for ch in view.edges_between(path.nodes[i], path.nodes[jx]):
+                    if ch in path.edges:
+                        continue
+                    cc = evaluate_cycle(state, tuple(path.edges[i:jx]) + (ch,),
                                         (tuple(path.nodes[i:jx + 1]),), double=False)
-                    if cc is not None and apply_merge(state, cc, phase="gluing-path"):
-                        return "improved"
-        if len(path.nodes) == len(seg):
-            break
-        nxt = extend_gluing_path(state, view, seg, path)
-        if nxt is None:
-            break
-        path = nxt
-        extended = True
-    return "extended" if extended else None
+                    if cc is not None:
+                        yield cc
+        path = extend_gluing_path(state, view, seg, path) \
+            if len(path.nodes) < len(seg) else None
 
 
 # ---------------------------------------------------------------------------
@@ -458,122 +436,93 @@ def core_square_report(state: ManyState) -> dict:
     return rep
 
 
-def _cover_l_bridge(state: ManyState, L: int) -> bool:
-    """Short-heavy bridge covering of the huge complex component."""
-    view = state.view()
-    for seg in view.segments_of(L):
-        for cyc in segment_cycles(view, seg, 6):
-            if L not in cyc:
-                continue
-            for combo in instantiate_node_cycle(view, cyc):
-                cand = evaluate_cycle(state, combo, (tuple(cyc),), double=False)
-                if cand is not None and cand.covers_bridge and \
-                        apply_merge(state, cand, phase="core"):
-                    return True
-    # single parallel-pair cycles or one-edge covers within L itself
-    comp = state.dec.components[L]
-    for eid, (u, v) in enumerate(state.g.edges):
-        if eid in state.h or u == v:
-            continue
-        if u in comp.vertices and v in comp.vertices:
-            if apply_many(state, (eid,), (), "core", "bridge-chord",
-                          need_fewer_bridges=True):
-                return True
-    return False
+def _plus_two(state: ManyState, combo: tuple[int, ...]) -> bool:
+    """Commit the one final-plus-two cycle, which may raise the cost by 2."""
+    if not apply_many(state, combo, (), "core", "final-plus-two",
+                      need_fewer_components=True, cost_slack=Fraction(2)):
+        return False
+    state.plus_two_used = True
+    return True
 
 
-def _merge_in(state: ManyState, segs: list[set[int]]) -> bool:
-    """Apply the first merge found inside one of ``segs``, tried in order;
-    a failed attempt changes nothing."""
-    for seg in segs:
-        cand = find_merge(state, segments=[seg])
-        if cand is not None and apply_merge(state, cand, phase="core"):
-            return True
-    return False
+def _core_steps(state: ManyState, view: ComponentGraphView, L: Optional[int]
+                ) -> Iterator[Callable[[], bool]]:
+    """The core-square rules' proposals in dispatch order, each a
+    zero-argument commit.  Each search runs only when the stream reaches it
+    and proposes at most one merge; nothing is committed before a proposal
+    is accepted, so every search sees the cover the pass started from."""
+    dec = state.dec
 
+    def merge(cand: Optional[MergeCandidate], phase: str):
+        if cand is not None:
+            yield functools.partial(apply_merge, state, cand, phase)
 
-def _final_plus_two(state: ManyState, view: ComponentGraphView, L: int
-                    ) -> bool:
-    """Commit the first final-plus-two cycle through a segment of L with three
-    or four components, none a cut node; a failed attempt changes nothing."""
-    for seg in view.segments_of(L):
-        if not 3 <= len(seg) <= 4 or any(x in view.cut_nodes for x in seg):
-            continue
-        for cyc in segment_cycles(view, seg, 4):
-            if set(cyc) != set(seg):
-                continue
-            for combo in instantiate_node_cycle(view, cyc):
-                if apply_many(state, combo, (), "core", "final-plus-two",
-                              need_fewer_components=True,
-                              cost_slack=Fraction(2)):
-                    state.plus_two_used = True
-                    return True
-    return False
+    # 1. big segments holding the huge component: gluing-path merges
+    for seg in view.segments:
+        if L in seg and len(seg) >= 5:
+            for cand in gluing_path_merges(state, seg):
+                yield from merge(cand, "gluing-path")
+    # per component: i for a C_i (5..8), else 0; large or complex
+    ci = [CYCLE_TAGS[c.tag] if c.tag in CYCLE_TAGS and c.tag != C4 else 0
+          for c in dec.components]
+    big = [c.tag in (COMPLEX, LARGE2EC) for c in dec.components]
+    # 2. segment with a C_i (5..8) and at most i components
+    # 3. small segment holding two large-or-complex components
+    # 4. big segment without a huge component
+    for wanted in (lambda s: (lens := [ci[x] for x in s if ci[x]])
+                   and len(s) <= min(lens),
+                   lambda s: len(s) <= 4 and sum(big[x] for x in s) >= 2,
+                   lambda s: len(s) >= 5 and L not in s):
+        for seg in filter(wanted, view.segments):
+            yield from merge(find_merge(state, segments=[seg]), "core")
+    if L is not None:
+        # 5. another large or complex component besides L
+        others = [c.cid for c in dec.components if c.cid != L and big[c.cid]]
+        if others:
+            yield from merge(find_merge(state), "core")
+            yield from merge(compose_double_from_31(state, others[0]), "core")
+        # 6. bridges of L: short heavy cycles through L, then chords inside L
+        comp = dec.components[L]
+        if comp.bridges:
+            for seg in view.segments_of(L):
+                for cyc in segment_cycles(view, seg, 6):
+                    if L not in cyc:
+                        continue
+                    for combo in instantiate_node_cycle(view, cyc):
+                        cand = evaluate_cycle(state, combo, (tuple(cyc),),
+                                              double=False)
+                        if cand is not None and cand.covers_bridge:
+                            yield from merge(cand, "core")
+            for eid, (u, v) in enumerate(state.g.edges):
+                if eid not in state.h and u != v and \
+                        u in comp.vertices and v in comp.vertices:
+                    yield functools.partial(apply_many, state, (eid,), (), "core",
+                                            "bridge-chord", need_fewer_bridges=True)
+        # 7. the final cycle through a segment of L of three or four
+        # components, none a cut node: at most once, +2
+        if not state.plus_two_used:
+            yield from (functools.partial(_plus_two, state, combo)
+                        for seg in view.segments_of(L)
+                        if 3 <= len(seg) <= 4 and view.cut_nodes.isdisjoint(seg)
+                        for cyc in segment_cycles(view, seg, 4) if set(cyc) == seg
+                        for combo in instantiate_node_cycle(view, cyc))
+    # a generic merge anywhere before giving up
+    yield from merge(find_merge(state), "core")
 
 
 def build_core_square(state: ManyState) -> None:
-    """Exhaustively apply the ordered reductions until the cover is a
-    bridgeless core-square configuration; at most one +2 step."""
-    guard = 4 * state.g.n + 16
-    while guard > 0:
-        guard -= 1
-        dec = state.dec
-        view = state.view()
-        rep = core_square_report(state)
-        anchor = dec.anchor()
+    """Commit the first accepted proposal of the ordered core-square rules
+    until the cover is a bridgeless core-square configuration or no proposal
+    is accepted; at most one +2 step.  Every commit lowers the number of
+    components or of bridges and raises neither, so the loop ends."""
+    while True:
+        anchor = state.dec.anchor()
         L = anchor.cid if anchor.huge else None
-        if rep["ok"] and L is not None and not dec.components[L].bridges:
-            break
-        progressed = False
-        # 1. big huge segments: gluing-path progress
-        if L is not None:
-            for seg in view.segments:
-                if len(seg) >= 5 and L in seg:
-                    res = gluing_path_progress(state, seg)
-                    if res == "improved":
-                        progressed = True
-                        break
-        if progressed:
-            continue
-        # per component: i for a C_i (5..8), else 0; large or complex
-        ci = [CYCLE_TAGS[c.tag] if c.tag in CYCLE_TAGS and c.tag != C4 else 0
-              for c in dec.components]
-        big = [c.tag in (COMPLEX, LARGE2EC) for c in dec.components]
-        # 2. segment with a C_i (5..8) and at most i components
-        if (_merge_in(state, [s for s in view.segments
-                              if (lens := [ci[x] for x in s if ci[x]])
-                              and len(s) <= min(lens)])
-                # 3. small segment holding two large-or-complex components
-                or _merge_in(state, [s for s in view.segments
-                                     if len(s) <= 4 and sum(big[x] for x in s) >= 2])
-                # 4. big segment without a huge component
-                or _merge_in(state, [s for s in view.segments
-                                     if len(s) >= 5 and L not in s])):
-            continue
-        # 5. another large or complex component besides L
-        if L is not None:
-            others = [c for c in dec.components if c.cid != L and
-                      c.tag in (COMPLEX, LARGE2EC)]
-            if others:
-                cand = find_merge(state)
-                if cand is not None and apply_merge(state, cand, phase="core"):
-                    continue
-                dbl = compose_double_from_31(state, others[0].cid)
-                if dbl is not None and apply_merge(state, dbl, phase="core"):
-                    continue
-        # 6. bridges of L get covered by short heavy cycles
-        if L is not None and dec.components[L].bridges:
-            if _cover_l_bridge(state, L):
-                continue
-        # 7. the final cycle through L's one wide segment, at most once, +2
-        if (L is not None and not state.plus_two_used
-                and _final_plus_two(state, view, L)):
-            continue
-        # generic merge anywhere before giving up
-        cand = find_merge(state)
-        if cand is not None and apply_merge(state, cand, phase="core"):
-            continue
-        break
+        if L is not None and core_square_report(state)["ok"] \
+                and not state.dec.components[L].bridges:
+            return
+        if not any(step() for step in _core_steps(state, state.view(), L)):
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -366,8 +366,8 @@ def test_criterion_8_many_bound():
 
 @pytest.mark.slow
 def test_criterion_9_preprocessing():
-    from tests.test_preprocess import (EXPECTED_BRANCH, audit_invariant,
-                                       branch_labels, inner_oracle)
+    from test_preprocess import (EXPECTED_BRANCH, audit_invariant,
+                                 branch_labels, inner_oracle)
     seen: set[str] = set()
     for kind, want in EXPECTED_BRANCH.items():
         g = gadgets.GADGETS[kind]()

@@ -1,15 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from ledger_checks import assert_few_run_ok, assert_many_ledger_ok
-from twoec import harness
+from twoec import gadgets, harness, many
+from twoec.cover import canonicalize, min_triangle_free_cover
 from twoec.credit import build_many_ledger, cost
 from twoec.decomp import C4, CoverDecomposition
+from twoec.gadgets import Builder
 from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.many import (ManyState, apply_merge, build_core_square,
                         compose_double_from_31, core_square_report, find_merge,
-                        gluing_path_progress, run_many, start_gluing_path,
+                        gluing_path_merges, run_many, start_gluing_path,
                         extend_gluing_path)
 from twoec.oracle import _two_ec_on, exact_min_2ecss
 from twoec.params import desk_params
@@ -184,8 +187,8 @@ def test_gluing_path_improved_on_shortcut_ring():
     state = make_state(g, h)
     seg = state.view().segments[0]
     assert len(seg) == 5
-    res = gluing_path_progress(state, seg)
-    assert res == "improved"
+    assert any(apply_merge(state, cand, "gluing-path")
+               for cand in gluing_path_merges(state, seg))
     assert len(state.dec.components) == 1
 
 
@@ -201,7 +204,8 @@ def test_gluing_path_extension():
     longer = extend_gluing_path(state, view, seg, path)
     assert longer is not None
     assert len(longer.edges) == len(path.edges) + 1
-    assert gluing_path_progress(state, seg) == "extended"
+    assert not any(apply_merge(state, cand, "gluing-path")
+                   for cand in gluing_path_merges(state, seg))
 
 
 def test_core_square_on_hub_with_c5():
@@ -308,3 +312,101 @@ def test_gluing_path_complex_pattern_rule():
     e_blk = [e for e, (u, v) in enumerate(g.edges) if {u, v} == {2, 13}][0]
     assert not _node_pattern_ok(state, comp.cid, e_in, e_out)
     assert _node_pattern_ok(state, comp.cid, e_in, e_blk)
+
+
+def rejected_core_steps(monkeypatch, g, h):
+    """Run ``build_core_square`` with every exchange turned down; (phase,
+    label, flags set, count) runs of the proposals in the order made."""
+    seen = []
+
+    def reject(state, adds, removes, phase, label, **flags):
+        seen.append((phase, label, tuple(sorted(f for f, on in flags.items() if on))))
+        return False
+
+    monkeypatch.setattr(many, "apply_many", reject)
+    build_core_square(make_state(g, h))
+    return [(*key, len(list(run))) for key, run in itertools.groupby(seen)]
+
+
+def canonical_cover(g):
+    return canonicalize(g, min_triangle_free_cover(g, mode="exact")[0], P)[0]
+
+
+def hub_ring_host():
+    """Huge hub in a 5-node segment with four C4 petals in a chain; the
+    second petal is left at its far vertex and has a chord to the hub."""
+    b = Builder()
+    hub = b.vertices(9)
+    h = set(b.cycle(hub))
+    petals = [b.vertices(4) for _ in range(4)]
+    for p in petals:
+        h |= set(b.cycle(p))
+    b.edge(hub[0], petals[0][0])
+    for i, exit_v in enumerate((1, 2, 1)):
+        b.edge(petals[i][exit_v], petals[i + 1][0])
+    b.edge(petals[-1][1], hub[4])
+    b.edge(petals[1][3], hub[2])
+    return b.graph(), h
+
+
+def second_large_host():
+    """Huge hub C10 and a large C9 joined by two edges; the C9 also sits in
+    two triangles of shortcut C4s, which compose into a double merge."""
+    b = Builder()
+    hub, x = b.vertices(10), b.vertices(9)
+    h = set(b.cycle(hub)) | set(b.cycle(x))
+    b.edge(hub[0], x[0])
+    b.edge(hub[5], x[4])
+    for t in range(2):
+        p, q = b.vertices(4), b.vertices(4)
+        h |= set(b.cycle(p)) | set(b.cycle(q))
+        b.edge(x[2 + 4 * t], p[0])
+        b.edge(p[1], q[0])
+        b.edge(q[1], x[3 + 4 * t])
+    return b.graph(), h
+
+
+MERGE = ("need_fewer_components",)
+COVER = ("need_fewer_bridges",)
+PLUS_TWO = ("cost_slack", "need_fewer_components")
+
+
+def test_core_dispatch_order(monkeypatch):
+    """The proposals of one core-square pass with every one turned down:
+    the gadget hosts under their canonical covers, then hand-built covers.
+    ``hub_ring_host`` reaches rule 1 and ``second_large_host`` rule 5."""
+    hosts = {}
+    for name in ("loan_complex", "nice_c5_complex", "star_complex",
+                 "short_heavy_c5", "double_merge_host", "merge_triangle"):
+        g = getattr(gadgets, name)()
+        hosts[name] = (g, canonical_cover(g))
+    hosts.update({
+        "bridge_chain": (gadgets.bridge_chain(), set(range(19))),
+        "ring5": ring_of_c4s([True] * 5),
+        "ring6": ring_of_c4s([True, True, True, False, False, False]),
+        "double": double_merge_host(),
+        "hub_ring": hub_ring_host(),
+        "second_large": second_large_host()})
+    got = {name: rejected_core_steps(monkeypatch, *host)
+           for name, host in hosts.items()}
+    assert got == {
+        "loan_complex": [("core", "short-heavy(2)", MERGE, 3)],
+        "nice_c5_complex": [("core", "short-heavy(2)", COVER, 11)],
+        "star_complex": [("core", "short-heavy(2)", COVER, 11),
+                         ("core", "short-heavy(3)", COVER, 8),
+                         ("core", "final-plus-two", PLUS_TWO, 8),
+                         ("core", "short-heavy(2)", COVER, 1)],
+        "short_heavy_c5": [("core", "short-heavy(2)", MERGE, 2)],
+        "double_merge_host": [("core", "double(5,1)", MERGE, 1)],
+        "merge_triangle": [("core", "single(3,0)", MERGE, 1)],
+        "bridge_chain": [("core", "bridge-chord", COVER, 5)],
+        "ring5": [("core", "single(5,0)", MERGE, 2)],
+        "ring6": [],
+        "double": [("core", "double(5,1)", MERGE, 1)],
+        "hub_ring": [("gluing-path", "single(3,0)", MERGE, 4),
+                     ("gluing-path", "single(4,0)", MERGE, 1),
+                     ("core", "single(3,0)", MERGE, 1)],
+        "second_large": [("core", "double(5,0)", MERGE, 1),
+                         ("core", "single(3,0)", MERGE, 1),
+                         ("core", "double(5,0)", MERGE, 1),
+                         ("core", "single(3,0)", MERGE, 1)]}
