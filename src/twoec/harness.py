@@ -105,7 +105,6 @@ def cover_pipeline(g: MultiGraph, params: StructuredParams, mode: str = "auto"
         sol, state = run_many(g, h0, params)
     stats["steps"] = [r.to_json() for r in state.trace]
     stats["waivers"] = sum(1 for r in state.trace if r.waiver)
-    stats["info"] = state.info
     return sol, stats
 
 

@@ -4,6 +4,15 @@
 of ``DETECTORS`` (the checking order) whose finder fires reduces the graph,
 and an instance that no entry matches is handed to the inner solver.  Every
 step records a trace node sufficient to audit the size invariant afterwards.
+
+A non-isolating 2-vertex cut, a large 3-vertex cut and condition 1 of a
+large 4-vertex cut share one reassembly.  When both sides are large, each
+side's closure G[V_i ∪ cut] | cut is reduced alone and the two are joined
+with at most 2k - 2 edges for a k-vertex cut.  Otherwise the small side is
+typed: type A is contracted, and every other type is solved on the side,
+the big side is reduced with the stand-in ``SUBSTITUTES`` names for it, and
+the two are rejoined within that row's budget (C2 and C3 have their own
+stand-ins and rejoining).
 """
 from __future__ import annotations
 
@@ -484,23 +493,25 @@ def side2_availability(g: MultiGraph, v2: set[int], cut: list[int]) -> set[str]:
 class SideTypeTable:
     """Per-type minimum side subgraphs for a small cut side."""
 
-    def __init__(self, g: MultiGraph, v1: set[int], cut: list[int],
-                 collect_all: bool = False):
+    def __init__(self, g: MultiGraph, v1: set[int], cut: list[int]):
         self.g = g
         self.v1 = set(v1)
         self.cut = list(cut)
         self.verts = self.v1 | set(cut)
+        self.order = T2_ORDER if len(self.cut) == 2 else T3_ORDER
         self.pool = sorted(e for e, (u, v) in enumerate(g.edges)
                            if u in self.verts and v in self.verts and u != v)
         self.minima: dict[str, Optional[set[int]]] = {}
         self.all_optima: dict[str, list[set[int]]] = {}
-        self._enumerate(collect_all)
+        self._enumerate()
 
-    def _enumerate(self, collect_all: bool) -> None:
-        order = T2_ORDER if len(self.cut) == 2 else T3_ORDER
+    def _enumerate(self) -> None:
+        # every optimum is kept only for a 3-vertex cut: the C2 and C3
+        # reassemblies choose among them
+        collect_all = len(self.cut) == 3
         sizes: dict[str, int] = {}
         best: dict[str, set[int]] = {}
-        alls: dict[str, list[set[int]]] = {t: [] for t in order}
+        alls: dict[str, list[set[int]]] = {t: [] for t in self.order}
         pool = self.pool
 
         def rec(i: int, chosen: list[int], deg: dict[int, int]):
@@ -542,7 +553,7 @@ class SideTypeTable:
             rec(i + 1, chosen, deg)
 
         rec(0, [], {v: 0 for v in self.verts})
-        for t in order:
+        for t in self.order:
             self.minima[t] = best.get(t)
             self.all_optima[t] = alls.get(t, [])
 
@@ -552,9 +563,8 @@ class SideTypeTable:
 
     def t_min(self, available: set[str]
               ) -> tuple[Optional[str], Optional[set[int]]]:
-        order = T2_ORDER if len(self.cut) == 2 else T3_ORDER
         best_t, best_sol = None, None
-        for t in order:
+        for t in self.order:
             if t not in available:
                 continue
             sol = self.minima.get(t)
@@ -565,9 +575,21 @@ class SideTypeTable:
         return best_t, best_sol
 
 
-def classify_side_types(g: MultiGraph, v1: set[int], cut: list[int],
-                        collect_all: bool = False) -> SideTypeTable:
-    return SideTypeTable(g, v1, cut, collect_all)
+def classify_side_types(g: MultiGraph, v1: set[int], cut: list[int]
+                        ) -> SideTypeTable:
+    return SideTypeTable(g, v1, cut)
+
+
+# the small side's type -> (the stand-in for it when the big side is reduced,
+# a function of the cut vertices giving dummy edges, or None for the big
+# side's closure G[V2 ∪ cut] | cut; the most edges that rejoin the two)
+SUBSTITUTES: dict[str, tuple[Optional[Callable], int]] = {
+    "B": (lambda u, v: [(u, "w"), (v, "w")], 2),    # a dummy vertex w
+    "C": (lambda u, v: [(u, v)], 2),                # a dummy edge
+    "B1": (None, 3),
+    "B2": (None, 4),
+    "C1": (None, 4),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -655,30 +677,33 @@ class Reducer:
         r, t = self._red(child)
         return _map_back(child, r), t
 
-    def _split_and_rejoin(self, g: MultiGraph, cut, v1: set[int], v2: set[int],
-                          budget: Optional[int] = None, case: str = ""
-                          ) -> tuple[set[int], set[int], list[TraceNode]]:
-        """Reduce G[V1 ∪ cut] | cut and G[V2 ∪ cut] | cut, map both back
-        and, given a ``budget``, join them with at most that many edges.
-        Returns (solution, joining edges, the two child traces)."""
+    def _reduce_sides(self, g: MultiGraph, cut, v1: set[int], v2: set[int]
+                      ) -> tuple[set[int], list[TraceNode]]:
+        """Reduce G[V1 ∪ cut] | cut and G[V2 ∪ cut] | cut; the union of
+        their solutions in parent edge ids, and the two child traces."""
         h1, t1 = self._reduce_child(_contracted_side(g, v1, cut))
         h2, t2 = self._reduce_child(_contracted_side(g, v2, cut))
-        f: Optional[set[int]] = set()
-        if budget is not None:
-            f = min_augment_to_2ec(g, h1 | h2, budget)
-            if f is None:
-                raise ReductionError(f"no joining edges for the {case}")
-        return h1 | h2 | f, f, [t1, t2]
+        return h1 | h2, [t1, t2]
+
+    def _both_large(self, g: MultiGraph, step: str, branch: str, cut,
+                    v1: set[int], v2: set[int]) -> tuple[set[int], TraceNode]:
+        """Reduce both sides of a k-vertex cut on their own and join them
+        with at most 2k - 2 edges."""
+        sol, children = self._reduce_sides(g, cut, v1, v2)
+        f = min_augment_to_2ec(g, sol, 2 * len(cut) - 2)
+        if f is None:
+            raise ReductionError(f"no joining edges for {step}/{branch}")
+        return _step(sol | f, step, g, {"cut": list(cut), "branch": branch,
+                                        "f_edges": sorted(f)}, children)
 
     # -- cut vertices, dropped edges and contractible parts ------------------
 
     def split_cut_vertex(self, g: MultiGraph, cut: CutDescriptor
                          ) -> tuple[set[int], TraceNode]:
-        v1, v2 = map(set, cut.sides)
-        h1, t1 = self._reduce_child(_side_graph(g, v1, set(cut.vertices)))
-        h2, t2 = self._reduce_child(_side_graph(g, v2, set(cut.vertices)))
-        return _step(h1 | h2, "SplitCutVertex", g, {"cut": list(cut.vertices)},
-                     [t1, t2])
+        sol, children = self._reduce_sides(g, cut.vertices,
+                                           *map(set, cut.sides))
+        return _step(sol, "SplitCutVertex", g, {"cut": list(cut.vertices)},
+                     children)
 
     def drop_edge(self, g: MultiGraph, cut: CutDescriptor, step: str
                   ) -> tuple[set[int], TraceNode]:
@@ -698,103 +723,64 @@ class Reducer:
         return _step(h | set(kept), "ContractContractible", g,
                      {"vertices": sorted(w), "kept": len(kept), **via}, [t])
 
-    # -- algorithm 2: non-isolating 2-vertex cuts ---------------------------
+    # -- algorithms 2 and 3: non-isolating 2-vertex and large 3-vertex cuts --
 
-    def remove_2vc(self, g: MultiGraph, cut: CutDescriptor
+    def remove_2vc(self, g: MultiGraph, found: CutDescriptor
                    ) -> tuple[set[int], TraceNode]:
-        p = self.params
-        u, v = cut.vertices
-        if cut.sides is None:
-            raise ReductionError("2-vertex cut has no side of two vertices")
-        v1, v2 = map(set, cut.sides)
-        if len(v1) > len(v2):
-            v1, v2 = v2, v1
-        if Fraction(len(v1)) > p.size_floor:
-            sol, f, children = self._split_and_rejoin(
-                g, {u, v}, v1, v2, 2, "2VC both-large case")
-            return _step(sol, "Remove2VC", g,
-                         {"cut": [u, v], "branch": "both-large",
-                          "f_edges": sorted(f)}, children)
-        avail2 = side2_availability(g, v2, [u, v])
-        allowed = {t for t in T2_ORDER if COMPATIBLE[t] & avail2}
-        table = classify_side_types(g, v1, [u, v])
-        t_min, opt_min = table.t_min(available=allowed)
-        if t_min == "A":
-            # every completion spends at least opt_1^A inside the side, so
-            # the side is alpha-contractible (the short-cycle candidate scan
-            # cannot see subgraphs this large)
-            return self.contract_part(g, v1 | {u, v}, opt_min,
-                                      via="type-A-side")
-        if t_min not in ("B", "C"):
-            raise ReductionError(f"2VC side admits no feasible type: {table.minima}")
-        dummies = [(u, "w"), (v, "w")] if t_min == "B" else [(u, v)]
-        h2, t = self._reduce_child(
-            _side_graph(g, v2, {u, v}, dummies, drop_cut_edges=True))
-        f: set[int] = set()
-        if t_min == "C":
-            f = min_augment_to_2ec(g, set(opt_min) | h2, 1) or set()
-        sol = set(opt_min) | h2 | f
-        if not oracle._two_ec_on(g, sol):
-            extra = min_augment_to_2ec(g, sol, 2)
-            if extra is None:
-                raise ReductionError("2VC reassembly failed")
-            sol |= extra
-            f = f | extra
-        return _step(sol, "Remove2VC", g,
-                     {"cut": [u, v], "branch": t_min,
-                      "opt1": table.opt_size(t_min),
-                      "f_edges": sorted(f)}, [t])
-
-    # -- algorithm 3: large 3-vertex cuts ------------------------------------
+        return self._remove_small_cut(g, found, "Remove2VC")
 
     def remove_3vc(self, g: MultiGraph, found: CutDescriptor
                    ) -> tuple[set[int], TraceNode]:
-        p = self.params
-        v1, v2 = map(set, found.sides)
-        if len(v1) > len(v2):
-            v1, v2 = v2, v1
+        return self._remove_small_cut(g, found, "Remove3VC")
+
+    def _remove_small_cut(self, g: MultiGraph, found: CutDescriptor, step: str
+                          ) -> tuple[set[int], TraceNode]:
+        """Join two large sides, or type the small side V1: contract it when
+        its cheapest type is A, and otherwise solve it alone, reduce the big
+        side with a stand-in for it and rejoin the two."""
+        if found.sides is None:
+            raise ReductionError(f"{step}: no side of two vertices")
+        v1, v2 = sorted(map(set, found.sides), key=len)
         cut = list(found.vertices)
-        if Fraction(len(v1)) > p.size_floor:
-            sol, f, children = self._split_and_rejoin(
-                g, cut, v1, v2, 4, "3VC both-large case")
-            return _step(sol, "Remove3VC", g,
-                         {"cut": cut, "branch": "both-large",
-                          "f_edges": sorted(f)}, children)
+        if Fraction(len(v1)) > self.params.size_floor:
+            return self._both_large(g, step, "both-large", cut, v1, v2)
         avail2 = side2_availability(g, v2, cut)
-        allowed = {t for t in T3_ORDER if COMPATIBLE[t] & avail2}
-        table = classify_side_types(g, v1, cut, collect_all=True)
-        t_min, opt_min = table.t_min(available=allowed)
-        if t_min == "A":
-            return self.contract_part(g, v1 | set(cut), opt_min,
+        # types the big side can complete; the table reads its own order only
+        allowed = {t for t, fits in COMPATIBLE.items() if fits & avail2}
+        table = classify_side_types(g, v1, cut)
+        typ, opt1 = table.t_min(available=allowed)
+        if typ == "A":
+            # every completion spends at least opt_1^A inside the side, so
+            # the side is alpha-contractible (the short-cycle candidate scan
+            # cannot see subgraphs this large)
+            return self.contract_part(g, v1 | set(cut), opt1,
                                       via="type-A-side")
         b1 = table.opt_size("B1") if "B1" in allowed else None
-        use_b1 = (b1 is not None and opt_min is not None
-                  and b1 <= len(opt_min) + 1)
-        if use_b1:
-            return self._three_vc_contract_branch(g, cut, v1, v2, table, "B1")
-        if t_min in ("B2", "C1"):
-            return self._three_vc_contract_branch(g, cut, v1, v2, table, t_min)
-        if t_min == "C2":
-            return self._three_vc_c2(g, cut, v1, v2, table)
-        if t_min == "C3":
-            return self._three_vc_c3(g, cut, v1, v2, table)
-        raise ReductionError(f"3VC side admits no feasible type: "
-                             f"{ {t: table.opt_size(t) for t in T3_ORDER} }")
-
-    def _three_vc_contract_branch(self, g, cut, v1, v2, table, typ
-                                  ) -> tuple[set[int], TraceNode]:
+        if b1 is not None and b1 <= len(opt1) + 1:
+            typ = "B1"
+        if typ == "C2":
+            return self._three_vc_c2(g, cut, v2, table)
+        if typ == "C3":
+            return self._three_vc_c3(g, cut, v2, table)
+        if typ not in SUBSTITUTES:
+            sizes = {t: table.opt_size(t) for t in table.order}
+            raise ReductionError(f"{step} side admits no feasible type: {sizes}")
+        stand_in, budget = SUBSTITUTES[typ]
         opt1 = table.minima[typ]
-        h2, t = self._reduce_child(_contracted_side(g, v2, cut))
-        budget = {"B1": 1, "B2": 2, "C1": 2}[typ]
-        # one call with the fallback budget: the greedy phase and the patch
+        h2, t = self._reduce_child(
+            _contracted_side(g, v2, cut) if stand_in is None else
+            _side_graph(g, v2, set(cut), stand_in(*cut), drop_cut_edges=True))
+        # one call with the row's budget: the greedy phase and the patch
         # sizes run in the same order under any budget, and a larger one only
-        # tries more, so it returns what the smaller one would have found
-        f = min_augment_to_2ec(g, set(opt1) | h2, budget + 2) or set()
-        return _step(set(opt1) | h2 | f, "Remove3VC", g,
-                     {"cut": list(cut), "branch": typ,
-                      "opt1": len(opt1), "f_edges": sorted(f)}, [t])
+        # tries more, so it returns what a smaller one would have found
+        f = min_augment_to_2ec(g, set(opt1) | h2, budget)
+        if f is None:
+            raise ReductionError(f"{step}/{typ} reassembly failed")
+        return _step(set(opt1) | h2 | f, step, g,
+                     {"cut": cut, "branch": typ, "opt1": len(opt1),
+                      "f_edges": sorted(f)}, [t])
 
-    def _three_vc_c2(self, g, cut, v1, v2, table) -> tuple[set[int], TraceNode]:
+    def _three_vc_c2(self, g, cut, v2, table) -> tuple[set[int], TraceNode]:
         optima = table.all_optima["C2"]
         pairs = set()
         for sol in optima:
@@ -846,7 +832,7 @@ class Reducer:
                      {"cut": list(cut), "branch": f"C2{subcase}",
                       "f_edges": sorted(best_f)}, [t])
 
-    def _three_vc_c3(self, g, cut, v1, v2, table) -> tuple[set[int], TraceNode]:
+    def _three_vc_c3(self, g, cut, v2, table) -> tuple[set[int], TraceNode]:
         optima = table.all_optima["C3"]
         pick = None
         for opt1 in optima:
@@ -888,7 +874,7 @@ class Reducer:
             if not ids:
                 raise ReductionError("cycle cut vertices do not form a cycle")
             cyc_edges.append(ids[0])
-        sol, _, children = self._split_and_rejoin(g, cyc, v1, v2)
+        sol, children = self._reduce_sides(g, cyc, v1, v2)
         return _step(sol | set(cyc_edges), "RemoveCkCut", g,
                      {"cut": list(cyc), "k": k,
                       "cycle_edges": sorted(cyc_edges)}, children)
@@ -900,11 +886,8 @@ class Reducer:
         cut = set(found.vertices)
         v1, v2 = map(set, found.sides)
         if found.condition == 1:
-            sol, f, children = self._split_and_rejoin(
-                g, cut, v1, v2, 2 * 4 - 2, "4VC case 1")
-            return _step(sol, "Remove4VC", g,
-                         {"cut": sorted(cut), "branch": "case1",
-                          "f_edges": sorted(f)}, children)
+            return self._both_large(g, "Remove4VC", "case1", found.vertices,
+                                    v1, v2)
         # condition 2: recurse on the big side only, close the small side
         g1p = _contracted_side(g, v1, cut)
         opt1 = oracle.exact_min_2ecss(g1p)

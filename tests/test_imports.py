@@ -160,13 +160,9 @@ SETTABLE_VALUES = [
     "params.StructuredParams(epsilon)",
     "params.StructuredParams(huge_threshold)",
     "preprocess.Reducer.__init__(inner)",
-    "preprocess.Reducer._split_and_rejoin(budget)",
-    "preprocess.Reducer._split_and_rejoin(case)",
-    "preprocess.SideTypeTable.__init__(collect_all)",
     "preprocess._side_graph(drop_cut_edges)",
     "preprocess._side_graph(dummy_edges)",
     "preprocess._step(children)",
-    "preprocess.classify_side_types(collect_all)",
     "preprocess.min_augment_to_2ec(pool)",
     "preprocess.red(inner)",
 ]

@@ -13,7 +13,7 @@ from twoec.graph import (MultiGraph, find_bridges, is_two_edge_connected,
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
 from twoec.params import StructuredParams, desk_params
 from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CYCLE_CAP, T2_ORDER,
-                              CutDescriptor,
+                              CutDescriptor, Reducer,
                               _c2_path_pair,
                               _class_connector, _contracted_side,
                               _grouping, _shape_of, _side_graph, _vertex_cuts,
@@ -112,6 +112,26 @@ def test_min_augment_basic():
     assert f is not None and _two_ec_on(g, {0, 1} | f)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_min_augment_larger_budget_same_answer(seed):
+    """Once a budget j finds joining edges, every budget k > j returns the
+    same set: the greedy phase and the patch sizes run in the same order
+    under any budget.  The reducer's rejoining rows make one call with
+    their largest budget on this ground."""
+    rnd = random.Random(seed)
+    g = gadgets.random2ec(rnd.randint(6, 9), 0.35, seed)
+    found = 0
+    for _ in range(8):
+        base = {e for e in range(g.m) if rnd.random() < 0.55}
+        answers = [min_augment_to_2ec(g, base, b) for b in range(7)]
+        for j, f in enumerate(answers):
+            if f is not None:
+                found += 1
+                assert all(later == f for later in answers[j + 1:]), (base, j)
+                break
+    assert found
+
+
 # -- side type tables ---------------------------------------------------------
 
 def test_side_types_c4_through_cut():
@@ -166,6 +186,41 @@ def test_type_a_minimum_triggers_contraction():
     assert _two_ec_on(g, sol)
     labels = branch_labels(trace)
     assert any("ContractContractible" in l for l in labels)
+
+
+def test_type_a_side_is_contracted_by_the_cut_rule():
+    """The cut (0, 1) with the C4 0-2-1-3 as its small side and a 6-ring as
+    its big side, handed to the reducer as built: vertices 2 and 3 each
+    need both their edges, so every side solution is the whole C4, type A,
+    and the rule contracts the side instead of rejoining it."""
+    g = MultiGraph(10, [(0, 2), (2, 1), (1, 3), (3, 0)]
+                   + [(4 + i, 4 + (i + 1) % 6) for i in range(6)]
+                   + [(0, 4), (0, 7), (1, 5), (1, 8)])
+    cut = CutDescriptor("Vertex2", (0, 1), ((2, 3), tuple(range(4, 10))))
+    sol, trace = Reducer(P).remove_2vc(g, cut)
+    assert trace.step == "ContractContractible"
+    assert trace.detail == {"vertices": [0, 1, 2, 3], "kept": 4,
+                            "via": "type-A-side"}
+    assert _two_ec_on(g, sol) and len(sol) == len(exact_min_2ecss(g))
+
+
+def test_3vc_b2_side_rejoins_within_its_budget():
+    """The cut (0, 1, 2) whose small side is the C4 0-3-1-4 and the
+    triangle 2-5-6, with no edge between them: B2, two 2EC parts, is the
+    only side type.  The big side, a 6-ring, is reduced with the cut
+    contracted, and at most four edges rejoin the two."""
+    g = MultiGraph(13, [(0, 3), (3, 1), (1, 4), (4, 0), (2, 5), (5, 6), (6, 2)]
+                   + [(7 + i, 7 + (i + 1) % 6) for i in range(6)]
+                   + [(0, 7), (1, 9), (2, 11), (2, 12)])
+    cut = CutDescriptor("Vertex3", (0, 1, 2),
+                        ((3, 4, 5, 6), tuple(range(7, 13))))
+    table = classify_side_types(g, {3, 4, 5, 6}, [0, 1, 2])
+    assert [t for t in table.order if table.opt_size(t) is not None] == ["B2"]
+    sol, trace = Reducer(P).remove_3vc(g, cut)
+    assert (trace.step, trace.detail["branch"]) == ("Remove3VC", "B2")
+    assert trace.detail["opt1"] == 7
+    assert len(trace.detail["f_edges"]) <= preprocess.SUBSTITUTES["B2"][1]
+    assert _two_ec_on(g, sol)
 
 
 # -- branch coverage -----------------------------------------------------------
@@ -236,9 +291,12 @@ def test_trace_json_roundtrip():
 
 def test_branch_f_budgets():
     """Joining edge sets respect the per-branch budgets."""
-    budgets = {"vertex2_both_large": ("Remove2VC", 2),
+    budgets = {"vertex2_b": ("Remove2VC", 2),
+               "vertex2_c": ("Remove2VC", 2),
+               "vertex2_both_large": ("Remove2VC", 2),
                "vertex3_both_large": ("Remove3VC", 4),
                "vertex3_b1": ("Remove3VC", 1),
+               "vertex3_c1": ("Remove3VC", 4),
                "vertex3_c2i": ("Remove3VC", 1),
                "vertex3_c2ii": ("Remove3VC", 1),
                "vertex3_c3": ("Remove3VC", 4)}
