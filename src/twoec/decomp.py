@@ -40,12 +40,17 @@ class Component:
     tag: str
     is_2ec: bool
     is_rich: bool = False
-    cycle_order: Optional[list[int]] = None   # for cycle components
     huge: bool = False
 
     @property
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.vertices))
+
+    @property
+    def is_cycle(self) -> bool:
+        """A simple cycle: connected and bridgeless with as many edges as
+        vertices, at least 3."""
+        return self.is_2ec and len(self.edges) == len(self.vertices) >= 3
 
 
 def cover_edge(g: MultiGraph, comp: Component, u: int, v: int
@@ -53,37 +58,6 @@ def cover_edge(g: MultiGraph, comp: Component, u: int, v: int
     """The first edge of ``comp.edges``, in its iteration order, that joins
     u and v, or None."""
     return next((e for e in comp.edges if set(g.edges[e]) == {u, v}), None)
-
-
-def _cycle_order(vertices: set[int], edges: list[tuple[int, int]]) -> Optional[list[int]]:
-    """Vertex order if the edge list is a single simple cycle on vertices."""
-    if len(edges) != len(vertices) or len(vertices) < 3:
-        return None
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        if u == v or u not in adj or v not in adj:
-            return None
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(a) != 2 for a in adj.values()):
-        return None
-    start = min(vertices)
-    order = [start]
-    prev, cur = None, start
-    while True:
-        a, b = adj[cur]
-        nxt = a if a != prev else b
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-        if len(order) > len(vertices):
-            return None
-    if len(order) != len(vertices):
-        return None
-    if len(order) > 2 and order[1] > order[-1]:
-        order = [order[0]] + order[1:][::-1]
-    return order
 
 
 class CoverDecomposition:
@@ -134,30 +108,26 @@ class CoverDecomposition:
                                           comp_bridges[cid], comp_blocks[cid])
             is_rich = len(vs) == 1 and not edges and comp[0] in self.rich_vertices
             is_2ec = bool(not bridges and len(blocks) <= 1 and not is_rich and edges)
-            tag, cyc = self._classify(vs, edges, bridges, is_rich, is_2ec)
+            tag = self._classify(vs, edges, bridges, is_rich, is_2ec)
             self.components.append(Component(
                 cid=cid, vertices=vs, edges=edges, bridges=bridges,
                 blocks=blocks, tag=tag, is_2ec=is_2ec, is_rich=is_rich,
-                cycle_order=cyc, huge=len(vs) >= self.params.huge_threshold))
+                huge=len(vs) >= self.params.huge_threshold))
 
-    def _classify(self, vs: set[int], edges: set[int], bridges: set[int],
-                  is_rich: bool, is_2ec: bool):
-        g = self.g
+    @staticmethod
+    def _classify(vs: set[int], edges: set[int], bridges: set[int],
+                  is_rich: bool, is_2ec: bool) -> str:
+        """A 2EC component with as many edges as vertices is a simple cycle
+        (see ``Component.is_cycle``); C4..C8 get their own tags."""
         if is_rich:
-            return RICH, None
+            return RICH
         if bridges:
-            return COMPLEX, None
-        if not edges:
-            return OTHER, None
-        pairs = [g.edges[e] for e in sorted(edges)]
-        cyc = _cycle_order(vs, pairs)
-        if cyc is not None and 4 <= len(cyc) <= 8:
-            return {4: C4, 5: C5, 6: C6, 7: C7, 8: C8}[len(cyc)], cyc
+            return COMPLEX
+        if is_2ec and len(edges) == len(vs) and 4 <= len(vs) <= 8:
+            return f"C{len(vs)}"
         if is_2ec and len(edges) >= 9:
-            return LARGE2EC, cyc
-        if is_2ec:
-            return OTHER, cyc     # 2EC but neither C4..C8 nor >= 9 edges
-        return OTHER, None
+            return LARGE2EC
+        return OTHER
 
     # -- convenience -------------------------------------------------------
 

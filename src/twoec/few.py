@@ -315,13 +315,10 @@ def _glue_trivial_segment(state: ExchangeState, view: ComponentGraphView,
         if len(endsA) != 2:
             continue
         u, v = endsA
-        if compA.cycle_order:
-            k = len(compA.cycle_order)
-            pos = {x: i for i, x in enumerate(compA.cycle_order)}
-            if (pos[u] - pos[v]) % k in (1, k - 1):
-                join = cover_edge(g, compA, u, v)
-                if join is not None:
-                    yield pair, (join,), "cycle-hamiltonian"
+        # on a cycle, an edge joins u and v exactly when they are adjacent
+        join = cover_edge(g, compA, u, v) if compA.is_cycle else None
+        if join is not None:
+            yield pair, (join,), "cycle-hamiltonian"
         path = ham_path_exists(g, compA.vertices, u, v)
         path_edges = path and path_edge_ids(g, path)
         if path_edges:
@@ -360,7 +357,7 @@ def _removal_options_for_node(state: ExchangeState, node: int,
     g = state.g
     comp = state.dec.components[node]
     opts: list[tuple[int, ...]] = [()]
-    if not comp.cycle_order:
+    if not comp.is_cycle:
         return opts
     incident = sorted({x for e in adds for x in g.edges[e] if x in comp.vertices})
     for u, v in itertools.combinations(incident, 2):
@@ -378,7 +375,7 @@ def _cycle_removals_few(state: ExchangeState, node_cycle: list[int], combo,
     singles: list[int] = []
     for i, node in enumerate(node_cycle):
         comp = state.dec.components[node]
-        if node in skip or not comp.cycle_order:
+        if node in skip or not comp.is_cycle:
             continue
         e_in = combo[(i - 1) % k]
         e_out = combo[i]
@@ -408,7 +405,7 @@ def _glue_wide_segment(state: ExchangeState, view: ComponentGraphView,
                 yield combo, removes, label
     for A in targets:
         compA = state.dec.components[A]
-        if compA.cycle_order is None:
+        if not compA.is_cycle:
             continue
         # replace the component cycle by a Hamiltonian path between two
         # cycle-through-C4 style attachment points

@@ -1,13 +1,13 @@
 """Multigraph representation and the structural queries used across the solver.
 
 Vertices are dense integers 0..n-1.  Edges are indexed by position in the edge
-list; parallel edges and self-loops are allowed.  Contraction produces a new
-graph whose edges carry origin tags pointing back at the ancestor edge ids.
+list; parallel edges and self-loops are allowed.  Contraction keeps edge ids:
+edge i of a contracted graph is edge i of the graph it came from.
 """
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 class GraphError(ValueError):
@@ -17,26 +17,20 @@ class GraphError(ValueError):
 class MultiGraph:
     """Undirected multigraph with stable edge identities.
 
-    ``edges[i]`` is an unordered pair (u, v); ``origin[i]`` optionally names
-    the edge id this edge had before a contraction.
+    ``edges[i]`` is an unordered pair (u, v); ``origin``, when a builder
+    sets it, lists the parent edge id of each edge (None for a dummy edge).
     """
 
     __slots__ = ("n", "edges", "origin", "_adj")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 origin: Optional[Sequence[Optional[int]]] = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         self.n = n
         self.edges: list[tuple[int, int]] = []
         for (u, v) in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             self.edges.append((u, v) if u <= v else (v, u))
-        if origin is not None:
-            if len(origin) != len(self.edges):
-                raise GraphError("origin tag list length mismatch")
-            self.origin = list(origin)
-        else:
-            self.origin = None
+        self.origin: Optional[list[Optional[int]]] = None
         self._adj = None
 
     @property
@@ -251,48 +245,27 @@ def two_edge_classes(g: MultiGraph, eids: Iterable[int]
 # ---------------------------------------------------------------------------
 
 def contract(g: MultiGraph, s: set[int]) -> tuple[MultiGraph, list[int]]:
-    """Contract vertex set ``s`` into one vertex.
+    """Contract vertex set ``s`` into the vertex of its smallest member.
 
-    Returns (graph, vertex_map) where vertex_map[old] = new id.  Edges keep
-    their relative order; origin[i] is the ancestor edge id.  Edges inside
-    ``s`` become self-loops and are kept.
+    Returns (graph, vertex_map) where vertex_map[old] = new id; the other
+    vertices keep their order.  Edge ids are kept: edge i of the result is
+    edge i of ``g``, and edges inside ``s`` become self-loops.  The result
+    carries no origin tags.
     """
     if not s:
         raise GraphError("cannot contract the empty set")
-    return contract_many(g, [s])
-
-
-def contract_many(g: MultiGraph, groups: list[set[int]]) -> tuple[MultiGraph, list[int]]:
-    """Contract several disjoint vertex groups at once; each group becomes
-    the vertex of its smallest member, numbered in vertex order."""
-    group_of = [-1] * g.n
-    for i, grp in enumerate(groups):
-        for v in grp:
-            if not 0 <= v < g.n:
-                raise GraphError("contraction set out of range")
-            if group_of[v] != -1:
-                raise GraphError("contraction groups overlap")
-            group_of[v] = i
+    if not all(0 <= v < g.n for v in s):
+        raise GraphError("contraction set out of range")
+    first = min(s)
     vmap = [-1] * g.n
     nxt = 0
-    assigned: dict[int, int] = {}
     for v in range(g.n):
-        gi = group_of[v]
-        if gi == -1:
-            vmap[v] = nxt
-            nxt += 1
-        elif gi in assigned:
-            vmap[v] = assigned[gi]
+        if v in s and v != first:
+            vmap[v] = vmap[first]
         else:
-            assigned[gi] = nxt
             vmap[v] = nxt
             nxt += 1
-    new_edges = []
-    new_origin = []
-    for eid, (u, v) in enumerate(g.edges):
-        new_edges.append((vmap[u], vmap[v]))
-        new_origin.append(g.origin[eid] if g.origin is not None else eid)
-    return MultiGraph(nxt, new_edges, new_origin), vmap
+    return MultiGraph(nxt, [(vmap[u], vmap[v]) for u, v in g.edges]), vmap
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .decomp import (C4, COMPLEX, CYCLE_TAGS, LARGE2EC, BlockTree, Component,
                      ComponentGraphView, CoverDecomposition, cover_edge,
                      instantiate_node_cycle, segment_cycles)
 from .exchange import ExchangeState, NoProgress, canonical_shape_ok, commit
-from .graph import MultiGraph, connected_components, contract_many
+from .graph import MultiGraph, connected_components, contract
 from .params import MANY_DELTA, StructuredParams
 
 
@@ -122,21 +122,15 @@ def _complex_incidence_ok(state: ManyState, touched: dict[int, list[int]]) -> bo
 
 
 def _covers_bridge(state: ManyState, touched: dict[int, list[int]]) -> bool:
+    """Some complex component is touched in two or more nodes of its block
+    tree: the tree path between them, which always exists, has a bridge."""
     for cid, verts in touched.items():
         comp = state.dec.components[cid]
         if comp.tag != COMPLEX:
             continue
-        vs = sorted(set(verts))
-        if len(vs) < 2:
-            continue
-        tree = BlockTree(state.g, comp)
-        for u, v in itertools.combinations(vs, 2):
-            a, b = tree.node_of_vertex[u], tree.node_of_vertex[v]
-            if a == b:
-                continue
-            _, eids = tree.tree_path(a, b)
-            if eids:
-                return True
+        node_of = BlockTree(state.g, comp).node_of_vertex
+        if len({node_of[v] for v in verts}) >= 2:
+            return True
     return False
 
 
@@ -537,14 +531,13 @@ def _optimal_part_replacement(state: ManyState, L: int, part: list[int]) -> bool
     for cid in part:
         verts |= state.dec.components[cid].vertices
     rest = set(range(g.n)) - verts
-    contracted, _ = contract_many(g, [rest])
     try:
-        sol = oracle.exact_min_2ecss(contracted, limit=oracle.STRUCTURED_LIMIT)
+        sol = oracle.exact_min_2ecss(contract(g, rest)[0],
+                                     limit=oracle.STRUCTURED_LIMIT)
     except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
         return False
-    opt_ids = {contracted.origin[e] for e in sol}
-    opt_ids = {e for e in opt_ids
-               if any(v in verts for v in g.edges[e])}
+    # contraction keeps edge ids, so the part's optimum is in g's ids
+    opt_ids = {e for e in sol if any(v in verts for v in g.edges[e])}
     if len(opt_ids) > 5 * len(part) - 1:
         return False
     f_i = {e for e in state.h

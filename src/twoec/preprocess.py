@@ -319,12 +319,13 @@ def find_contractible(g: MultiGraph, params: StructuredParams
             opt_local = oracle.exact_min_2ecss(sub)
         except (oracle.NotTwoEdgeConnected, oracle.TooLarge):
             continue
-        return set(w), {sub.origin[e] for e in opt_local}
+        return set(w), _map_back(sub, opt_local)
     return None
 
 
 # ---------------------------------------------------------------------------
-# graph builders (children carry parent edge ids as origins; dummies None)
+# graph builders: a child's origin tags name its parent's edge ids (None on
+# a dummy edge); a child made by contraction alone keeps the ids, untagged
 # ---------------------------------------------------------------------------
 
 def _side_graph(g: MultiGraph, verts: set[int], cut: set[int],
@@ -354,15 +355,19 @@ def _side_graph(g: MultiGraph, verts: set[int], cut: set[int],
 
 
 def _contracted_side(g: MultiGraph, v1, cut) -> MultiGraph:
-    """G[V1 ∪ cut] | cut, with parent edge ids as origins."""
+    """G[V1 ∪ cut] | cut, with parent edge ids as origins: the contraction
+    keeps the side graph's edge ids, so it takes the side graph's tags."""
     v1, cut = set(v1), set(cut)
     side = _side_graph(g, v1, cut)
     local_cut = {i for i, v in enumerate(sorted(v1 | cut)) if v in cut}
-    return contract(side, local_cut)[0]
+    child = contract(side, local_cut)[0]
+    child.origin = side.origin
+    return child
 
 
 def _map_back(child: MultiGraph, sol: set[int]) -> set[int]:
-    """Child solution -> parent edge ids, dummy edges dropped."""
+    """Child solution -> parent edge ids, dummy edges dropped; an untagged
+    child shares its parent's edge ids."""
     out = set()
     for e in sol:
         tag = child.origin[e] if child.origin is not None else e
@@ -717,9 +722,7 @@ class Reducer:
                       **via) -> tuple[set[int], TraceNode]:
         """Contract ``w`` to one vertex and add ``kept``, an optimal edge set
         inside it, to the child's solution."""
-        child, _ = contract(g, w)
-        child.origin = list(range(g.m))   # immediate-parent edge ids
-        h, t = self._reduce_child(child)
+        h, t = self._reduce_child(contract(g, w)[0])
         return _step(h | set(kept), "ContractContractible", g,
                      {"vertices": sorted(w), "kept": len(kept), **via}, [t])
 

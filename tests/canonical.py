@@ -41,11 +41,8 @@ def c4_merge_witness(g: MultiGraph, dec: CoverDecomposition
     for i in range(len(c4s)):
         for j in range(i + 1, len(c4s)):
             a, b = c4s[i], c4s[j]
-            ac, bc = a.cycle_order, b.cycle_order
-            for x in range(4):
-                a1, a2 = ac[x], ac[(x + 1) % 4]
-                for y in range(4):
-                    b1, b2 = bc[y], bc[(y + 1) % 4]
+            for a1, a2 in (g.edges[e] for e in sorted(a.edges)):
+                for b1, b2 in (g.edges[e] for e in sorted(b.edges)):
                     if (gedge(a1, b1) and gedge(a2, b2)) or \
                        (gedge(a1, b2) and gedge(a2, b1)):
                         return (a.cid, b.cid, (a1, a2), (b1, b2))

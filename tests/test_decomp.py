@@ -139,6 +139,29 @@ def reference_bridges_and_blocks(g, edge_subset):
     return bridges, blocks
 
 
+def walks_one_simple_cycle(g, vs, edges):
+    """Whether ``edges`` is one simple cycle through all of ``vs`` (at least
+    3), by walking it: every vertex has two distinct neighbours, no edge is
+    a loop, and the walk from the smallest vertex returns after |vs| steps."""
+    if len(vs) < 3 or len(edges) != len(vs):
+        return False
+    nbrs = {v: [] for v in vs}
+    for e in edges:
+        u, v = g.edges[e]
+        if u == v:
+            return False
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    if any(len(a) != 2 or a[0] == a[1] for a in nbrs.values()):
+        return False
+    start = prev = min(vs)
+    cur, steps = nbrs[start][0], 1
+    while cur != start:
+        prev, cur = cur, next(x for x in nbrs[cur] if x != prev)
+        steps += 1
+    return steps == len(vs)
+
+
 def reference_cover_decomposition(dec):
     """The per-component build ``CoverDecomposition`` replaced: for each
     component of H, a scan of H for its edges and one
@@ -154,11 +177,12 @@ def reference_cover_decomposition(dec):
         blocks.sort(key=lambda b: min(b.vertices))
         is_rich = len(vs) == 1 and not edges and min(vs) in dec.rich_vertices
         is_2ec = bool(not bridges and len(blocks) <= 1 and not is_rich and edges)
-        tag, cyc = dec._classify(vs, edges, bridges, is_rich, is_2ec)
+        tag = dec._classify(vs, edges, bridges, is_rich, is_2ec)
         components.append(Component(
             cid=cid, vertices=vs, edges=edges, bridges=bridges, blocks=blocks,
-            tag=tag, is_2ec=is_2ec, is_rich=is_rich, cycle_order=cyc,
+            tag=tag, is_2ec=is_2ec, is_rich=is_rich,
             huge=len(vs) >= dec.params.huge_threshold))
+        assert components[-1].is_cycle == walks_one_simple_cycle(g, vs, edges)
         for v in vs:
             comp_of_vertex[v] = cid
     return comp_of_vertex, components
@@ -168,9 +192,10 @@ def test_decomposition_matches_reference(multigraph_cases):
     """The one-pass build against the per-component one: ``comp_of_vertex``,
     every ``Component`` field and the ordered blocks (vertices, edges), on
     random multigraphs with self-loops, parallel copies and isolated
-    vertices, each edge subset with a random set of rich vertices."""
+    vertices, each edge subset with a random set of rich vertices;
+    ``is_cycle`` against a walk of the component's edges."""
     rnd = random.Random(6061)
-    loop_only = multi_block = 0
+    loop_only = multi_block = cycles = 0
     for g, subsets in multigraph_cases:
         for h in subsets:
             rich = {v for v in range(g.n) if rnd.random() < 0.3}
@@ -184,7 +209,8 @@ def test_decomposition_matches_reference(multigraph_cases):
                     1 for b in c.blocks
                     if all(g.edges[e][0] == g.edges[e][1] for e in b.edges))
                 multi_block += c.tag == COMPLEX and len(c.blocks) >= 2
-    assert loop_only > 0 and multi_block > 0
+                cycles += c.is_cycle
+    assert loop_only > 0 and multi_block > 0 and cycles > 0
 
 
 def cross_edges(view: ComponentGraphView) -> list[tuple[int, int, int]]:

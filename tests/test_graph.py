@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twoec.decomp import CoverDecomposition
 from twoec.graph import (GraphError, MultiGraph, biconnected_components,
-                         connected_components, contract, contract_many,
+                         connected_components, contract,
                          degrees, find_bridges, ham_path_exists,
                          is_two_edge_connected, simple_cycles_upto,
                          two_edge_classes)
@@ -106,7 +106,7 @@ def test_contract_c6():
     assert h.n == 4
     loops = [e for e in h.edges if e[0] == e[1]]
     assert len(loops) == 2
-    assert h.origin == list(range(6))
+    assert h.origin is None and h.m == g.m
 
 
 def test_contract_k4_parallel():
@@ -140,8 +140,7 @@ def reference_contract(g, s):
         nxt += 1
     for v in s:
         vmap[v] = vmap[rep]
-    origin = g.origin if g.origin is not None else list(range(g.m))
-    return MultiGraph(nxt, [(vmap[u], vmap[v]) for u, v in g.edges], origin), vmap
+    return MultiGraph(nxt, [(vmap[u], vmap[v]) for u, v in g.edges]), vmap
 
 
 @pytest.mark.parametrize("g,s", [
@@ -150,16 +149,16 @@ def reference_contract(g, s):
     (petersen(), {2, 7, 9}), (path_graph(4), {3}),
 ])
 def test_contract_is_contract_many_of_one_group(g, s):
+    """``contract`` against the reference: the same vertex map, and edge i
+    of the result is edge i of g with its ends mapped, untagged."""
     ref, ref_vmap = reference_contract(g, s)
-    for h, vmap in (contract(g, s), contract_many(g, [s])):
-        assert (h.n, h.edges, h.origin, vmap) == (ref.n, ref.edges, ref.origin, ref_vmap)
+    h, vmap = contract(g, s)
+    assert (h.n, h.edges, h.origin, vmap) == (ref.n, ref.edges, None, ref_vmap)
 
 
 @pytest.mark.parametrize("group", [{-1, 0}, {0, 3}])
 def test_contract_many_rejects_out_of_range_vertices(group):
     g = MultiGraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(GraphError, match="out of range"):
-        contract_many(g, [group])
     with pytest.raises(GraphError, match="out of range"):
         contract(g, group)
 
@@ -289,11 +288,11 @@ def test_ham_path():
 
 def test_contract_decontract_identity():
     g = complete_graph(5)
-    h, _ = contract(g, {1, 3})
-    assert sorted(h.origin) == list(range(g.m))
-    # decontraction by origin maps every contracted edge back uniquely
-    back = {h.origin[e] for e in range(h.m)}
-    assert back == set(range(g.m))
+    h, vmap = contract(g, {1, 3})
+    # contraction keeps edge ids, so edge i decontracts to edge i of g
+    assert h.origin is None and h.m == g.m
+    assert all(h.edges[e] == tuple(sorted(vmap[x] for x in g.edges[e]))
+               for e in range(g.m))
 
 
 @given(st.integers(4, 9), st.randoms())

@@ -131,7 +131,6 @@ SETTABLE_VALUES = [
     "gadgets.star_complex(n_blocks)",
     "gadgets.sub_wheel(members)",
     "graph.MultiGraph.__init__(edges)",
-    "graph.MultiGraph.__init__(origin)",
     "graph.biconnected_components(edge_subset)",
     "graph.connected_components(edge_subset)",
     "graph.connected_components(skip_vertices)",

@@ -192,6 +192,18 @@ def test_gluing_path_improved_on_shortcut_ring():
     assert len(state.dec.components) == 1
 
 
+@pytest.mark.parametrize("k", [10, 12])
+def test_many_on_a_tagged_graph_matches_untagged(k):
+    """A reducer child carries origin tags naming its parent's edges; MANY's
+    final assembly solves a part on a contraction, whose edge ids are the
+    graph's own, so the tags change nothing."""
+    g = gadgets.shortcut_ring(k)
+    plain, _ = harness.cover_pipeline(g, P, mode="many")
+    g.origin = [i + 1 for i in range(g.m)]
+    tagged, _ = harness.cover_pipeline(g, P, mode="many")
+    assert tagged == plain
+
+
 def test_gluing_path_extension():
     # entering at the far vertex on three petals blocks every ring merge
     g, h = ring_of_c4s([True, True, True, False, False, False])
