@@ -85,7 +85,7 @@ def _measure(g: MultiGraph, h: set[int]) -> tuple[int, int, int, int]:
     below it, any other vertex with one.  In reverse preorder a vertex comes
     after all of its subtree and a root after its whole tree.
     """
-    order, parent, _, disc, low = lowpoint_forest(g, h)
+    order, parent, _, disc, low, _ = lowpoint_forest(g, h)
     heads = [0] * g.n
     ncomp = nbridges = ncut = 0
     bridges = cuts = 0                  # of the tree being finished

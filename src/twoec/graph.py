@@ -126,18 +126,22 @@ def find_bridges(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> 
 
 def lowpoint_forest(g: MultiGraph, eids: Optional[Iterable[int]] = None,
                     skip: Iterable[int] = ()
-                    ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-    """(order, parent, pedge, disc, low) of one iterative lowpoint DFS over
-    the edge set ``eids`` (every edge when None) of G - skip.
+                    ) -> tuple[list[int], list[int], list[int], list[int],
+                               list[int], list[int]]:
+    """(order, parent, pedge, disc, low, end) of one iterative lowpoint DFS
+    over the edge set ``eids`` (every edge when None) of G - skip.
 
     ``order`` is the preorder, roots ascending, so every tree and every
-    subtree is a contiguous run of it; ``disc[v]`` is v's position there.
-    A root has ``parent`` and ``pedge`` -1.  The DFS skips only the tree
-    edge itself, by id, so a parallel copy of it is a back edge; self-loops
-    change nothing.  A removed vertex is in no tree and has ``disc`` n."""
+    subtree is a contiguous run of it; ``disc[v]`` is v's position there and
+    ``end[v]``, set when v is popped, one past its subtree, which is
+    ``order[disc[v]:end[v]]``.  A root has ``parent`` and ``pedge`` -1.  The
+    DFS skips only the tree edge itself, by id, so a parallel copy of it is
+    a back edge; self-loops change nothing.  A removed vertex is in no tree
+    and has ``disc`` and ``end`` n."""
     adj = g.adj() if eids is None else _subset_adj(g, eids)
     n = g.n
     disc = [-1] * n
+    end = [n] * n
     for v in skip:
         disc[v] = n                     # removed: never reached, never low
     low = [0] * n
@@ -166,11 +170,12 @@ def lowpoint_forest(g: MultiGraph, eids: Optional[Iterable[int]] = None,
                     low[v] = disc[w]
             else:
                 stack.pop()
+                end[v] = len(order)
                 if stack:
                     p = stack[-1][0]
                     if low[v] < low[p]:
                         low[p] = low[v]
-    return order, parent, pedge, disc, low
+    return order, parent, pedge, disc, low, end
 
 
 def is_two_edge_connected(g: MultiGraph, edge_subset: Optional[Iterable[int]] = None) -> bool:
@@ -224,7 +229,7 @@ def two_edge_classes(g: MultiGraph, eids: Iterable[int]
     Off ``lowpoint_forest``: the tree edge into v is a bridge when
     low[v] > disc[parent].  In preorder, v starts a new class at a root or
     below a bridge, and otherwise joins its parent's."""
-    order, parent, pedge, disc, low = lowpoint_forest(g, eids)
+    order, parent, pedge, disc, low, _ = lowpoint_forest(g, eids)
     cls = [0] * g.n
     bridges: set[int] = set()
     k = 0
@@ -278,7 +283,7 @@ def biconnected_components(g: MultiGraph, edge_subset: Optional[Iterable[int]] =
 
     Off ``lowpoint_forest``: a child v with low[v] >= disc[parent] heads a
     block, which is its parent plus every vertex whose nearest head is v."""
-    order, parent, _, disc, low = lowpoint_forest(g, edge_subset)
+    order, parent, _, disc, low, _ = lowpoint_forest(g, edge_subset)
     head = [-1] * g.n
     blocks: dict[int, set[int]] = {}
     for v in order:
@@ -307,6 +312,13 @@ def simple_cycles_upto(g: MultiGraph, max_len: int,
     smaller second vertex first (canonical orientation).  With ``through``
     set, only the cycles through that vertex are reported, each rooted
     there in the same orientation.
+
+    The paths from each root are pruned by distance: one BFS per root, over
+    the vertices a path from it may use, gives dist[w], and w extends a path
+    only when len(path) + dist[w] <= max_len.  Any cycle closed below w has
+    at least that many vertices, so a pruned branch reports nothing and the
+    list, its order and where ``limit`` cuts it are those of the unpruned
+    depth-first search.
     """
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.simple_pairs():
@@ -317,16 +329,30 @@ def simple_cycles_upto(g: MultiGraph, max_len: int,
     out: list[list[int]] = []
     for root in range(g.n) if through is None else (through,):
         low = root if through is None else -1
+        # dist[w] from root over the vertices above low, capped at max_len:
+        # at the cap w is too far, or not reached, and never extends a path
+        dist = [max_len] * g.n
+        dist[root] = 0
+        level = [root]
+        for d in range(1, max_len):
+            reached = []
+            for v in level:
+                for w in adj[v]:
+                    if w > low and dist[w] == max_len:
+                        dist[w] = d
+                        reached.append(w)
+            level = reached
         stack = [(root, [root], {root})]
         while stack:
             v, path, onpath = stack.pop()
+            room = max_len - len(path)
             for w in adj[v]:
                 if w == root and len(path) >= 3:
                     if path[1] < path[-1]:
                         out.append(list(path))
                         if limit is not None and len(out) >= limit:
                             return out
-                elif w > low and w not in onpath and len(path) < max_len:
+                elif dist[w] <= room and w not in onpath:
                     stack.append((w, path + [w], onpath | {w}))
     return out
 

@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import oracle
-from .graph import (MultiGraph, connected_components, contract,
+from .graph import (MultiGraph, connected_components, contract, degrees,
                     is_two_edge_connected, lowpoint_forest, simple_cycles_upto,
                     two_edge_classes)
 from .params import StructuredParams
@@ -102,15 +102,15 @@ def _vertex_cuts(g: MultiGraph, k: int
         lo = prefix[-1] + 1 if prefix else 0
         if lo == n:
             continue                    # no d may follow the prefix
-        order, parent, _, disc, low = lowpoint_forest(g, skip=prefix)
-        end = [i + 1 for i in disc]     # one past v's subtree in the preorder
+        order, parent, _, disc, low, end = lowpoint_forest(g, skip=prefix)
         heads = [0] * n
-        for v in reversed(order):
+        roots = []
+        for v in order:
             p = parent[v]
-            if p != -1:
-                end[p] = max(end[p], end[v])
-                heads[p] += low[v] >= disc[p]
-        roots = [v for v in order if parent[v] == -1]
+            if p == -1:
+                roots.append(v)
+            elif low[v] >= disc[p]:
+                heads[p] += 1
         for d in range(lo, n):
             if len(roots) - 1 + heads[d] + (parent[d] != -1) >= 2:
                 yield prefix + (d,), partial(_split_forest, order, disc, end,
@@ -295,18 +295,63 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
     return None
 
 
+def _sparse_witnesses(g: MultiGraph) -> list[list[list[int]]]:
+    """Two sparse 2EC spanning subgraphs H of G, each by greedy deletion:
+    every edge, in descending id order for the first and ascending for the
+    second, is dropped when the rest stays 2EC.  An edge at a vertex of
+    degree 2 is kept untested: dropping it would leave that vertex on a
+    bridge.  Each H is given as up[v], the neighbours x > v of v in H, one
+    entry per edge.  There is none when G is not 2EC, since then no
+    spanning subgraph is."""
+    if not is_two_edge_connected(g):
+        return []
+    plain = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
+    witnesses = []
+    for ids in (range(g.m - 1, -1, -1), range(g.m)):
+        kept = set(range(g.m))
+        deg = degrees(g, plain)
+        for eid in ids:
+            u, v = g.edges[eid]
+            if u != v and 2 in (deg[u], deg[v]):
+                continue
+            kept.discard(eid)
+            if not is_two_edge_connected(g, kept):
+                kept.add(eid)
+            elif u != v:
+                deg[u] -= 1
+                deg[v] -= 1
+        up: list[list[int]] = [[] for _ in range(g.n)]
+        for eid in kept:
+            u, v = g.edges[eid]
+            if u != v:
+                up[u].append(v)
+        witnesses.append(up)
+    return witnesses
+
+
 def find_contractible(g: MultiGraph, params: StructuredParams
                       ) -> Optional[tuple[set[int], set[int]]]:
     """A contractible candidate among short cycles: (vertex set, the edge ids
-    of a minimum 2ECSS of the induced subgraph)."""
+    of a minimum 2ECSS of the induced subgraph).
+
+    A candidate w is contractible when every 2EC spanning subgraph keeps at
+    least |w| / alpha edges inside w.  Each sparse witness H of
+    ``_sparse_witnesses`` rejects w at once when it keeps fewer: G minus the
+    inside edges off H contains H, so it is 2EC, and the fewest inside edges
+    to keep is at most |H ∩ E(w)|, below the target.  Such a w is one that
+    ``max_removable_inside`` would also reject, so only the candidates that
+    every H keeps go to it, and the first that fires is unchanged.  When G
+    is not 2EC there is no witness and no candidate is rejected early."""
     max_len = min(CONTRACTIBLE_CYCLE_MAX, int(params.size_floor))
     cycles = simple_cycles_upto(g, max_len, limit=20000)
-    seen: set[frozenset[int]] = set()
-    for cyc in sorted(cycles, key=lambda c: (len(c), sorted(c))):
-        w = frozenset(cyc)
-        if w in seen:
+    witnesses = _sparse_witnesses(g)
+    num, den = params.alpha.numerator, params.alpha.denominator
+    for w in sorted({frozenset(c) for c in cycles},
+                    key=lambda w: (len(w), sorted(w))):
+        # count < |w| / alpha, in integers
+        if any(sum(x in w for v in w for x in up[v]) * num < len(w) * den
+               for up in witnesses):
             continue
-        seen.add(w)
         inside = [eid for eid, (u, v) in enumerate(g.edges)
                   if u in w and v in w and u != v]
         # G[w] is Hamiltonian, so its minimum 2ECSS has exactly |w| edges

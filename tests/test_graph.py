@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoec import gadgets
 from twoec.decomp import CoverDecomposition
 from twoec.graph import (GraphError, MultiGraph, biconnected_components,
                          connected_components, contract,
                          degrees, find_bridges, ham_path_exists,
-                         is_two_edge_connected, simple_cycles_upto,
+                         is_two_edge_connected, lowpoint_forest,
+                         simple_cycles_upto,
                          two_edge_classes)
 from twoec.params import desk_params
 
@@ -238,6 +240,72 @@ def test_simple_cycles_upto():
     assert lens == [3, 3, 3, 3, 4, 4, 4]
 
 
+def reference_simple_cycles_upto(g, max_len, limit=None, through=None):
+    """``simple_cycles_upto`` before its distance prune: every path from the
+    root grows until it has ``max_len`` vertices."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.simple_pairs():
+        adj[u].append(v)
+        adj[v].append(u)
+    for a in adj:
+        a.sort()
+    out = []
+    for root in range(g.n) if through is None else (through,):
+        low = root if through is None else -1
+        stack = [(root, [root], {root})]
+        while stack:
+            v, path, onpath = stack.pop()
+            for w in adj[v]:
+                if w == root and len(path) >= 3:
+                    if path[1] < path[-1]:
+                        out.append(list(path))
+                        if limit is not None and len(out) >= limit:
+                            return out
+                elif w > low and w not in onpath and len(path) < max_len:
+                    stack.append((w, path + [w], onpath | {w}))
+    return out
+
+
+def random_cycle_multigraph(rnd, n, p):
+    """G(n, p) plus a few self-loops and parallel copies."""
+    edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < p]
+    edges += [(v, v) for v in range(n) if rnd.random() < 0.2]
+    edges += [rnd.choice(edges) for _ in range(rnd.randint(0, 3)) if edges]
+    rnd.shuffle(edges)
+    return MultiGraph(n, edges)
+
+
+def cycle_differential_graphs():
+    """Every gadget, then seeded random multigraphs: sparse and medium ones
+    on up to 12 vertices and dense ones (p >= 0.8) on up to 8."""
+    graphs = [make() for make in gadgets.GADGETS.values()]
+    rnd = random.Random(2626)
+    for p, top in ((0.2, 12), (0.4, 12), (0.6, 10), (0.8, 8), (0.9, 8), (1.0, 8)):
+        graphs += [random_cycle_multigraph(rnd, rnd.randint(1, top), p)
+                   for _ in range(6)]
+    return graphs
+
+
+def test_simple_cycles_match_reference_enumerator():
+    """The distance-pruned search lists the reference's cycles item by item,
+    in its order, for ``max_len`` 3-8, ``limit`` None/1/7/20000 and
+    ``through`` None or each vertex, on every gadget and on random
+    multigraphs with self-loops, parallel copies and dense cases."""
+    graphs = cycle_differential_graphs()
+    assert any(g.m > len(g.simple_pairs()) for g in graphs)
+    assert any(u == v for g in graphs for u, v in g.edges)
+    capped = 0
+    for g in graphs:
+        for max_len in range(3, 9):
+            for through in [None, *range(g.n)]:
+                for limit in (None, 1, 7, 20000):
+                    want = reference_simple_cycles_upto(g, max_len, limit, through)
+                    assert simple_cycles_upto(g, max_len, limit, through) == want, \
+                        (g.edges, max_len, limit, through)
+                    capped += limit is not None and len(want) == limit
+    assert capped > 100, capped
+
+
 def brute_cycles_through(g, v):
     """Every simple cycle through v with at least three vertices, as the
     vertex sequence from v with the smaller second vertex first, found by
@@ -409,6 +477,27 @@ def test_components_match_reference(multigraph_cases):
             for sub in subsets:
                 assert connected_components(g, sub, s) == \
                     reference_components(g, sub, s)
+
+
+def test_lowpoint_forest_subtrees_are_preorder_runs(multigraph_cases):
+    """``order`` is a preorder with ``disc`` its inverse, and
+    ``order[disc[v]:end[v]]`` is exactly v's descendants under ``parent``;
+    a removed vertex has ``disc`` and ``end`` n."""
+    rnd = random.Random(55)
+    for g, subsets in multigraph_cases:
+        skip = set(rnd.sample(range(g.n), rnd.randint(0, min(g.n, 3))))
+        for eids in (None, subsets[-1]):
+            order, parent, _, disc, _, end = lowpoint_forest(g, eids, skip)
+            assert sorted(order) == sorted(set(range(g.n)) - skip)
+            assert all(disc[v] == i for i, v in enumerate(order))
+            below = {v: {v} for v in order}
+            for v in reversed(order):
+                if parent[v] != -1:
+                    below[parent[v]] |= below[v]
+            for v in order:
+                run = order[disc[v]:end[v]]
+                assert len(run) == len(below[v]) and set(run) == below[v]
+            assert all(disc[v] == end[v] == g.n for v in skip)
 
 
 def test_two_edge_connected_matches_reference(multigraph_cases):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CYCLE_CAP, T2_ORDER,
                               CutDescriptor, Reducer,
                               _c2_path_pair,
                               _class_connector, _contracted_side,
-                              _grouping, _shape_of, _side_graph, _vertex_cuts,
+                              _grouping, _shape_of, _side_graph,
+                              _sparse_witnesses, _vertex_cuts,
                               classify_side_types,
                               find_contractible, find_cut_vertex,
                               find_irrelevant_edge, find_large_3vc,
@@ -677,28 +679,54 @@ def test_find_contractible_one_oracle_call(kind, key, monkeypatch):
             monkeypatch.undo()
 
 
+def witness_edges(g, up):
+    """The edges of a witness from ``_sparse_witnesses``, as sorted pairs."""
+    return sorted((v, x) for v in range(g.n) for x in up[v])
+
+
 def test_bounded_removable_gives_the_exact_verdict():
     """With a target, ``max_removable_inside`` is a lower bound on the exact
     answer that gives ``find_contractible``'s test the same verdict, on every
     candidate of the gadgets and random2ec graphs under three profiles.
-    Some candidates skip the search with a strictly lower bound."""
-    skipped = searched = 0
-    for kind, key in CONTRACTIBLE_GRAPHS:
-        for g in contractible_graphs(kind, key):
-            for params in CUT_PARAMS:
-                max_len = min(CONTRACTIBLE_CYCLE_MAX, int(params.size_floor))
-                for w in {frozenset(c) for c in simple_cycles_upto(g, max_len, limit=20000)}:
-                    inside = [eid for eid, (u, v) in enumerate(g.edges)
-                              if u in w and v in w and u != v]
-                    target = Fraction(len(w)) / params.alpha
-                    exact = oracle.max_removable_inside(g, inside)
-                    bounded = oracle.max_removable_inside(g, inside, target)
-                    assert bounded <= exact
-                    assert (len(inside) - bounded >= target) == \
-                        (len(inside) - exact >= target)
-                    skipped += bounded < exact
-                    searched += bounded == exact
+    Some candidates skip the search with a strictly lower bound.  Each
+    sparse witness is a 2EC spanning subgraph of G, and every candidate one
+    of them rejects (fewer than |w| / alpha edges inside w) has the exact
+    verdict "not contractible"; some are rejected and some kept.  Two
+    triangles joined by a bridge are not 2EC, so they have no witness and
+    no candidate is rejected early."""
+    bridged = MultiGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5),
+                             (3, 5)])
+    graphs = [g for kind, key in CONTRACTIBLE_GRAPHS
+              for g in contractible_graphs(kind, key)] + [bridged]
+    skipped = searched = rejected = kept = 0
+    for g in graphs:
+        witnesses = _sparse_witnesses(g)
+        assert len(witnesses) == (2 if g is not bridged else 0)
+        for up in witnesses:
+            edges = witness_edges(g, up)
+            assert is_two_edge_connected(MultiGraph(g.n, edges))
+            assert not Counter(edges) - Counter(g.edges)
+        for params in CUT_PARAMS:
+            max_len = min(CONTRACTIBLE_CYCLE_MAX, int(params.size_floor))
+            for w in {frozenset(c) for c in simple_cycles_upto(g, max_len, limit=20000)}:
+                inside = [eid for eid, (u, v) in enumerate(g.edges)
+                          if u in w and v in w and u != v]
+                target = Fraction(len(w)) / params.alpha
+                exact = oracle.max_removable_inside(g, inside)
+                bounded = oracle.max_removable_inside(g, inside, target)
+                assert bounded <= exact
+                assert (len(inside) - bounded >= target) == \
+                    (len(inside) - exact >= target)
+                skipped += bounded < exact
+                searched += bounded == exact
+                if any(sum(u in w and v in w for u, v in witness_edges(g, up))
+                       < target for up in witnesses):
+                    assert len(inside) - exact < target
+                    rejected += 1
+                else:
+                    kept += 1
     assert skipped > 0 and searched > 0
+    assert rejected > 0 and kept > 0
 
 
 def test_short_cycle_vertex_sets_have_opt_size():
