@@ -126,8 +126,16 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
         sol, main = cover_pipeline(g, params, mode=config.mode)
         report.branch = main["branch"]
     else:
-        sol, trace = red(g, params,
-                         inner=lambda sub: cover_pipeline(sub, params)[0])
+        root_run: Optional[tuple[set[int], dict]] = None   # the run on g itself
+
+        def inner(sub: MultiGraph) -> set[int]:
+            nonlocal root_run
+            run = cover_pipeline(sub, params)
+            if sub is g:
+                root_run = run
+            return run[0]
+
+        sol, trace = red(g, params, inner=inner)
         report.trace = trace.to_json()
         if trace.step == "BruteForce":
             # red solved the whole input exactly: no cover can beat it
@@ -135,9 +143,10 @@ def solve(g: MultiGraph, config: SolverConfig) -> tuple[set[int], RunReport]:
             opt = len(sol)
         else:
             # audit sidecar: exercise the cover machinery on the whole
-            # instance and keep its solution when it happens to win
+            # instance and keep its solution when it happens to win; when
+            # red's root step was that very call, its run is reused
             try:
-                side_sol, main = cover_pipeline(g, params, mode="auto")
+                side_sol, main = root_run or cover_pipeline(g, params, mode="auto")
                 report.branch = main["branch"]
                 if oracle._two_ec_on(g, side_sol) and len(side_sol) < len(sol):
                     sol = side_sol

@@ -60,6 +60,27 @@ def _two_ec_on(g: MultiGraph, eids: Iterable[int]) -> bool:
     return is_two_edge_connected(g, eids)
 
 
+def greedy_deletion(g: MultiGraph, kept: set[int], order: Iterable[int],
+                    ok: Callable[[set[int]], bool]) -> set[int]:
+    """Drop from ``kept``, in place and in ``order``, each edge whose removal
+    leaves ``ok(kept)`` true; returns ``kept``.  An edge with an end of
+    degree 2 in ``kept`` is kept untested: ``ok`` is meant to need degree
+    >= 2 at every vertex (2EC, or a 2-edge cover), so dropping it would
+    fail.  Self-loops count in no degree."""
+    deg = degrees(g, [eid for eid in kept if g.edges[eid][0] != g.edges[eid][1]])
+    for eid in order:
+        u, v = g.edges[eid]
+        if u != v and 2 in (deg[u], deg[v]):
+            continue
+        kept.discard(eid)
+        if not ok(kept):
+            kept.add(eid)
+        elif u != v:
+            deg[u] -= 1
+            deg[v] -= 1
+    return kept
+
+
 # A cut's test runs only while at least CUT_MIN_LEFT edges are undecided:
 # below that the subtree is too small to repay it.  Each BFS of the 2EC cut
 # gives up, keeping the node, once it has reached CUT_MAX_REACH vertices.
@@ -162,7 +183,7 @@ def _cycle_cut(forbidden: frozenset[int]) -> Cut:
 
 
 def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
-            leaf_ok: Callable[[list[int]], bool], exhausted: str,
+            leaf_ok: Callable[[Iterable[int]], bool], exhausted: str,
             node_budget: int, cut: Optional[Cut] = None) -> Optional[set[int]]:
     """Smallest ``leaf_ok`` subset of ``pool`` that contains ``forced``, by
     branch and bound over ``free`` (include first, in list order).
@@ -186,12 +207,29 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
     step that leaves both ends with slack >= 2 and one at exactly 2, with at
     least CUT_MIN_LEFT edges still undecided, when the bound has not
     already cut the node.
+
+    When ``pool`` is a leaf, the bound starts from a greedy incumbent I:
+    ``greedy_deletion`` walks ``free`` in descending id order (``forced`` is
+    never tried) and drops each edge whose loss leaves a leaf.  The search
+    then starts with no best set and ``best_size`` = |I| + 1.  Since
+    OPT <= |I| < ``best_size``, the bound cuts no subtree that holds the
+    first optimum in search order, and only a strictly smaller leaf
+    replaces the best, so the set returned is the one an unseeded search
+    returns.  ``best_size`` is never above the unseeded search's, so the
+    search visits a subset of its nodes and never newly exhausts the
+    budget.  When nothing could be dropped, the pool itself is the
+    incumbent, as without the seed: a one-vertex pool is a leaf whose
+    ``need`` stays 2, so the search could not reach it as a leaf.
     """
     best: Optional[set[int]] = None
     best_size = len(pool) + 1
-    if leaf_ok(pool):
-        best = set(pool)
-        best_size = len(pool)
+    pool_ok = leaf_ok(pool)
+    if pool_ok:
+        greedy = greedy_deletion(g, set(pool), sorted(free, reverse=True), leaf_ok)
+        if len(greedy) < len(pool):
+            best_size = len(greedy) + 1
+        else:
+            best, best_size = greedy, len(pool)
 
     chosen = sorted(forced)
     deg = degrees(g, chosen)
@@ -252,6 +290,7 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
         slack[v] += 1
 
     rec(0, sum(max(0, 2 - d) for d in deg), all(s >= 2 for s in slack))
+    assert best is not None or not pool_ok
     return best
 
 
@@ -297,7 +336,7 @@ def exact_min_2ecss(g: MultiGraph, limit: Optional[int] = None,
     raise NotTwoEdgeConnected("no 2EC spanning subgraph found")
 
 
-def _cover_ok(g: MultiGraph, forbidden: frozenset[int], eids: list[int]) -> bool:
+def _cover_ok(g: MultiGraph, forbidden: frozenset[int], eids: Iterable[int]) -> bool:
     """Every vertex has degree >= 2 in ``eids`` and no component is a cycle
     whose length is in ``forbidden``.
 

@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import oracle
-from .graph import (MultiGraph, connected_components, contract, degrees,
+from .graph import (MultiGraph, connected_components, contract,
                     is_two_edge_connected, lowpoint_forest, simple_cycles_upto,
                     two_edge_classes)
 from .params import StructuredParams
@@ -296,30 +296,18 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
 
 
 def _sparse_witnesses(g: MultiGraph) -> list[list[list[int]]]:
-    """Two sparse 2EC spanning subgraphs H of G, each by greedy deletion:
-    every edge, in descending id order for the first and ascending for the
-    second, is dropped when the rest stays 2EC.  An edge at a vertex of
-    degree 2 is kept untested: dropping it would leave that vertex on a
-    bridge.  Each H is given as up[v], the neighbours x > v of v in H, one
+    """Two sparse 2EC spanning subgraphs H of G, each by greedy deletion
+    (``oracle.greedy_deletion``): every edge, in descending id order for the
+    first and ascending for the second, is dropped when the rest stays 2EC.
+    Each H is given as up[v], the neighbours x > v of v in H, one
     entry per edge.  There is none when G is not 2EC, since then no
     spanning subgraph is."""
     if not is_two_edge_connected(g):
         return []
-    plain = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
     witnesses = []
     for ids in (range(g.m - 1, -1, -1), range(g.m)):
-        kept = set(range(g.m))
-        deg = degrees(g, plain)
-        for eid in ids:
-            u, v = g.edges[eid]
-            if u != v and 2 in (deg[u], deg[v]):
-                continue
-            kept.discard(eid)
-            if not is_two_edge_connected(g, kept):
-                kept.add(eid)
-            elif u != v:
-                deg[u] -= 1
-                deg[v] -= 1
+        kept = oracle.greedy_deletion(g, set(range(g.m)), ids,
+                                      lambda eids: is_two_edge_connected(g, eids))
         up: list[list[int]] = [[] for _ in range(g.n)]
         for eid in kept:
             u, v = g.edges[eid]

@@ -364,7 +364,6 @@ def test_criterion_8_many_bound():
 # 9. preprocessing invariant and branch coverage
 # ---------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_criterion_9_preprocessing():
     from test_preprocess import (EXPECTED_BRANCH, audit_invariant,
                                  branch_labels, inner_oracle)

@@ -145,6 +145,46 @@ def test_non_base_auto_solve_runs_the_sidecar(monkeypatch):
     assert rep.branch in ("few", "many", "red-only")
 
 
+def test_sidecar_reuses_the_root_inner_run(monkeypatch):
+    """When red hands the whole input to the inner solver, the audit sidecar
+    takes that run instead of running the same pipeline again."""
+    calls = []
+    real = harness.cover_pipeline
+
+    def counting(g, *args, **kw):
+        calls.append(g)
+        return real(g, *args, **kw)
+
+    monkeypatch.setattr(harness, "cover_pipeline", counting)
+    g = harness.generate("random2ec", seed=1, n=18, p=0.2)
+    sol, rep = harness.solve(g, harness.SolverConfig(profile="desk"))
+    assert rep.verified and rep.trace["step"] == "CallInner"
+    assert len(calls) == 1 and calls[0] is g
+    assert rep.branch in ("few", "many") and rep.h0_size is not None
+
+
+@pytest.mark.parametrize("n, p, mode", [(40, 0.15, "few"), (40, 0.15, "many"),
+                                        (40, 0.15, "auto"), (60, 0.1, "few")])
+def test_seeded_searches_solve_past_the_old_budget_wall(n, p, mode, monkeypatch):
+    """These graphs exhausted the stock node budget of the exact cover (and,
+    in auto mode, of red's inner call) while the search started from the
+    whole pool; from a greedy incumbent they solve and verify, with a
+    certified exact cover.  A random2ec graph has a Hamiltonian cycle, so
+    n edges is optimal."""
+    runs = []
+    real = harness.cover_pipeline
+
+    def recording(*args, **kw):
+        runs.append(real(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "cover_pipeline", recording)
+    g = harness.generate("random2ec", seed=1, n=n, p=p)
+    sol, rep = harness.solve(g, harness.SolverConfig(profile="desk", mode=mode))
+    assert rep.verified and len(sol) == n
+    assert runs and all(stats["cover_certified"] for _, stats in runs)
+
+
 def test_determinism_same_seed():
     g = harness.generate("random2ec", seed=11, n=11, p=0.5)
     cfg = harness.SolverConfig(profile="desk", mode="auto", seed=3,

@@ -530,6 +530,30 @@ def test_max_removable_matches_reference():
                 within += cls[u] == cls[v]
             partial += 0 < want < len(inside)
     assert within > 0 and partial > 0
+    # two named traps of the search's greedy incumbent, which the random
+    # inputs above hit only by chance
+    for name, g, inside in MAX_REMOVABLE_CASES:
+        outside = [e for e in range(g.m) if e not in inside]
+        bridges, _, nclasses = two_edge_classes(g, outside)
+        if name == "forced bridge":
+            assert bridges
+        else:
+            assert nclasses == 1
+        want = reference_max_removable_inside(g, inside)
+        assert max_removable_inside(g, inside) == want, name
+
+
+# (name, graph, inside edges).  "forced bridge": the outside edge 0-1 is a
+# bridge of the outside edges, so the quotient search must keep it although
+# both its ends have degree 3; dropping it leaves the 2EC 4-cycle 0-2-1-3,
+# one edge below the smallest set that keeps it.  "one class": the outside
+# 4-cycle is one 2EC class, so the quotient is a single vertex, a leaf whose
+# degree deficit never reaches 0 in the search.
+MAX_REMOVABLE_CASES = [
+    ("forced bridge", MultiGraph(4, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)]),
+     [1, 2, 3, 4]),
+    ("one class", MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), [4]),
+]
 
 
 def test_max_removable_not_2ec():

@@ -260,9 +260,7 @@ def test_branch_and_invariant(kind):
     audit_invariant(g, sol, trace)
 
 
-@pytest.mark.parametrize("kind", ["cycle8",
-                                  pytest.param("vertex4_case1", marks=pytest.mark.slow),
-                                  "vertex4_case2"])
+@pytest.mark.parametrize("kind", ["cycle8", "vertex4_case1", "vertex4_case2"])
 def test_branch_and_invariant_slow(kind):
     g, sol, trace = run(kind)
     labels = branch_labels(trace)
