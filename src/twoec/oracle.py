@@ -60,30 +60,10 @@ def _two_ec_on(g: MultiGraph, eids: Iterable[int]) -> bool:
     return is_two_edge_connected(g, eids)
 
 
-def greedy_deletion(g: MultiGraph, kept: set[int], order: Iterable[int],
-                    ok: Callable[[set[int]], bool]) -> set[int]:
-    """Drop from ``kept``, in place and in ``order``, each edge whose removal
-    leaves ``ok(kept)`` true; returns ``kept``.  An edge with an end of
-    degree 2 in ``kept`` is kept untested: ``ok`` is meant to need degree
-    >= 2 at every vertex (2EC, or a 2-edge cover), so dropping it would
-    fail.  Self-loops count in no degree."""
-    deg = degrees(g, [eid for eid in kept if g.edges[eid][0] != g.edges[eid][1]])
-    for eid in order:
-        u, v = g.edges[eid]
-        if u != v and 2 in (deg[u], deg[v]):
-            continue
-        kept.discard(eid)
-        if not ok(kept):
-            kept.add(eid)
-        elif u != v:
-            deg[u] -= 1
-            deg[v] -= 1
-    return kept
-
-
 # A cut's test runs only while at least CUT_MIN_LEFT edges are undecided:
-# below that the subtree is too small to repay it.  Each BFS of the 2EC cut
-# gives up, keeping the node, once it has reached CUT_MAX_REACH vertices.
+# below that the subtree is too small to repay it.  In the search, each BFS
+# of the 2EC cut gives up, keeping the node, once it has reached
+# CUT_MAX_REACH vertices.
 CUT_MIN_LEFT = 8
 CUT_MAX_REACH = 8
 
@@ -94,44 +74,56 @@ Prune = Callable[[int, int], bool]
 Cut = Callable[[Adjacency, bytearray, list[int]], Optional[Prune]]
 
 
-def _bridge_cut(adj: Adjacency, live: bytearray, slack: list[int]) -> Prune:
+def _bridge_cut(max_reach: Optional[int]) -> Cut:
     """The 2EC cut: prune when the excluded edge's ends u, v are left with
     no two edge-disjoint paths in H.  Then one edge at most separates them,
     so no subset of H is 2EC.  It is a unit flow of two augmentations: a BFS
     path from the end whose slack is 2, then a BFS of the residual graph,
-    which walks a path edge only back against its flow."""
-    def reach(s: int, t: int, head: dict[int, int]) -> Optional[dict]:
-        """BFS from s over the live edges, an edge of ``head`` only from the
-        end it names: {vertex: (parent, edge)} once t is reached, None if t
-        is unreachable, {} once CUT_MAX_REACH vertices are."""
-        par: dict = {s: None}
-        queue = [s]
-        for x in queue:
-            for w, eid in adj[x]:
-                if live[eid] and w not in par and head.get(eid, x) == x:
-                    par[w] = (x, eid)
-                    if w == t:
-                        return par
-                    queue.append(w)
-            if len(par) >= CUT_MAX_REACH:
-                return {}
-        return None
+    which walks a path edge only back against its flow.
 
-    def prune(u: int, v: int) -> bool:
-        if slack[u] != 2:
-            u, v = v, u
-        par = reach(u, v, {})
-        if not par:
-            return par is None
-        head: dict[int, int] = {}
-        x = v
-        while x != u:
-            parent, eid = par[x]
-            head[eid] = x           # the flow runs parent -> x
-            x = parent
-        return reach(u, v, head) is None
+    Each BFS gives up, keeping the node, once it has reached ``max_reach``
+    vertices.  Uncapped (None), the test is exact on a 2EC H: H - e is 2EC
+    iff (u, v) is not pruned.  If f is a bridge of H - e, it was not one of
+    H, so e crosses f's cut and f alone separates u from v; and an edge
+    that alone separates u from v in the connected H - e is a bridge."""
+    def cut(adj: Adjacency, live: bytearray, slack: list[int]) -> Prune:
+        # a BFS that has reached all n vertices has reached t
+        cap = len(adj) if max_reach is None else max_reach
 
-    return prune
+        def reach(s: int, t: int, head: dict[int, int]) -> Optional[dict]:
+            """BFS from s over the live edges, an edge of ``head`` only from
+            the end it names: {vertex: (parent, edge)} once t is reached,
+            None if t is unreachable, {} once ``cap`` vertices are."""
+            par: dict = {s: None}
+            queue = [s]
+            for x in queue:
+                for w, eid in adj[x]:
+                    if live[eid] and w not in par and head.get(eid, x) == x:
+                        par[w] = (x, eid)
+                        if w == t:
+                            return par
+                        queue.append(w)
+                if len(par) >= cap:
+                    return {}
+            return None
+
+        def prune(u: int, v: int) -> bool:
+            if slack[u] != 2:
+                u, v = v, u
+            par = reach(u, v, {})
+            if not par:
+                return par is None
+            head: dict[int, int] = {}
+            x = v
+            while x != u:
+                parent, eid = par[x]
+                head[eid] = x           # the flow runs parent -> x
+                x = parent
+            return reach(u, v, head) is None
+
+        return prune
+
+    return cut
 
 
 def _cycle_cut(forbidden: frozenset[int]) -> Cut:
@@ -139,8 +131,8 @@ def _cycle_cut(forbidden: frozenset[int]) -> Cut:
     edge has live degree 2 and the walk from it through live-degree-2
     vertices closes a cycle of a forbidden length.  That cycle is a whole
     component of H, so every leaf needs all its edges and keeps it as a
-    forbidden component.  Only a vertex on a forbidden-length cycle of the
-    pool can start one; with none, there is no cut."""
+    forbidden component.  Only a vertex on a forbidden-length cycle of H's
+    edges when the cut is built can start one; with none, there is no cut."""
     longest = max(forbidden, default=0)
 
     def cut(adj: Adjacency, live: bytearray, slack: list[int]) -> Optional[Prune]:
@@ -182,11 +174,83 @@ def _cycle_cut(forbidden: frozenset[int]) -> Cut:
     return cut
 
 
+def _live_graph(g: MultiGraph, eids: Iterable[int]
+                ) -> tuple[Adjacency, bytearray, list[int]]:
+    """A cut's view of the non-loop edges of ``eids``, all live: adjacency
+    lists, live flags and live degrees."""
+    adj: Adjacency = [[] for _ in range(g.n)]
+    live = bytearray(g.m)
+    deg = [0] * g.n
+    for eid in eids:
+        u, v = g.edges[eid]
+        if u != v:
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+            live[eid] = 1
+            deg[u] += 1
+            deg[v] += 1
+    return adj, live, deg
+
+
+def greedy_deletion(g: MultiGraph, kept: set[int], order: Iterable[int],
+                    drop: Optional[Cut]) -> set[int]:
+    """Drop from ``kept``, in place and in ``order``, each edge whose loss
+    leaves ``kept`` a leaf; returns ``kept``.  ``kept`` must be a leaf to
+    start with (a spanning 2EC set, or a feasible cover without self-loops)
+    and ``order`` a sequence of its edges.
+
+    The pass makes no whole-set test.  It builds the adjacency of ``kept``
+    once, with degrees that count no self-loop, and decides each edge
+    locally:
+    - a self-loop is dropped: the 2EC test ignores loops;
+    - an edge with an end of degree 2 is kept: a leaf needs degree >= 2 at
+      every vertex;
+    - any other edge e = (u, v) is marked dead, and live again when the
+      ``drop`` cut prunes (u, v).  With ``drop`` None it is always dropped.
+    Each verdict is the whole-set test's, by induction on the drops:
+    - 2EC, ``drop`` = ``_bridge_cut(None)``: exact on a 2EC set (see there).
+    - Covers, ``drop`` = ``_cycle_cut(forbidden)``, None when ``forbidden``
+      is empty.  The degree rule keeps every degree at 2 or more, and every
+      component of kept - e that avoids u and v was one of kept, so a new
+      forbidden-cycle component passes through u or v.  The cut's walk from
+      that end, of degree 2, closes it, and its starts, the vertices on a
+      forbidden-length cycle of ``kept``, include every vertex on one of a
+      subset.  With ``forbidden`` empty, every degree-allowed drop keeps a
+      cover."""
+    adj, live, deg = _live_graph(g, kept)
+    prune = None if drop is None else drop(adj, live, deg)
+    for eid in order:
+        u, v = g.edges[eid]
+        if u == v:
+            kept.discard(eid)
+            continue
+        if 2 in (deg[u], deg[v]):
+            continue
+        live[eid] = 0
+        deg[u] -= 1
+        deg[v] -= 1
+        if prune is not None and prune(u, v):
+            live[eid] = 1
+            deg[u] += 1
+            deg[v] += 1
+        else:
+            kept.discard(eid)
+    return kept
+
+
 def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
             leaf_ok: Callable[[Iterable[int]], bool], exhausted: str,
-            node_budget: int, cut: Optional[Cut] = None) -> Optional[set[int]]:
+            node_budget: int, drop: Optional[Cut],
+            cut: Optional[Cut] = None) -> Optional[set[int]]:
     """Smallest ``leaf_ok`` subset of ``pool`` that contains ``forced``, by
     branch and bound over ``free`` (include first, in list order).
+
+    ``pool`` itself is tested once, and None returned at once when it is no
+    leaf: then no subset is one.  A superset of a spanning 2EC set is 2EC,
+    and a superset S of a feasible cover T is a feasible cover, since a
+    forbidden-cycle component of S has only degree-2 vertices, so T, with
+    degree >= 2 everywhere, holds all of its edges and nothing else at its
+    vertices, and has it as a component too.
 
     Each node does O(1) bookkeeping.  ``need`` is the total degree deficit
     sum(max(0, 2 - deg[v])), and every included edge lowers it by at most 2,
@@ -208,28 +272,27 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
     least CUT_MIN_LEFT edges still undecided, when the bound has not
     already cut the node.
 
-    When ``pool`` is a leaf, the bound starts from a greedy incumbent I:
-    ``greedy_deletion`` walks ``free`` in descending id order (``forced`` is
-    never tried) and drops each edge whose loss leaves a leaf.  The search
-    then starts with no best set and ``best_size`` = |I| + 1.  Since
-    OPT <= |I| < ``best_size``, the bound cuts no subtree that holds the
-    first optimum in search order, and only a strictly smaller leaf
-    replaces the best, so the set returned is the one an unseeded search
-    returns.  ``best_size`` is never above the unseeded search's, so the
-    search visits a subset of its nodes and never newly exhausts the
-    budget.  When nothing could be dropped, the pool itself is the
-    incumbent, as without the seed: a one-vertex pool is a leaf whose
+    The bound starts from a greedy incumbent I: ``greedy_deletion`` walks
+    ``free`` in descending id order (``forced`` is never tried) and drops
+    each edge whose loss leaves a leaf, which the cut ``drop`` decides
+    exactly.  The search then starts with no best set and ``best_size`` =
+    |I| + 1.  Since OPT <= |I| < ``best_size``, the bound cuts no subtree
+    that holds the first optimum in search order, and only a strictly
+    smaller leaf replaces the best, so the set returned is the one an
+    unseeded search returns.  ``best_size`` is never above the unseeded
+    search's, so the search visits a subset of its nodes and never newly
+    exhausts the budget.  When nothing could be dropped, the pool itself is
+    the incumbent, as without the seed: a one-vertex pool is a leaf whose
     ``need`` stays 2, so the search could not reach it as a leaf.
     """
+    if not leaf_ok(pool):
+        return None
     best: Optional[set[int]] = None
-    best_size = len(pool) + 1
-    pool_ok = leaf_ok(pool)
-    if pool_ok:
-        greedy = greedy_deletion(g, set(pool), sorted(free, reverse=True), leaf_ok)
-        if len(greedy) < len(pool):
-            best_size = len(greedy) + 1
-        else:
-            best, best_size = greedy, len(pool)
+    greedy = greedy_deletion(g, set(pool), sorted(free, reverse=True), drop)
+    if len(greedy) < len(pool):
+        best_size = len(greedy) + 1
+    else:
+        best, best_size = greedy, len(pool)
 
     chosen = sorted(forced)
     deg = degrees(g, chosen)
@@ -237,13 +300,7 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
     slack = degrees(g, chosen + free)
     prune: Optional[Prune] = None
     if cut is not None and len(free) > CUT_MIN_LEFT:
-        adj: Adjacency = [[] for _ in range(g.n)]
-        live = bytearray(g.m)
-        for eid in pool:
-            u, v = g.edges[eid]
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-            live[eid] = 1
+        adj, live, _ = _live_graph(g, pool)
         prune = cut(adj, live, slack)
     last = len(free) - CUT_MIN_LEFT     # the cut's test needs i < last
     nodes = 0
@@ -290,7 +347,7 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
         slack[v] += 1
 
     rec(0, sum(max(0, 2 - d) for d in deg), all(s >= 2 for s in slack))
-    assert best is not None or not pool_ok
+    assert best is not None
     return best
 
 
@@ -306,7 +363,8 @@ def exact_min_2ecss(g: MultiGraph, limit: Optional[int] = None,
     The search runs on the simple skeleton when that is 2EC, and otherwise,
     without a search of the skeleton, on two copies per parallel class: a
     minimal 2ECSS never needs a third copy.  It prunes with the 2EC cut
-    (``_bridge_cut``).
+    (``_bridge_cut``), and its greedy incumbent drops edges by the same
+    test, uncapped.
     """
     if not is_two_edge_connected(g):
         raise NotTwoEdgeConnected(f"{g} is not 2-edge-connected")
@@ -324,11 +382,12 @@ def exact_min_2ecss(g: MultiGraph, limit: Optional[int] = None,
         free = [e for e in pool if e not in forced]
         if limit is not None and g.n > limit and len(free) > MAX_FREE_EDGES:
             raise TooLarge(f"n={g.n} with {len(free)} free edges exceeds the oracle cap")
-        # a pool that is not 2EC has no 2EC subset; one that is, is a leaf
-        if _two_ec_on(g, pool):
-            return _search(g, pool, forced, free, lambda eids: _two_ec_on(g, eids),
-                           "oracle search budget exhausted", node_budget,
-                           _bridge_cut)
+        best = _search(g, pool, forced, free, lambda eids: _two_ec_on(g, eids),
+                       "oracle search budget exhausted", node_budget,
+                       _bridge_cut(None), _bridge_cut(CUT_MAX_REACH))
+        if best is not None:
+            return best
+        # the pool is not 2EC: widen it
         wider = _simplify(g, copies=2)
         if len(wider) == len(pool):     # no parallel copy left to add
             break
@@ -394,9 +453,9 @@ def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozen
 
     forced = _forced_edges(g, pool)
     free = [e for e in pool if e not in forced]
+    cycle_cut = _cycle_cut(forbidden) if forbidden else None
     best = _search(g, pool, forced, free, lambda eids: _cover_ok(g, forbidden, eids),
-                   "cover search budget exhausted", node_budget,
-                   _cycle_cut(forbidden) if forbidden else None)
+                   "cover search budget exhausted", node_budget, cycle_cut, cycle_cut)
     if best is None:
         raise Infeasible("no feasible cover under the forbidden-cycle rule")
     return best
@@ -438,13 +497,17 @@ def max_removable_inside(g: MultiGraph, inside_edges: list[int],
     kept = _search(quotient, pool, forced, free,
                    lambda eids: _two_ec_on(quotient, eids),
                    "removable-edge search budget exhausted",
-                   2 ** (len(free) + 2))
+                   2 ** (len(free) + 2), _bridge_cut(None))
     return len(inside) - (len(kept) - len(forced))
 
 
 def minimal_2ecss_witness(g: MultiGraph, h: set[int]) -> bool:
-    """True if no single edge of h can be removed keeping 2EC spanning."""
-    for eid in sorted(h):
-        if _two_ec_on(g, h - {eid}):
-            return False
-    return True
+    """True if no single edge of h can be removed keeping 2EC spanning.
+
+    A non-2EC h has no 2EC subset.  On a 2EC h, the greedy pass with the
+    uncapped 2EC cut (one adjacency of h, an exact local test per edge)
+    drops an edge iff one is removable: every test before its first drop
+    is a test on h itself."""
+    if not _two_ec_on(g, h):
+        return True
+    return len(greedy_deletion(g, set(h), sorted(h), _bridge_cut(None))) == len(h)

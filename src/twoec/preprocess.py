@@ -297,8 +297,9 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
 
 def _sparse_witnesses(g: MultiGraph) -> list[list[list[int]]]:
     """Two sparse 2EC spanning subgraphs H of G, each by greedy deletion
-    (``oracle.greedy_deletion``): every edge, in descending id order for the
-    first and ascending for the second, is dropped when the rest stays 2EC.
+    (``oracle.greedy_deletion`` with the exact 2EC drop test): every edge,
+    in descending id order for the first and ascending for the second, is
+    dropped when the rest stays 2EC.
     Each H is given as up[v], the neighbours x > v of v in H, one
     entry per edge.  There is none when G is not 2EC, since then no
     spanning subgraph is."""
@@ -307,7 +308,7 @@ def _sparse_witnesses(g: MultiGraph) -> list[list[list[int]]]:
     witnesses = []
     for ids in (range(g.m - 1, -1, -1), range(g.m)):
         kept = oracle.greedy_deletion(g, set(range(g.m)), ids,
-                                      lambda eids: is_two_edge_connected(g, eids))
+                                      oracle._bridge_cut(None))
         up: list[list[int]] = [[] for _ in range(g.n)]
         for eid in kept:
             u, v = g.edges[eid]

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoec import harness
+from twoec import graph, harness, oracle
 from twoec.gadgets import random2ec
 from twoec.graph import (MultiGraph, connected_components, find_bridges,
                          is_two_edge_connected, two_edge_classes)
-from twoec.oracle import (MAX_FREE_EDGES, STRUCTURED_LIMIT, Infeasible,
-                          NotTwoEdgeConnected, TooLarge, _bridge_cut,
-                          _cover_ok, _forced_edges, _simplify, _two_ec_on,
-                          exact_min_2ecss, exact_min_cover,
+from twoec.oracle import (CUT_MAX_REACH, MAX_FREE_EDGES, STRUCTURED_LIMIT,
+                          Infeasible, NotTwoEdgeConnected, TooLarge,
+                          _bridge_cut, _cover_ok, _cycle_cut, _forced_edges,
+                          _simplify, _two_ec_on, exact_min_2ecss,
+                          exact_min_cover, greedy_deletion,
                           max_removable_inside, minimal_2ecss_witness)
 
 
@@ -229,10 +230,122 @@ def test_bridge_cut_reroutes_its_first_path():
     q-t, t has one edge left and the node is pruned."""
     s, x, y, t, p, q = range(6)
     edges = [(s, x), (x, y), (y, t), (s, p), (p, y), (x, q), (q, t), (s, t)]
-    prune = _bridge_cut(*live_state(MultiGraph(6, edges), {7}))
+    prune = _bridge_cut(CUT_MAX_REACH)(*live_state(MultiGraph(6, edges), {7}))
     assert not prune(s, t)
-    prune = _bridge_cut(*live_state(MultiGraph(6, edges), {6, 7}))
+    prune = _bridge_cut(CUT_MAX_REACH)(*live_state(MultiGraph(6, edges), {6, 7}))
     assert prune(s, t)
+
+
+def test_capped_bridge_cut_gives_up_where_the_uncapped_prunes():
+    """u = 0 hangs on two adjacent vertices of the 10-cycle 1-10, and the
+    triangle 11-12-13 on the cycle's vertex 6 by 6-12 and on u by u-11,
+    the excluded edge.  Then 6-12 alone separates u from 11, but the BFS
+    from u reaches CUT_MAX_REACH vertices before 11: the capped test keeps
+    the node and the uncapped one prunes it."""
+    edges = [(i, i % 10 + 1) for i in range(1, 11)]
+    edges += [(0, 1), (0, 10), (11, 12), (12, 13), (13, 11), (6, 12), (0, 11)]
+    g = MultiGraph(14, edges)
+    assert is_two_edge_connected(g) and g.n > CUT_MAX_REACH
+    state = live_state(g, {g.m - 1})
+    assert not _bridge_cut(CUT_MAX_REACH)(*state)(0, 11)
+    assert _bridge_cut(None)(*state)(0, 11)
+
+
+def reference_greedy_deletion(g, kept, order, ok):
+    """``greedy_deletion`` as a whole-set pass: drop from ``kept``, in
+    ``order``, each edge whose removal leaves ``ok(kept)`` true, keeping an
+    edge with an end of degree 2 (self-loops count in no degree) untested."""
+    deg = [0] * g.n
+    for eid in kept:
+        u, v = g.edges[eid]
+        if u != v:
+            deg[u] += 1
+            deg[v] += 1
+    for eid in order:
+        u, v = g.edges[eid]
+        if u != v and 2 in (deg[u], deg[v]):
+            continue
+        kept.discard(eid)
+        if not ok(kept):
+            kept.add(eid)
+        elif u != v:
+            deg[u] -= 1
+            deg[v] -= 1
+    return kept
+
+
+GREEDY_FORBIDDEN = [frozenset(f) for f in ((), (3,), (4,), (3, 4))]
+
+
+def greedy_inputs(g):
+    """The greedy pass's three kinds of input on g, each as (name, kept,
+    whole-set leaf test, drop test): every edge of a 2EC g, self-loops
+    included (``preprocess._sparse_witnesses``); the 2EC pools of
+    ``exact_min_2ecss``; the cover pool of ``exact_min_cover`` under each
+    forbidden set where it is a feasible cover."""
+    out = []
+    two_ec = lambda eids: _two_ec_on(g, eids)
+    if is_two_edge_connected(g):
+        out.append(("witness", list(range(g.m)), two_ec, _bridge_cut(None)))
+    for copies in (1, 2):
+        pool = _simplify(g, copies)
+        if g.n > 1 and _two_ec_on(g, pool):
+            out.append(("2ecss", pool, two_ec, _bridge_cut(None)))
+    pool = _simplify(g, copies=2)
+    for forbidden in GREEDY_FORBIDDEN:
+        if _cover_ok(g, forbidden, pool):
+            out.append((f"cover {sorted(forbidden)}", pool,
+                        lambda eids, f=forbidden: _cover_ok(g, f, eids),
+                        _cycle_cut(forbidden) if forbidden else None))
+    return out
+
+
+def greedy_graphs(multigraph_cases):
+    """Seeded random multigraphs with parallel copies and self-loops, and
+    denser ``random2ec`` graphs, on which the cover cut has starts."""
+    graphs = [g for g, _ in multigraph_cases]
+    graphs += list(random_2ec_multigraphs(20254, 200))
+    graphs += [random2ec(n, p, seed) for n in range(6, 13) for p in (0.3, 0.6)
+               for seed in range(3)]
+    return graphs + [pair_first(seed) for seed in range(3)]
+
+
+def test_greedy_deletion_matches_whole_set_reference(multigraph_cases):
+    """The local drop tests keep exactly the edges the whole-set pass keeps,
+    in both id orders.  On every kind of input but the unforbidden cover,
+    some drop that the degree rule allows is refused."""
+    refused: dict[str, int] = {}
+    for g in greedy_graphs(multigraph_cases):
+        for name, kept, leaf_ok, drop in greedy_inputs(g):
+            for order in (sorted(kept), sorted(kept, reverse=True)):
+                want = reference_greedy_deletion(g, set(kept), order, leaf_ok)
+                got = greedy_deletion(g, set(kept), order, drop)
+                assert got == want, (name, g.edges, order)
+                loose = greedy_deletion(g, set(kept), order, None)
+                refused[name] = refused.get(name, 0) + (loose != want)
+    assert refused.pop("cover []") == 0
+    assert len(refused) == 5 and all(refused.values()), refused
+
+
+def test_greedy_deletion_makes_no_whole_set_test(monkeypatch, multigraph_cases):
+    """With every whole-set leaf test made to raise, the greedy pass still
+    finishes on each kind of input, with the reference's answer."""
+    runs = []
+    for g in greedy_graphs(multigraph_cases)[::7]:
+        for name, kept, leaf_ok, drop in greedy_inputs(g):
+            order = sorted(kept, reverse=True)
+            want = reference_greedy_deletion(g, set(kept), order, leaf_ok)
+            runs.append((name, g, kept, order, drop, want))
+
+    def fail(*args):
+        raise AssertionError("whole-set leaf test")
+    for module, name in ((oracle, "_two_ec_on"), (oracle, "_cover_ok"),
+                         (oracle, "is_two_edge_connected"),
+                         (graph, "is_two_edge_connected")):
+        monkeypatch.setattr(module, name, fail)
+    for name, g, kept, order, drop, want in runs:
+        assert greedy_deletion(g, set(kept), order, drop) == want, name
+    assert {name.split()[0] for name, *_ in runs} == {"witness", "2ecss", "cover"}
 
 
 def pair_first(seed):
@@ -622,3 +735,30 @@ def test_minimality_witness():
     sol = exact_min_2ecss(g)
     assert minimal_2ecss_witness(g, sol)
     assert not minimal_2ecss_witness(g, set(range(g.m)))
+
+
+def reference_minimal_2ecss_witness(g, h):
+    """``minimal_2ecss_witness`` as one whole-set test per edge of h."""
+    for eid in sorted(h):
+        if _two_ec_on(g, h - {eid}):
+            return False
+    return True
+
+
+def test_minimality_witness_matches_reference(multigraph_cases):
+    """On seeded multigraphs with parallel copies and self-loops: the
+    fixture's edge subsets, 2EC or not, and minimal 2EC sets from greedy
+    passes in both id orders.  Both verdicts occur on 2EC sets."""
+    verdicts = set()
+    for g, subsets in multigraph_cases:
+        hs = [set(sub) for sub in subsets]
+        if is_two_edge_connected(g):
+            for order in (range(g.m), range(g.m - 1, -1, -1)):
+                hs.append(greedy_deletion(g, set(range(g.m)), order,
+                                          _bridge_cut(None)))
+        for h in hs:
+            want = reference_minimal_2ecss_witness(g, h)
+            assert minimal_2ecss_witness(g, h) == want, (g.edges, h)
+            if _two_ec_on(g, h):
+                verdicts.add(want)
+    assert verdicts == {False, True}
