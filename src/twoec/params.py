@@ -43,14 +43,21 @@ class StructuredParams:
         return _ceil(Fraction(2 * 4 - 2) / (self.alpha - 1)) - 1
 
     @property
+    def four_cut_min_opt(self) -> int:
+        """Least opt1 with opt1 + 4 <= alpha * opt1, which condition 2 of a
+        4-vertex cut needs of its small side's closure: ceil(4 / (alpha -
+        1)), 18 on desk and 17 on paper."""
+        return _ceil(Fraction(4) / (self.alpha - 1))
+
+    @property
     def four_cut_small_side(self) -> int:
         """Fewest small-side vertices a condition-2 4-cut can have.  The
         closure of a small side V1 has |V1| + 1 vertices, so its optimum
         opt1 is at most 2|V1| (a 2EC graph on n' vertices has a 2EC spanning
         subgraph of at most 2(n' - 1) edges, Nagamochi-Ibaraki).  Condition
-        2, opt1 + 4 <= alpha * opt1, needs opt1 >= ceil(4 / (alpha - 1)),
-        hence |V1| >= ceil(ceil(4 / (alpha - 1)) / 2)."""
-        return _ceil(Fraction(_ceil(Fraction(4) / (self.alpha - 1)), 2))
+        2 needs opt1 >= ``four_cut_min_opt``, hence |V1| >=
+        ceil(four_cut_min_opt / 2)."""
+        return _ceil(Fraction(self.four_cut_min_opt, 2))
 
     def f(self, n: int) -> Fraction:
         """Slack term of the reduction invariant."""

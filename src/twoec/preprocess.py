@@ -82,37 +82,59 @@ class TraceNode:
 # detection helpers
 # ---------------------------------------------------------------------------
 
-def _vertex_cuts(g: MultiGraph, k: int
+def _vertex_cuts(g: MultiGraph, k: int, side: int
                  ) -> Iterator[tuple[tuple[int, ...],
                                      Callable[[], list[list[int]]]]]:
-    """Every k-subset of V whose removal leaves two or more components, as
-    (cut, split) in ``itertools.combinations`` order: the cut a sorted
-    tuple, split a zero-argument callable that builds the components of
-    G - cut as ``connected_components`` lists them (a caller that needs only
-    the cuts builds none).
+    """Every k-subset of V whose removal leaves components that, all but a
+    largest one, hold ``side`` vertices or more together, as (cut, split) in
+    ``itertools.combinations`` order: the cut a sorted tuple, split a
+    zero-argument callable that builds the components of G - cut as
+    ``connected_components`` lists them (a caller that needs only the cuts
+    builds none).  With ``side`` = 1 these are the cuts that leave two or
+    more components; a caller passes the least side its test can accept, so
+    cuts whose sizes cannot fire are never split.
 
     One lowpoint forest of G - P per (k-1)-prefix P replaces one BFS per
     k-subset (Tarjan 1972).  A child c of d with low[c] >= disc[d] heads a
     component of G - P - d: c's subtree, a contiguous run of the preorder.
-    So G - P - d has (trees - 1) + heads(d) + [d is no root] components:
-    the other trees, the head subtrees, and the rest of d's tree, which
-    holds its root unless d is that root."""
+    So the components of G - P - d, with their sizes read off the forest,
+    are:
+    - each other tree r: end[r] - disc[r];
+    - each head child c of d: end[c] - disc[c];
+    - the rest of d's tree, which holds its root unless d is that root: its
+      size, minus 1, minus the heads' sizes (0 when d is the root).
+    G - P - d has len(order) - 1 vertices, so the side rule holds when no
+    component exceeds len(order) - 1 - side.  Two trees above that leave no
+    d; one leaves only its own vertices, those whose heads and rest are no
+    larger; none leaves every d."""
     n = g.n
     for prefix in itertools.combinations(range(n), k - 1):
         lo = prefix[-1] + 1 if prefix else 0
         if lo == n:
             continue                    # no d may follow the prefix
         order, parent, _, disc, low, end = lowpoint_forest(g, skip=prefix)
-        heads = [0] * n
+        most = len(order) - 1 - side    # the largest component allowed
         roots = []
+        hsum = [0] * n                  # d's head subtrees: total size
+        hmax = [0] * n                  # and the largest
         for v in order:
             p = parent[v]
             if p == -1:
                 roots.append(v)
             elif low[v] >= disc[p]:
-                heads[p] += 1
+                s = end[v] - disc[v]
+                hsum[p] += s
+                if s > hmax[p]:
+                    hmax[p] = s
+        big = [r for r in roots if end[r] - disc[r] > most]
+        if len(big) > 1:
+            continue
+        if big:
+            first, last = disc[big[0]], end[big[0]]
+            need = last - first - 1 - most  # least head total: rest <= most
         for d in range(lo, n):
-            if len(roots) - 1 + heads[d] + (parent[d] != -1) >= 2:
+            if not big or (first <= disc[d] < last and hsum[d] >= need
+                           and hmax[d] <= most):
                 yield prefix + (d,), partial(_split_forest, order, disc, end,
                                              low, roots, d)
 
@@ -170,7 +192,7 @@ def _grouping(comps: list[list[int]], side: int
 
 
 def find_cut_vertex(g: MultiGraph) -> Optional[CutDescriptor]:
-    for (v,), split in _vertex_cuts(g, 1):
+    for (v,), split in _vertex_cuts(g, 1, 1):
         comps = split()
         rest = tuple(sorted(x for c in comps[1:] for x in c))
         return CutDescriptor("Vertex1", (v,), (tuple(comps[0]), rest))
@@ -188,7 +210,7 @@ def find_loop_or_parallel(g: MultiGraph) -> Optional[CutDescriptor]:
 
 
 def find_irrelevant_edge(g: MultiGraph) -> Optional[CutDescriptor]:
-    cuts = {pair for pair, _ in _vertex_cuts(g, 2)}
+    cuts = {pair for pair, _ in _vertex_cuts(g, 2, 1)}
     for eid, (u, v) in enumerate(g.edges):
         if u != v and (u, v) in cuts:
             return CutDescriptor("IrrelevantEdge", (u, v), edge=eid)
@@ -197,12 +219,11 @@ def find_irrelevant_edge(g: MultiGraph) -> Optional[CutDescriptor]:
 
 def find_non_isolating_2vc(g: MultiGraph) -> Optional[CutDescriptor]:
     """The first 2-vertex cut that does not cut off one vertex alone, with
-    sides of two vertices or more (None if G - cut is three vertices)."""
-    for pair, split in _vertex_cuts(g, 2):
-        comps = split()
-        if len(comps) == 2 and min(len(c) for c in comps) == 1:
-            continue
-        return CutDescriptor("Vertex2", pair, _grouping(comps, 2))
+    sides of two vertices or more (None if G - cut is three vertices).  Its
+    components other than a largest hold two vertices or more exactly when
+    they do not number two with one a single vertex."""
+    for pair, split in _vertex_cuts(g, 2, 2):
+        return CutDescriptor("Vertex2", pair, _grouping(split(), 2))
     return None
 
 
@@ -214,7 +235,7 @@ def find_large_3vc(g: MultiGraph, params: StructuredParams
     t = params.three_cut_side
     if g.n - 3 < 2 * t:
         return None
-    for trip, split in _vertex_cuts(g, 3):
+    for trip, split in _vertex_cuts(g, 3, t):
         grouping = _grouping(split(), t)
         if grouping is not None:
             return CutDescriptor("Vertex3", trip, grouping)
@@ -256,15 +277,22 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
     ``four_cut_small_side`` (9 on desk): cuts with a smaller V1 are skipped
     before the closure is built, and none can fire when n - 4 < 2 *
     four_cut_small_side.  When neither condition can fire (n < 22 on desk)
-    no cut is scanned."""
+    no cut is scanned.  The scan passes the smaller side bound of the
+    conditions tried, so it splits no cut whose sizes meet neither.
+
+    Condition 2 needs opt1 >= ``four_cut_min_opt`` (18 on desk).  A 2EC
+    closure's greedy 2ECSS (``oracle.greedy_deletion``, exact drop test) is
+    a 2EC spanning subgraph, so opt1 is at most its size; when that is below
+    four_cut_min_opt the side cannot fire and gets no exact solve."""
     t1 = params.four_cut_side_2
     s2 = params.four_cut_small_side
     try1 = g.n - 4 >= 2 * t1
     try2 = g.n - 4 >= 2 * s2
     if not (try1 or try2):
         return None
+    side = min(s for s, tried in ((t1, try1), (s2, try2)) if tried)
     opt1_of: dict[frozenset[int], Optional[int]] = {}
-    for quad, split in _vertex_cuts(g, 4):
+    for quad, split in _vertex_cuts(g, 4, side):
         comps = split()
         if try1:
             grouping = _grouping(comps, t1)
@@ -282,11 +310,17 @@ def find_large_4vc(g: MultiGraph, params: StructuredParams
         # differs between cuts only in self-loops, which the search drops
         key = frozenset(v1)
         if key not in opt1_of:
-            try:
-                opt1_of[key] = len(oracle.exact_min_2ecss(
-                    _contracted_side(g, v1, quad), limit=oracle.STRUCTURED_LIMIT))
-            except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
-                opt1_of[key] = None
+            opt1_of[key] = None
+            closure = _contracted_side(g, v1, quad)
+            every = range(closure.m)
+            if is_two_edge_connected(closure) and len(oracle.greedy_deletion(
+                    closure, set(every), every, oracle._bridge_cut(None))
+                    ) >= params.four_cut_min_opt:
+                try:
+                    opt1_of[key] = len(oracle.exact_min_2ecss(
+                        closure, limit=oracle.STRUCTURED_LIMIT))
+                except (oracle.TooLarge, oracle.NotTwoEdgeConnected):
+                    pass
         opt1 = opt1_of[key]
         if opt1 is None:
             continue
@@ -530,7 +564,12 @@ def side2_availability(g: MultiGraph, v2: set[int], cut: list[int]) -> set[str]:
 
 
 class SideTypeTable:
-    """Per-type minimum side subgraphs for a small cut side."""
+    """Per-type minimum side subgraphs for a small cut side.
+
+    The loop-free edges of G[V1 ∪ cut] are enumerated on that side graph
+    itself (``_side_graph``, vertices relabelled in order, edges in id
+    order), so each leaf's shape test walks the side and not the host;
+    ``minima`` and ``all_optima`` are mapped back to host edge ids."""
 
     def __init__(self, g: MultiGraph, v1: set[int], cut: list[int]):
         self.g = g
@@ -538,8 +577,6 @@ class SideTypeTable:
         self.cut = list(cut)
         self.verts = self.v1 | set(cut)
         self.order = T2_ORDER if len(self.cut) == 2 else T3_ORDER
-        self.pool = sorted(e for e, (u, v) in enumerate(g.edges)
-                           if u in self.verts and v in self.verts and u != v)
         self.minima: dict[str, Optional[set[int]]] = {}
         self.all_optima: dict[str, list[set[int]]] = {}
         self._enumerate()
@@ -548,40 +585,41 @@ class SideTypeTable:
         # every optimum is kept only for a 3-vertex cut: the C2 and C3
         # reassemblies choose among them
         collect_all = len(self.cut) == 3
+        side = _side_graph(self.g, self.v1, set(self.cut))
+        local = {v: i for i, v in enumerate(sorted(self.verts))}
+        cut = [local[c] for c in self.cut]
+        inner = [local[v] for v in sorted(self.v1)]
+        verts = set(range(side.n))
+        pool = [e for e, (u, v) in enumerate(side.edges) if u != v]
         sizes: dict[str, int] = {}
-        best: dict[str, set[int]] = {}
         alls: dict[str, list[set[int]]] = {t: [] for t in self.order}
-        pool = self.pool
 
-        def rec(i: int, chosen: list[int], deg: dict[int, int]):
-            deficit = sum(max(0, 2 - deg[v]) for v in self.v1)
+        def rec(i: int, chosen: list[int], deg: list[int]):
+            deficit = sum(max(0, 2 - deg[v]) for v in inner)
             if i == len(pool):
                 if deficit > 0:
                     return
-                shape = _shape_of(self.g, set(chosen), self.verts, self.cut)
+                shape = _shape_of(side, set(chosen), verts, cut)
                 if shape is None:
                     return
                 sz = len(chosen)
                 if shape not in sizes or sz < sizes[shape]:
                     sizes[shape] = sz
-                    best[shape] = set(chosen)
                     alls[shape] = [set(chosen)]
                 elif collect_all and sz == sizes[shape]:
                     alls[shape].append(set(chosen))
                 return
             if deficit:
                 # the edges left must still lift every inner vertex to degree 2
-                gain = {v: 0 for v in self.v1}
+                gain = [0] * side.n
                 for e in pool[i:]:
-                    u, v = self.g.edges[e]
-                    if u in gain:
-                        gain[u] += 1
-                    if v in gain:
-                        gain[v] += 1
-                if any(gain[v] < max(0, 2 - deg[v]) for v in self.v1):
+                    u, v = side.edges[e]
+                    gain[u] += 1
+                    gain[v] += 1
+                if any(gain[v] < 2 - deg[v] for v in inner):
                     return
             e = pool[i]
-            u, v = self.g.edges[e]
+            u, v = side.edges[e]
             deg[u] += 1
             deg[v] += 1
             chosen.append(e)
@@ -591,10 +629,11 @@ class SideTypeTable:
             deg[v] -= 1
             rec(i + 1, chosen, deg)
 
-        rec(0, [], {v: 0 for v in self.verts})
+        rec(0, [], [0] * side.n)
         for t in self.order:
-            self.minima[t] = best.get(t)
-            self.all_optima[t] = alls.get(t, [])
+            self.all_optima[t] = [_map_back(side, sol) for sol in alls[t]]
+            self.minima[t] = (self.all_optima[t][0] if self.all_optima[t]
+                              else None)
 
     def opt_size(self, t: str) -> Optional[int]:
         sol = self.minima.get(t)

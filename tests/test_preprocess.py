@@ -12,9 +12,9 @@ from twoec import gadgets, oracle, preprocess
 from twoec.graph import (MultiGraph, find_bridges, is_two_edge_connected,
                          simple_cycles_upto, two_edge_classes)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
-from twoec.params import StructuredParams, desk_params
+from twoec.params import StructuredParams, desk_params, paper_params
 from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CYCLE_CAP, T2_ORDER,
-                              CutDescriptor, Reducer,
+                              T3_ORDER, CutDescriptor, Reducer,
                               _c2_path_pair,
                               _class_connector, _contracted_side,
                               _grouping, _shape_of, _side_graph,
@@ -80,6 +80,7 @@ def test_thresholds_desk():
     assert P.ck_side(8) == 34
     assert P.four_cut_side_2 == 26
     assert P.four_cut_small_side == 9
+    assert P.four_cut_min_opt == 18
 
 
 def test_find_cut_structures():
@@ -412,6 +413,19 @@ CUT_PARAMS = [P, StructuredParams(alpha=Fraction(2), epsilon=Fraction(1, 2)),
               StructuredParams(alpha=Fraction(3, 2), epsilon=Fraction(1, 2))]
 
 
+@pytest.mark.parametrize("params,least,small", [
+    (paper_params(), 17, 9), (P, 18, 9), (CUT_PARAMS[1], 4, 2),
+    (CUT_PARAMS[2], 8, 4)])
+def test_four_cut_min_opt_is_the_least_opt1_that_fires(params, least, small):
+    """Condition 2's test opt1 + 4 <= alpha * opt1 holds exactly from
+    ``four_cut_min_opt`` on, and ``four_cut_small_side`` is half of it
+    rounded up."""
+    assert (params.four_cut_min_opt, params.four_cut_small_side) == \
+        (least, small)
+    for o in range(1, 201):
+        assert (Fraction(o + 4) <= params.alpha * o) == (o >= least), o
+
+
 def subset_scan(g, k):
     """(cut, components of G - cut) for every k-subset that leaves two or
     more components, by one BFS per subset."""
@@ -419,14 +433,27 @@ def subset_scan(g, k):
             if len(comps := _components_without(g, c)) >= 2]
 
 
-def built_cuts(g, k):
-    """``_vertex_cuts(g, k)`` with every cut's components built."""
-    return [(cut, split()) for cut, split in _vertex_cuts(g, k)]
+def built_cuts(g, k, side=1):
+    """``_vertex_cuts(g, k, side)`` with every cut's components built."""
+    return [(cut, split()) for cut, split in _vertex_cuts(g, k, side)]
+
+
+# side bounds the scan is checked under: 1 (two or more components), the
+# 2-cut finder's 2, and around the desk 3-cut and 4-cut small-side bounds
+SIDES = (1, 2, 3, 8, 9)
+
+
+def with_side(scan, side):
+    """The (cut, components) pairs of ``scan`` whose components other than a
+    largest hold ``side`` vertices or more together."""
+    return [(c, comps) for c, comps in scan
+            if sum(map(len, comps)) - max(map(len, comps)) >= side]
 
 
 def test_vertex_cuts_match_subset_scan():
-    """The generator yields exactly the k-subsets whose removal leaves two
-    or more components, in combinations order, each with the components of
+    """For every side bound, the generator yields exactly the k-subsets
+    whose removal leaves components that, all but a largest one, hold that
+    many vertices, in combinations order, each with the components of
     G - cut as the BFS gives them, on random multigraphs with self-loops,
     parallel edges and disconnected parts.  Both kinds of disconnected
     prefix occur: G - P with three or more components, and with two, one of
@@ -438,7 +465,10 @@ def test_vertex_cuts_match_subset_scan():
         g = MultiGraph(n, [(rnd.randrange(n), rnd.randrange(n))
                            for _ in range(rnd.randint(0, 2 * n))])
         for k in (1, 2, 3, 4):
-            assert built_cuts(g, k) == subset_scan(g, k), (g.edges, k)
+            scan = subset_scan(g, k)
+            for side in SIDES:
+                assert built_cuts(g, k, side) == with_side(scan, side), \
+                    (g.edges, k, side)
             for prefix in itertools.combinations(range(n), k - 1):
                 comps = _components_without(g, prefix)
                 many += len(comps) > 2
@@ -461,12 +491,45 @@ def test_irrelevant_edge_builds_no_components(monkeypatch):
         assert find_irrelevant_edge(g) == reference_find_irrelevant_edge(g)
 
 
+def test_large_4vc_splits_only_cuts_that_can_fire(monkeypatch):
+    """``find_large_4vc`` builds the components of a cut only when its
+    components other than a largest hold ``four_cut_small_side`` vertices:
+    on ``random2ec`` n=22 that is no cut of the 254 that leave two or more
+    components, and on ``vertex3_c3`` some of them, up to the cut it
+    returns."""
+    built = []
+    real = preprocess._split_forest
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(preprocess, "_split_forest", counted)
+    s2 = P.four_cut_small_side
+    passing = {}
+    for name, g in (("random2ec", gadgets.random2ec(22, 0.15, 1)),
+                    ("vertex3_c3", gadgets.GADGETS["vertex3_c3"]())):
+        built.clear()
+        found = find_large_4vc(g, P)
+        scan = subset_scan(g, 4)
+        if found is not None:
+            cuts = [c for c, _ in scan]
+            scan = scan[:cuts.index(found.vertices) + 1]
+        assert len(built) == len(with_side(scan, s2)), name
+        passing[name] = (len(with_side(scan, s2)), len(scan))
+    assert passing["random2ec"] == (0, 254)
+    assert 0 < passing["vertex3_c3"][0] < passing["vertex3_c3"][1]
+
+
 @pytest.mark.parametrize("name", [k for k in gadgets.GADGETS if k != "cycle8"])
 def test_vertex_cuts_match_subset_scan_gadget(name):
-    """The same (cut, components) pairs on each planted gadget, k <= 3."""
+    """The same (cut, components) pairs on each planted gadget, k <= 3, for
+    every side bound."""
     g = gadgets.GADGETS[name]()
     for k in (1, 2, 3):
-        assert built_cuts(g, k) == subset_scan(g, k), k
+        scan = subset_scan(g, k)
+        for side in SIDES:
+            assert built_cuts(g, k, side) == with_side(scan, side), (k, side)
 
 
 @pytest.mark.parametrize("n", range(5, 15))
@@ -499,7 +562,7 @@ def test_finders_match_reference_gadget(name):
 
 def ungated_find_large_3vc(g, params):
     t = params.three_cut_side
-    for trip, split in _vertex_cuts(g, 3):
+    for trip, split in _vertex_cuts(g, 3, 1):
         grouping = _grouping(split(), t)
         if grouping is not None:
             return CutDescriptor("Vertex3", trip, grouping)
@@ -521,7 +584,7 @@ def ungated_find_large_ck(g, params):
 def ungated_find_large_4vc(g, params):
     t1 = params.four_cut_side_2
     opt1_of = {}
-    for quad, split in _vertex_cuts(g, 4):
+    for quad, split in _vertex_cuts(g, 4, 1):
         comps = split()
         grouping = _grouping(comps, t1)
         if grouping is not None:
@@ -600,32 +663,76 @@ def counting_oracle(monkeypatch):
     return calls
 
 
+def greedy_closure_bound(g, v1, quad):
+    """The size of a greedy 2ECSS of the closure G[V1 ∪ quad] | quad, an
+    upper bound on its optimum; None when the closure is not 2EC."""
+    closure = _contracted_side(g, v1, quad)
+    if not is_two_edge_connected(closure):
+        return None
+    every = range(closure.m)
+    return len(oracle.greedy_deletion(closure, set(every), every,
+                                      oracle._bridge_cut(None)))
+
+
 @pytest.mark.parametrize("name,shared", [("vertex3_c3", True),
                                          ("vertex4_case2", False)])
 def test_find_large_4vc_one_oracle_call_per_side(name, shared, monkeypatch):
-    """The condition-2 closure is computed once per distinct small side of
-    the 4-cuts the finder reaches, not once per cut, and only for small
-    sides of ``four_cut_small_side`` vertices or more.  On ``vertex3_c3``
-    several of those cuts share a side; ``vertex4_case2`` stops at its
-    first."""
+    """The condition-2 closure is solved once per distinct small side of
+    the 4-cuts the finder reaches, not once per cut, only for small sides
+    of ``four_cut_small_side`` vertices or more, and only when the side's
+    greedy 2ECSS has ``four_cut_min_opt`` edges or more; no other side gets
+    a call.  On ``vertex3_c3`` several of those cuts share a side, and every
+    side's greedy bound is below four_cut_min_opt; ``vertex4_case2`` stops
+    at its first."""
     g = gadgets.GADGETS[name]()
     calls = counting_oracle(monkeypatch)
     found = find_large_4vc(g, P)
     t1 = P.four_cut_side_2
     cuts = 0
     sides = set()
-    for quad, split in _vertex_cuts(g, 4):
+    solved = []
+    for quad, split in _vertex_cuts(g, 4, 1):
         comps = split()
         if _grouping(comps, t1) is not None:
             break
         v1 = _grouping(comps, 1)[0]
         if P.four_cut_small_side <= len(v1) <= t1 - 2:
             cuts += 1
-            sides.add(frozenset(v1))
+            if frozenset(v1) not in sides:
+                sides.add(frozenset(v1))
+                bound = greedy_closure_bound(g, v1, quad)
+                if bound is not None and bound >= P.four_cut_min_opt:
+                    solved.append(_contracted_side(g, v1, quad).edges)
         if found is not None and quad == found.vertices:
             break
-    assert len(calls) == len(sides)
+    assert [c.edges for c in calls] == solved
     assert (len(sides) < cuts) == shared
+    assert len(solved) == (found is not None)
+
+
+def test_find_large_4vc_greedy_bound_skips_no_firing_side():
+    """Under the two looser profiles (alpha 2 and 3/2) condition 2 fires on
+    small ``random2ec`` graphs, and the greedy bound skips some small sides
+    without an exact solve; the finder still returns the record of the
+    reference, which solves every side exactly, so the bound never skips a
+    side that fires."""
+    fired = skipped = 0
+    for n in range(10, 15):
+        for p in (0.2, 0.35, 0.5, 0.8):
+            for seed in range(3):
+                g = gadgets.random2ec(n, p, seed)
+                for params in CUT_PARAMS[1:]:
+                    got = find_large_4vc(g, params)
+                    assert got == reference_find_large_4vc(g, params), \
+                        (n, p, seed, params.alpha)
+                    fired += got is not None and got.condition == 2
+                    for quad, split in _vertex_cuts(
+                            g, 4, params.four_cut_small_side):
+                        bound = greedy_closure_bound(
+                            g, _grouping(split(), 1)[0], quad)
+                        skipped += (bound is not None
+                                    and bound < params.four_cut_min_opt)
+    assert fired > 0 and skipped > 0
 
 
 def reference_find_contractible(g, params):
@@ -743,6 +850,82 @@ def test_short_cycle_vertex_sets_have_opt_size():
 # ---------------------------------------------------------------------------
 # the side-type routines before they used the shared connectivity kernels
 # ---------------------------------------------------------------------------
+
+def reference_side_type_table(g, v1, cut):
+    """(minima, all_optima) of ``SideTypeTable`` by enumerating the side's
+    edges on the whole host G, each leaf typed by ``_shape_of`` there."""
+    verts = set(v1) | set(cut)
+    order = T2_ORDER if len(cut) == 2 else T3_ORDER
+    pool = sorted(e for e, (u, v) in enumerate(g.edges)
+                  if u in verts and v in verts and u != v)
+    collect_all = len(cut) == 3
+    sizes, best = {}, {}
+    alls = {t: [] for t in order}
+
+    def rec(i, chosen, deg):
+        deficit = sum(max(0, 2 - deg[v]) for v in v1)
+        if i == len(pool):
+            if deficit > 0:
+                return
+            shape = _shape_of(g, set(chosen), verts, list(cut))
+            if shape is None:
+                return
+            sz = len(chosen)
+            if shape not in sizes or sz < sizes[shape]:
+                sizes[shape] = sz
+                best[shape] = set(chosen)
+                alls[shape] = [set(chosen)]
+            elif collect_all and sz == sizes[shape]:
+                alls[shape].append(set(chosen))
+            return
+        if deficit:
+            gain = {v: 0 for v in v1}
+            for e in pool[i:]:
+                for x in g.edges[e]:
+                    if x in gain:
+                        gain[x] += 1
+            if any(gain[v] < max(0, 2 - deg[v]) for v in v1):
+                return
+        e = pool[i]
+        u, v = g.edges[e]
+        deg[u] += 1
+        deg[v] += 1
+        chosen.append(e)
+        rec(i + 1, chosen, deg)
+        chosen.pop()
+        deg[u] -= 1
+        deg[v] -= 1
+        rec(i + 1, chosen, deg)
+
+    rec(0, [], {v: 0 for v in verts})
+    return ({t: best.get(t) for t in order},
+            {t: alls.get(t, []) for t in order})
+
+
+def test_side_type_table_matches_whole_host_enumeration(monkeypatch):
+    """Every side ``classify_side_types`` meets while the ``vertex2_*`` and
+    ``vertex3_*`` gadgets are reduced gets, from the side's own graph, the
+    minima and optima (in order) of the enumeration on the whole host.  Both
+    cut sizes occur, and a side with two or more optima of a type."""
+    met = []
+    real = preprocess.classify_side_types
+
+    def recording(g, v1, cut):
+        met.append((g, set(v1), list(cut)))
+        return real(g, v1, cut)
+
+    monkeypatch.setattr(preprocess, "classify_side_types", recording)
+    for name in gadgets.GADGETS:
+        if name.startswith(("vertex2_", "vertex3_")):
+            red(gadgets.GADGETS[name](), P, inner=inner_oracle)
+    several = False
+    for g, v1, cut in met:
+        table = real(g, v1, cut)
+        assert (table.minima, table.all_optima) == \
+            reference_side_type_table(g, v1, cut)
+        several |= any(len(sols) > 1 for sols in table.all_optima.values())
+    assert {len(cut) for _, _, cut in met} == {2, 3} and several
+
 
 def reference_shape_of(g, eids, verts, cut):
     """``_shape_of`` with its own adjacency and two hand-written searches."""
