@@ -129,9 +129,10 @@ def record_root_cuts(monkeypatch, root):
             return _real(self, g, cut, *args)
         monkeypatch.setattr(Reducer, name, wrapper)
     return got
-# the benchmark's planted gadgets: all but cycle8 and vertex4_case1, whose
-# reductions take minutes
-PLANTED = [k for k in gadgets.GADGETS if k not in ("cycle8", "vertex4_case1")]
+# every planted gadget, cycle8 and vertex4_case1 included: the benchmark
+# leaves those two out for the audit sidecar's cover search, but their
+# reductions with a trivial inner solver and their scans take under a second
+PLANTED = list(gadgets.GADGETS)
 
 
 @pytest.mark.parametrize("case", PLANTED + [(18, 0.2, 1), (20, 0.15, 1),

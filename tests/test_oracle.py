@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoec import graph, harness, oracle
+from twoec import gadgets, graph, harness, oracle
 from twoec.gadgets import random2ec
-from twoec.graph import (MultiGraph, connected_components, find_bridges,
-                         is_two_edge_connected, two_edge_classes)
+from twoec.graph import (MultiGraph, connected_components, degrees,
+                         find_bridges, is_two_edge_connected,
+                         two_edge_classes)
 from twoec.oracle import (CUT_MAX_REACH, MAX_FREE_EDGES, STRUCTURED_LIMIT,
                           Infeasible, NotTwoEdgeConnected, TooLarge,
                           _bridge_cut, _cover_ok, _cycle_cut, _forced_edges,
-                          _simplify, _two_ec_on, exact_min_2ecss,
+                          _simplify, _two_ec_on, cover_floor,
+                          exact_min_2ecss,
                           exact_min_cover, greedy_deletion,
                           max_removable_inside, minimal_2ecss_witness)
 
@@ -608,6 +610,73 @@ def test_cover_monotone_in_forbidden():
 def test_cover_infeasible():
     with pytest.raises(Infeasible):
         exact_min_cover(MultiGraph(3, [(0, 1), (1, 2)]))
+
+
+def test_cover_floor_is_at_most_the_reference_cover(multigraph_cases):
+    """On seeded multigraphs with self-loops and parallel copies, the floor
+    of the whole edge set bounds the reference's minimum cover, and meets it
+    on some of them."""
+    tight = 0
+    for g, _ in multigraph_cases:
+        if g.n and min(degrees(g, _simplify(g, copies=2))) < 2:
+            continue
+        floor = cover_floor(g, range(g.m))
+        want = len(reference_min_cover(g, set()))
+        assert floor <= want, g.edges
+        tight += floor == want
+    assert tight > 100
+
+
+@pytest.mark.parametrize("name,floor", [("cycle8", 84), ("vertex2_both_large", 40),
+                                        ("vertex3_c3", 42), ("vertex3_c2iii", 38)])
+def test_cover_floor_is_the_optimum_on_gadgets(name, floor):
+    """On these planted gadgets the floor is above n and is the size of the
+    minimum triangle-free cover."""
+    g = gadgets.GADGETS[name]()
+    assert cover_floor(g, _simplify(g, copies=2)) == floor > g.n
+    assert len(exact_min_cover(g, {3})) == floor
+
+
+def two_matching_number(nx, g):
+    """nu_2, the largest 2-matching of g's non-loop edges, from a maximum
+    matching on Tutte's gadget: vertex v becomes two copies, edge e = uv the
+    pair e_u - e_v, with e_u joined to both copies of u and e_v to both of
+    v.  A maximum matching has |E| + nu_2 edges."""
+    h = nx.Graph()
+    loopless = [(eid, u, v) for eid, (u, v) in enumerate(g.edges) if u != v]
+    for eid, u, v in loopless:
+        h.add_edge(("e", eid, u), ("e", eid, v))
+        for end in (u, v):
+            for copy in (0, 1):
+                h.add_edge(("e", eid, end), ("v", end, copy))
+    return len(nx.max_weight_matching(h, maxcardinality=True)) - len(loopless)
+
+
+def test_cover_floor_is_at_most_the_2_matching_bound(multigraph_cases):
+    """The floor is at most 2n - nu_2 on every seeded multigraph, and equal
+    to it on most of them."""
+    nx = pytest.importorskip("networkx")
+    tight = 0
+    for g, _ in multigraph_cases:
+        bound = 2 * g.n - two_matching_number(nx, g)
+        floor = cover_floor(g, range(g.m))
+        assert floor <= bound, g.edges
+        tight += floor == bound
+    assert tight > len(multigraph_cases) // 2
+
+
+@pytest.mark.parametrize("name,budget", [("cycle8", 20_000),
+                                         ("vertex2_both_large", 50_000)])
+def test_cover_search_stops_at_the_floor(name, budget, monkeypatch):
+    """A search that meets the floor stops at its first optimum: within a
+    node budget at which the search with floor 0 runs out, it returns the
+    set that search returns given room."""
+    g = gadgets.GADGETS[name]()
+    got = exact_min_cover(g, {3}, node_budget=budget)
+    monkeypatch.setattr(oracle, "cover_floor", lambda g, pool: 0)
+    with pytest.raises(TooLarge):
+        exact_min_cover(g, {3}, node_budget=budget)
+    assert exact_min_cover(g, {3}) == got
 
 
 def reference_max_removable_inside(g, inside_edges):
