@@ -59,10 +59,6 @@ class StructuredParams:
         ceil(four_cut_min_opt / 2)."""
         return _ceil(Fraction(self.four_cut_min_opt, 2))
 
-    def f(self, n: int) -> Fraction:
-        """Slack term of the reduction invariant."""
-        return 4 * self.epsilon * n - 16
-
     def is_base_size(self, n: int) -> bool:
         return Fraction(n) <= self.size_floor
 

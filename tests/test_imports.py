@@ -52,8 +52,6 @@ ENTRY_POINTS = {
     ("preprocess", "enumerate_cuts"),
     # tools/dump_answers.py and the tests build this gadget
     ("gadgets", "bridge_chain"),
-    # the tests check red against the paper's slack term f(n)
-    ("params", "f"),
 }
 
 

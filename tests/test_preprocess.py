@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from cut_reference import _components_without
+import cut_reference
+from cut_reference import _components_without, reference_vertex_cuts
 from twoec import gadgets, oracle, preprocess
-from twoec.graph import (MultiGraph, find_bridges, is_two_edge_connected,
-                         simple_cycles_upto, two_edge_classes)
+from twoec.graph import (MultiGraph, connected_components, find_bridges,
+                         is_two_edge_connected, simple_cycles_upto,
+                         two_edge_classes)
 from twoec.oracle import TooLarge, _two_ec_on, exact_min_2ecss
 from twoec.params import StructuredParams, desk_params, paper_params
 from twoec.preprocess import (CONTRACTIBLE_CYCLE_MAX, CYCLE_CAP, T2_ORDER,
@@ -52,6 +54,12 @@ def branch_labels(trace):
     return out
 
 
+def slack(params, n):
+    """The paper's slack term f(n) = 4 epsilon n - 16 of the reduction
+    invariant."""
+    return 4 * params.epsilon * n - 16
+
+
 def audit_invariant(g, sol, trace):
     """Eq. reduce-invariant at the root: equality below the floor, otherwise
     alpha * opt + f(n); when the oracle cannot certify opt, the stronger
@@ -61,10 +69,10 @@ def audit_invariant(g, sol, trace):
         opt = len(exact_min_2ecss(g))
         assert len(sol) == opt
         return "exact"
-    bound_weak = P.alpha * n + P.f(n)
+    bound_weak = P.alpha * n + slack(P, n)
     try:
         opt = len(exact_min_2ecss(g, node_budget=1_500_000))
-        assert Fraction(len(sol)) <= P.alpha * opt + P.f(n)
+        assert Fraction(len(sol)) <= P.alpha * opt + slack(P, n)
         return "opt"
     except TooLarge:
         assert Fraction(len(sol)) <= bound_weak
@@ -476,6 +484,164 @@ def test_vertex_cuts_match_subset_scan():
                     len(c) == 1 and c[0] > max(prefix, default=-1)
                     for c in comps)
     assert many > 0 and lone > 0
+
+
+def counting_forests(monkeypatch):
+    """Patch the lowpoint forests of the scan and of its reference; returns
+    the {"scan": calls, "reference": calls} tally."""
+    tally = {"scan": 0, "reference": 0}
+    real = preprocess.lowpoint_forest
+
+    def counted(key):
+        def build(*args, **kw):
+            tally[key] += 1
+            return real(*args, **kw)
+        return build
+
+    monkeypatch.setattr(preprocess, "lowpoint_forest", counted("scan"))
+    monkeypatch.setattr(cut_reference, "lowpoint_forest", counted("reference"))
+    return tally
+
+
+def relabelled(g, rnd):
+    """G with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return MultiGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def scan_matches_reference(g, ks, sides, tally):
+    """Assert that the scan under each side bound yields the reference's
+    side-1 pairs that meet that bound (the reference builds a forest for
+    every prefix whatever the bound); returns how many of these scans built
+    fewer forests than the reference scan of their k."""
+    fewer = 0
+    for k in ks:
+        tally["reference"] = 0
+        scan = [(cut, split())
+                for cut, split in reference_vertex_cuts(g, k, 1)]
+        for side in sides:
+            tally["scan"] = 0
+            assert built_cuts(g, k, side) == with_side(scan, side), \
+                (g.edges, k, side)
+            fewer += tally["scan"] < tally["reference"]
+    return fewer
+
+
+# the side bounds of the differential tests: 1, the 2-cut finder's 2, and
+# the desk 3-cut and 4-cut small-side bounds, 8 and 9
+REF_SIDES = (1, 2, 8, 9)
+
+
+def test_vertex_cuts_match_reference_random(monkeypatch):
+    """The pruned scan yields the reference's (cut, components) pairs, in
+    order, on relabelled ``random2ec`` graphs with n = 10..30, and skips
+    some prefixes the reference builds a forest for."""
+    tally = counting_forests(monkeypatch)
+    rnd = random.Random(3131)
+    fewer = 0
+    for n in range(10, 31, 4):
+        for p in (0.15, 0.3, 0.5):
+            g = relabelled(gadgets.random2ec(n, p, n), rnd)
+            fewer += scan_matches_reference(g, (1, 2, 3, 4), REF_SIDES, tally)
+    assert fewer > 0
+
+
+@pytest.mark.parametrize("name", [k for k, make in gadgets.GADGETS.items()
+                                  if make().n <= 45])
+def test_vertex_cuts_match_reference_gadget(name, monkeypatch):
+    """The same on each planted gadget with n <= 45, up to k = 4."""
+    tally = counting_forests(monkeypatch)
+    assert scan_matches_reference(gadgets.GADGETS[name](), (4,), REF_SIDES,
+                                  tally) > 0
+
+
+def floored(out, r):
+    """What N_out(C) adds to C's component in the prefix rule."""
+    return max(0, out - r)
+
+
+def prefix_rule_rejects(g, prefix, k, side, extra=floored):
+    """Whether the prefix rule of ``_vertex_cuts`` rejects some head
+    P = prefix[:i], by BFS: a component C of G[U], U the vertices below
+    max(P) outside P, has more than n - k - side vertices once
+    ``extra(|N_out(C)|, k - |P|)`` of its neighbours outside U and P are
+    counted."""
+    adj = g.adj()
+    for i in range(1, len(prefix) + 1):
+        head = set(prefix[:i])
+        below = set(range(prefix[i - 1])) - head
+        for comp in connected_components(g, None, set(range(g.n)) - below):
+            out = {w for v in comp for w, _ in adj[v]} - below - head
+            if len(comp) + extra(len(out), k - i) > g.n - k - side:
+                return True
+    return False
+
+
+def test_vertex_cuts_build_forests_where_the_rule_allows(monkeypatch):
+    """The scan builds a lowpoint forest for exactly the (k-1)-prefixes
+    that some d may follow and no head of which the prefix rule rejects,
+    in order, on ``random2ec`` graphs and on random multigraphs with
+    self-loops and disconnected parts, under every side bound that leaves a
+    cut possible.  The neighbour count rejects some prefix that the
+    component sizes alone let through, and the sizes some prefix that the
+    neighbour count without its floor of 0 lets through."""
+    built = []
+    real = preprocess.lowpoint_forest
+
+    def record(g, eids=None, skip=()):
+        built.append(tuple(skip))
+        return real(g, eids, skip)
+
+    monkeypatch.setattr(preprocess, "lowpoint_forest", record)
+    rnd = random.Random(6060)
+    graphs = [gadgets.random2ec(n, p, n) for n in (10, 13, 16)
+              for p in (0.2, 0.4)]
+    for _ in range(60):
+        n = rnd.randint(4, 9)
+        graphs.append(MultiGraph(n, [(rnd.randrange(n), rnd.randrange(n))
+                                     for _ in range(rnd.randint(n, 2 * n))]))
+    by_neighbours = by_size = 0
+    for g in graphs:
+        for k in (2, 3, 4):
+            for side in range(1, g.n - k + 1):
+                built.clear()
+                list(_vertex_cuts(g, k, side))
+                heads = [q for q in itertools.combinations(range(g.n), k - 1)
+                         if q[-1] < g.n - 1]
+                rejected = [prefix_rule_rejects(g, q, k, side) for q in heads]
+                assert built == [q for q, no in zip(heads, rejected)
+                                 if not no], (g.edges, k, side)
+                sizes = [prefix_rule_rejects(g, q, k, side, lambda o, r: 0)
+                         for q in heads]
+                by_neighbours += sum(no and not by for no, by
+                                     in zip(rejected, sizes))
+                by_size += sum(by and not prefix_rule_rejects(
+                    g, q, k, side, lambda o, r: o - r)
+                    for q, by in zip(heads, sizes))
+    assert by_neighbours > 0 and by_size > 0
+
+
+def test_four_cut_scan_forest_counts(monkeypatch):
+    """The 4-cut scan skips the prefixes no completion can fire from: on
+    ``random2ec(22, 0.15, 1)`` it builds 97 lowpoint forests where the
+    reference builds 1,330, and on the n=34 child of ``vertex4_case2`` 413
+    where the reference builds 5,456.  The bounds leave headroom."""
+    g = gadgets.GADGETS["vertex4_case2"]()
+    found = find_large_4vc(g, P)
+    child = _contracted_side(g, found.sides[1], found.vertices)
+    assert child.n == 34
+    tally = counting_forests(monkeypatch)
+    for g, bound in ((gadgets.random2ec(22, 0.15, 1), 150), (child, 600)):
+        tally["scan"] = 0
+        assert find_large_4vc(g, P) is None
+        assert tally["scan"] <= bound, (g.n, tally["scan"])
+
+
+def test_four_cut_scan_at_n100():
+    """No 4-vertex cut fires on ``random2ec`` n=100 (p=0.06, seed 1): the
+    scan proves it from 5,496 forests, where the reference builds 156,849."""
+    assert find_large_4vc(gadgets.random2ec(100, 0.06, 1), P) is None
 
 
 def test_irrelevant_edge_builds_no_components(monkeypatch):
