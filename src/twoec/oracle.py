@@ -26,6 +26,8 @@ class Infeasible(ValueError):
 # refuses a graph on more vertices with more than MAX_FREE_EDGES free edges.
 STRUCTURED_LIMIT = 14
 MAX_FREE_EDGES = 26
+# the nodes an exact search visits before it raises ``TooLarge``
+NODE_BUDGET = 4_000_000
 
 
 def _simplify(g: MultiGraph, copies: int = 1) -> list[int]:
@@ -372,7 +374,7 @@ def _search(g: MultiGraph, pool: list[int], forced: set[int], free: list[int],
 
 
 def exact_min_2ecss(g: MultiGraph, limit: Optional[int] = None,
-                    node_budget: int = 4_000_000) -> set[int]:
+                    node_budget: int = NODE_BUDGET) -> set[int]:
     """Minimum-cardinality 2EC spanning subgraph by branch and bound.
 
     Edges incident to degree-2 vertices are forced up front.  With a
@@ -521,7 +523,7 @@ def cover_floor(g: MultiGraph, pool: Iterable[int]) -> int:
 
 
 def exact_min_cover(g: MultiGraph, forbidden: frozenset[int] | set[int] = frozenset(),
-                    node_budget: int = 4_000_000) -> set[int]:
+                    node_budget: int = NODE_BUDGET) -> set[int]:
     """Minimum edge set giving every vertex degree >= 2 such that no
     connected component is a cycle of a forbidden length (subset of {3,4}).
     Self-loops are never used; a parallel pair may be.  The search prunes

@@ -9,10 +9,14 @@ A non-isolating 2-vertex cut, a large 3-vertex cut and condition 1 of a
 large 4-vertex cut share one reassembly.  When both sides are large, each
 side's closure G[V_i ∪ cut] | cut is reduced alone and the two are joined
 with at most 2k - 2 edges for a k-vertex cut.  Otherwise the small side is
-typed: type A is contracted, and every other type is solved on the side,
-the big side is reduced with the stand-in ``SUBSTITUTES`` names for it, and
-the two are rejoined within that row's budget (C2 and C3 have their own
-stand-ins and rejoining).
+typed by one branch and bound (``classify_side_types``), cut where the
+edges chosen plus half the inner degree deficit, or plus the components
+left to join, exceed the cheapest allowed type found.  Type A is
+contracted, and every other type is solved on the side, the big side is
+reduced with the stand-in ``SUBSTITUTES`` names for it, and the two are
+rejoined within that row's budget (C2 and C3 have their own stand-ins and
+rejoining).  A side the search cannot type within ``oracle.NODE_BUDGET``
+nodes is joined as a large one, under the branch label ``untyped``.
 """
 from __future__ import annotations
 
@@ -607,99 +611,102 @@ def side2_availability(g: MultiGraph, v2: set[int], cut: list[int]) -> set[str]:
     return out
 
 
-class SideTypeTable:
-    """Per-type minimum side subgraphs for a small cut side.
+def classify_side_types(g: MultiGraph, v1: set[int], cut: list[int],
+                        allowed: set[str]) -> tuple[Optional[str], list[set[int]]]:
+    """The type the reducer gives the small side V1 of ``cut`` among the
+    ``allowed`` types, with its optima in host edge ids, or (None, []) when
+    no allowed type exists.  The type is the cheapest, ties going to the
+    stronger (``T2_ORDER``/``T3_ORDER``), or B1 when it costs at most one
+    edge more and the cheapest is not A.  C2 and C3 come with every optimum
+    in search order, for their reassemblies to choose from, and any other
+    type with its first.
 
-    The loop-free edges of G[V1 ∪ cut] are enumerated on that side graph
-    itself (``_side_graph``, vertices relabelled in order, edges in id
-    order), so each leaf's shape test walks the side and not the host;
-    ``minima`` and ``all_optima`` are mapped back to host edge ids."""
+    One include-first branch and bound over the loop-free edges of
+    G[V1 ∪ cut] (``_side_graph``: vertices relabelled in order, edges in id
+    order) types each leaf with ``_shape_of``.  ``need`` is the inner
+    vertices' total degree deficit (cut vertices need none), which an edge
+    lowers by at most 2.  ``parts`` counts the components of the chosen
+    edges; an edge joins at most two, and a leaf has at most ``most``, since
+    each component holds a cut vertex and A, B, B1 and C1 have one.  A node
+    is cut when size + max(ceil(need/2), parts - most) exceeds the cheapest
+    allowed type found so far, plus one while B1 one edge dearer could still
+    win.  No node on the path to a leaf that the answer reads exceeds that,
+    so the answer is the full enumeration's.  Past ``oracle.NODE_BUDGET``
+    nodes the search raises ``TooLarge``."""
+    order = [t for t in (T2_ORDER if len(cut) == 2 else T3_ORDER)
+             if t in allowed]
+    most = 1 if set(order) <= {"A", "B", "B1", "C1"} else len(cut)
+    side = _side_graph(g, set(v1), set(cut))
+    local = {v: i for i, v in enumerate(sorted(set(v1) | set(cut)))}
+    lcut = [local[c] for c in cut]
+    verts = set(range(side.n))
+    want = [0] * side.n                 # the degree a leaf needs
+    for v in v1:
+        want[local[v]] = 2
+    pool = [e for e, (u, v) in enumerate(side.edges) if u != v]
+    ends = [side.edges[e] for e in pool]
+    deg = [0] * side.n
+    slack = [0] * side.n                # deg plus the undecided edges
+    for u, v in ends:
+        slack[u] += 1
+        slack[v] += 1
+    up = list(range(side.n))            # union-find of the chosen edges
+    chosen: list[int] = []
+    size_of: dict[str, int] = {}
+    optima: dict[str, list[set[int]]] = {}
+    bound = len(pool)                   # no leaf is larger
+    nodes = 0
 
-    def __init__(self, g: MultiGraph, v1: set[int], cut: list[int]):
-        self.g = g
-        self.v1 = set(v1)
-        self.cut = list(cut)
-        self.verts = self.v1 | set(cut)
-        self.order = T2_ORDER if len(self.cut) == 2 else T3_ORDER
-        self.minima: dict[str, Optional[set[int]]] = {}
-        self.all_optima: dict[str, list[set[int]]] = {}
-        self._enumerate()
-
-    def _enumerate(self) -> None:
-        # every optimum is kept only for a 3-vertex cut: the C2 and C3
-        # reassemblies choose among them
-        collect_all = len(self.cut) == 3
-        side = _side_graph(self.g, self.v1, set(self.cut))
-        local = {v: i for i, v in enumerate(sorted(self.verts))}
-        cut = [local[c] for c in self.cut]
-        inner = [local[v] for v in sorted(self.v1)]
-        verts = set(range(side.n))
-        pool = [e for e, (u, v) in enumerate(side.edges) if u != v]
-        sizes: dict[str, int] = {}
-        alls: dict[str, list[set[int]]] = {t: [] for t in self.order}
-
-        def rec(i: int, chosen: list[int], deg: list[int]):
-            deficit = sum(max(0, 2 - deg[v]) for v in inner)
-            if i == len(pool):
-                if deficit > 0:
-                    return
-                shape = _shape_of(side, set(chosen), verts, cut)
-                if shape is None:
-                    return
-                sz = len(chosen)
-                if shape not in sizes or sz < sizes[shape]:
-                    sizes[shape] = sz
-                    alls[shape] = [set(chosen)]
-                elif collect_all and sz == sizes[shape]:
-                    alls[shape].append(set(chosen))
+    def rec(i: int, size: int, need: int, parts: int) -> None:
+        nonlocal bound, nodes
+        nodes += 1
+        if nodes > oracle.NODE_BUDGET:
+            raise oracle.TooLarge("side type search budget exhausted")
+        if size + (need + 1) // 2 > bound or size + parts - most > bound:
+            return
+        if i == len(pool):
+            t = None if need else _shape_of(side, set(chosen), verts, lcut)
+            if t not in order or size > size_of.get(t, size):
                 return
-            if deficit:
-                # the edges left must still lift every inner vertex to degree 2
-                gain = [0] * side.n
-                for e in pool[i:]:
-                    u, v = side.edges[e]
-                    gain[u] += 1
-                    gain[v] += 1
-                if any(gain[v] < 2 - deg[v] for v in inner):
-                    return
-            e = pool[i]
-            u, v = side.edges[e]
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append(e)
-            rec(i + 1, chosen, deg)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-            rec(i + 1, chosen, deg)
+            if size < size_of.get(t, size + 1):
+                size_of[t], optima[t] = size, []
+            if not optima[t] or t in ("C2", "C3"):
+                optima[t].append(set(chosen))
+            best = min(size_of.values())
+            b1 = size_of.get("B1", best + 2)
+            bound = best + ("B1" in order and b1 > best + 1)
+            return
+        u, v = ends[i]
+        lifted = (deg[u] < want[u]) + (deg[v] < want[v])
+        deg[u] += 1
+        deg[v] += 1
+        chosen.append(pool[i])
+        a, b = u, v
+        while up[a] != a:
+            a = up[a]
+        while up[b] != b:
+            b = up[b]
+        up[b] = a
+        rec(i + 1, size + 1, need - lifted, parts - (a != b))
+        up[b] = b
+        chosen.pop()
+        deg[u] -= 1
+        deg[v] -= 1
+        slack[u] -= 1
+        slack[v] -= 1
+        if slack[u] >= want[u] and slack[v] >= want[v]:
+            rec(i + 1, size, need, parts)
+        slack[u] += 1
+        slack[v] += 1
 
-        rec(0, [], [0] * side.n)
-        for t in self.order:
-            self.all_optima[t] = [_map_back(side, sol) for sol in alls[t]]
-            self.minima[t] = (self.all_optima[t][0] if self.all_optima[t]
-                              else None)
-
-    def opt_size(self, t: str) -> Optional[int]:
-        sol = self.minima.get(t)
-        return None if sol is None else len(sol)
-
-    def t_min(self, available: set[str]
-              ) -> tuple[Optional[str], Optional[set[int]]]:
-        best_t, best_sol = None, None
-        for t in self.order:
-            if t not in available:
-                continue
-            sol = self.minima.get(t)
-            if sol is None:
-                continue
-            if best_sol is None or len(sol) < len(best_sol):
-                best_t, best_sol = t, sol
-        return best_t, best_sol
-
-
-def classify_side_types(g: MultiGraph, v1: set[int], cut: list[int]
-                        ) -> SideTypeTable:
-    return SideTypeTable(g, v1, cut)
+    if all(s >= w for s, w in zip(slack, want)):
+        rec(0, 0, sum(want), side.n)
+    if not size_of:
+        return None, []
+    typ = min((t for t in order if t in size_of), key=size_of.__getitem__)
+    if typ != "A" and size_of.get("B1", size_of[typ] + 2) <= size_of[typ] + 1:
+        typ = "B1"
+    return typ, [_map_back(side, sol) for sol in optima[typ]]
 
 
 # the small side's type -> (the stand-in for it when the big side is reduced,
@@ -856,8 +863,9 @@ class Reducer:
     def _remove_small_cut(self, g: MultiGraph, found: CutDescriptor, step: str
                           ) -> tuple[set[int], TraceNode]:
         """Join two large sides, or type the small side V1: contract it when
-        its cheapest type is A, and otherwise solve it alone, reduce the big
-        side with a stand-in for it and rejoin the two."""
+        its type is A, and otherwise solve it alone, reduce the big side with
+        a stand-in for it and rejoin the two.  A side the typing search
+        cannot finish within its budget is joined as a large one."""
         if found.sides is None:
             raise ReductionError(f"{step}: no side of two vertices")
         v1, v2 = sorted(map(set, found.sides), key=len)
@@ -865,28 +873,27 @@ class Reducer:
         if Fraction(len(v1)) > self.params.size_floor:
             return self._both_large(g, step, "both-large", cut, v1, v2)
         avail2 = side2_availability(g, v2, cut)
-        # types the big side can complete; the table reads its own order only
+        # types the big side can complete
         allowed = {t for t, fits in COMPATIBLE.items() if fits & avail2}
-        table = classify_side_types(g, v1, cut)
-        typ, opt1 = table.t_min(available=allowed)
+        try:
+            typ, optima = classify_side_types(g, v1, cut, allowed)
+        except oracle.TooLarge:
+            # too dense to type: solve the side alone, as a large one
+            return self._both_large(g, step, "untyped", cut, v1, v2)
         if typ == "A":
             # every completion spends at least opt_1^A inside the side, so
             # the side is alpha-contractible (the short-cycle candidate scan
             # cannot see subgraphs this large)
-            return self.contract_part(g, v1 | set(cut), opt1,
+            return self.contract_part(g, v1 | set(cut), optima[0],
                                       via="type-A-side")
-        b1 = table.opt_size("B1") if "B1" in allowed else None
-        if b1 is not None and b1 <= len(opt1) + 1:
-            typ = "B1"
         if typ == "C2":
-            return self._three_vc_c2(g, cut, v2, table)
+            return self._three_vc_c2(g, cut, v2, optima)
         if typ == "C3":
-            return self._three_vc_c3(g, cut, v2, table)
+            return self._three_vc_c3(g, cut, v1, v2, optima)
         if typ not in SUBSTITUTES:
-            sizes = {t: table.opt_size(t) for t in table.order}
-            raise ReductionError(f"{step} side admits no feasible type: {sizes}")
+            raise ReductionError(f"{step} side admits no feasible type")
         stand_in, budget = SUBSTITUTES[typ]
-        opt1 = table.minima[typ]
+        opt1 = optima[0]
         h2, t = self._reduce_child(
             _contracted_side(g, v2, cut) if stand_in is None else
             _side_graph(g, v2, set(cut), stand_in(*cut), drop_cut_edges=True))
@@ -900,39 +907,23 @@ class Reducer:
                      {"cut": cut, "branch": typ, "opt1": len(opt1),
                       "f_edges": sorted(f)}, [t])
 
-    def _three_vc_c2(self, g, cut, v2, table) -> tuple[set[int], TraceNode]:
-        optima = table.all_optima["C2"]
-        pairs = set()
-        for sol in optima:
-            pr = _c2_path_pair(g, sol, cut)
-            if pr is not None:
-                pairs.add(pr)
+    def _three_vc_c2(self, g, cut, v2, optima) -> tuple[set[int], TraceNode]:
+        # the cut pairs joined by an optimum's path component; two distinct
+        # pairs of the three cut vertices share exactly one
+        pairs = {_c2_path_pair(g, sol, cut) for sol in optima} - {None}
         u, v, w = cut
+        subcase, dummies = "iii", [(u, "y"), (v, "y"), (w, "y")]
         if len(pairs) == 1:
-            a, b = sorted(next(iter(pairs)))
-            third = [x for x in cut if x not in (a, b)][0]
-            u, v, w = a, b, third
-            subcase = "i"
-            dummies = [(u, "y"), (v, "y"), (v, w)]
+            [(u, v)] = pairs
+            w = next(x for x in cut if x not in (u, v))
+            subcase, dummies = "i", [(u, "y"), (v, "y"), (v, w)]
         elif len(pairs) == 2:
-            inter = set.intersection(*(set(pp) for pp in pairs))
-            if len(inter) == 1:
-                vshared = next(iter(inter))
-                others = sorted({x for pp in pairs for x in pp} - inter)
-                u, w = others
-                v = vshared
-                subcase = "ii"
-                dummies = [(u, "y"), (v, "z"), ("z", "y"), (w, "y")]
-            else:
-                subcase = "iii"
-                dummies = [(u, "y"), (v, "y"), (w, "y")]
-        else:
-            subcase = "iii"
-            dummies = [(u, "y"), (v, "y"), (w, "y")]
+            [v] = set.intersection(*map(set, pairs))
+            u, w = sorted(set().union(*pairs) - {v})
+            subcase, dummies = "ii", [(u, "y"), (v, "z"), ("z", "y"), (w, "y")]
         h2, t = self._reduce_child(
             _side_graph(g, v2, set(cut), dummies, drop_cut_edges=True))
-        best_sol = None
-        best_f = None
+        best_sol = best_f = None
         for opt1 in optima:
             f = min_augment_to_2ec(g, set(opt1) | h2, 1)
             if f is None:
@@ -952,14 +943,15 @@ class Reducer:
                      {"cut": list(cut), "branch": f"C2{subcase}",
                       "f_edges": sorted(best_f)}, [t])
 
-    def _three_vc_c3(self, g, cut, v2, table) -> tuple[set[int], TraceNode]:
-        optima = table.all_optima["C3"]
+    def _three_vc_c3(self, g, cut, v1, v2, optima
+                     ) -> tuple[set[int], TraceNode]:
+        verts = v1 | set(cut)
         pick = None
         for opt1 in optima:
             cls = two_edge_classes(g, opt1)[1]
             for (a, b, c) in itertools.permutations(cut):
-                e_ab = _class_connector(g, opt1, cls, table.verts, a, b)
-                e_bc = _class_connector(g, opt1, cls, table.verts, b, c)
+                e_ab = _class_connector(g, opt1, cls, verts, a, b)
+                e_bc = _class_connector(g, opt1, cls, verts, b, c)
                 if e_ab is not None and e_bc is not None:
                     pick = (opt1, (a, b, c), e_ab, e_bc)
                     break

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import cut_reference
 from cut_reference import _components_without, reference_vertex_cuts
-from twoec import gadgets, oracle, preprocess
+from twoec import gadgets, harness, oracle, preprocess
 from twoec.graph import (MultiGraph, connected_components, find_bridges,
                          is_two_edge_connected, simple_cycles_upto,
                          two_edge_classes)
@@ -143,26 +144,32 @@ def test_min_augment_larger_budget_same_answer(seed):
     assert found
 
 
-# -- side type tables ---------------------------------------------------------
+# -- side types ---------------------------------------------------------------
+
+def sizes_by_type(g, v1, cut):
+    """Each type of the cut's order -> the size of its first optimum, from
+    single-type queries, or None where the side has no solution of it."""
+    sizes = {}
+    for t in (T2_ORDER if len(cut) == 2 else T3_ORDER):
+        typ, optima = classify_side_types(g, v1, cut, {t})
+        sizes[t] = None if typ is None else len(optima[0])
+    return sizes
+
 
 def test_side_types_c4_through_cut():
     # side: C4 u-x-y-v-u -> A = the 4 cycle edges, B = 3 (Hamiltonian path)
     g = MultiGraph(6, [(0, 2), (2, 3), (3, 1), (1, 0),
                        (0, 4), (4, 5), (5, 1)])
-    table = classify_side_types(g, {2, 3}, [0, 1])
-    assert table.opt_size("A") == 4
-    assert table.opt_size("B") == 3
-    t, sol = table.t_min(set(T2_ORDER))
+    assert sizes_by_type(g, {2, 3}, [0, 1]) == {"A": 4, "B": 3, "C": None}
+    t, sol = classify_side_types(g, {2, 3}, [0, 1], set(T2_ORDER))
     assert t == "B"
 
 
 def test_side_types_single_path():
     # side: u - x - v path only: A and C absent, B = 2
     g = MultiGraph(5, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1)])
-    table = classify_side_types(g, {2}, [0, 1])
-    assert table.opt_size("A") is None
-    assert table.opt_size("B") == 2
-    assert table.opt_size("C") is None
+    assert sizes_by_type(g, {2}, [0, 1]) == {"A": None, "B": 2, "C": None}
+    assert classify_side_types(g, {2}, [0, 1], {"A", "C"}) == (None, [])
 
 
 def test_side_types_3cut_star_is_not_c1():
@@ -170,9 +177,9 @@ def test_side_types_3cut_star_is_not_c1():
     # vertex with degree 3 but every leaf is a bare cut vertex, which is a
     # valid C1 tree; with only one interior vertex C1 = 3
     g = MultiGraph(5, [(0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)])
-    table = classify_side_types(g, {3}, [0, 1, 2])
-    assert table.opt_size("C1") == 3
-    assert table.opt_size("A") is None
+    sizes = sizes_by_type(g, {3}, [0, 1, 2])
+    assert sizes["C1"] == 3
+    assert sizes["A"] is None
 
 
 def test_type_a_minimum_triggers_contraction():
@@ -225,13 +232,89 @@ def test_3vc_b2_side_rejoins_within_its_budget():
                    + [(0, 7), (1, 9), (2, 11), (2, 12)])
     cut = CutDescriptor("Vertex3", (0, 1, 2),
                         ((3, 4, 5, 6), tuple(range(7, 13))))
-    table = classify_side_types(g, {3, 4, 5, 6}, [0, 1, 2])
-    assert [t for t in table.order if table.opt_size(t) is not None] == ["B2"]
+    sizes = sizes_by_type(g, {3, 4, 5, 6}, [0, 1, 2])
+    assert [t for t, size in sizes.items() if size is not None] == ["B2"]
     sol, trace = Reducer(P).remove_3vc(g, cut)
     assert (trace.step, trace.detail["branch"]) == ("Remove3VC", "B2")
     assert trace.detail["opt1"] == 7
     assert len(trace.detail["f_edges"]) <= preprocess.SUBSTITUTES["B2"][1]
     assert _two_ec_on(g, sol)
+
+
+# -- dense sides: the typing search's bound and budget -------------------------
+
+def dense_side(k, p):
+    """A dense block on 0..k-1 behind the 2-vertex cut {0, k // 2}: the ring
+    plus each chord (i, j) with j >= i + 2, i outer and j inner, kept when a
+    draw from Random(1) is below p, (0, k - 1) excepted; u = k is joined to
+    0 and v = k + 1 to k // 2, and two paths of 24 inner vertices join u to
+    v.  Every run of the chord loop draws, so k=10, p=0.5 has n=60, m=87."""
+    rnd = random.Random(1)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(i, j) for i in range(k) for j in range(i + 2, k)
+              if rnd.random() < p and (i, j) != (0, k - 1)]
+    u, v = k, k + 1
+    edges += [(u, 0), (v, k // 2)]
+    n = k + 2
+    for _ in range(2):
+        path = [u, *range(n, n + 24), v]
+        edges += list(zip(path, path[1:]))
+        n += 24
+    return MultiGraph(n, edges)
+
+
+def solve_dense_side(monkeypatch, k, p):
+    """An auto solve of ``dense_side(k, p)`` on desk: its report, its
+    seconds, and what ``classify_side_types`` gave the block's side
+    (a type, or TooLarge)."""
+    block = (set(range(1, k)) - {k // 2}, [0, k // 2])
+    typed = []
+    real = preprocess.classify_side_types
+
+    def recording(g, v1, cut, allowed):
+        try:
+            answer = real(g, v1, cut, allowed)
+        except TooLarge:
+            if (set(v1), list(cut)) == block:
+                typed.append(TooLarge)
+            raise
+        if (set(v1), list(cut)) == block:
+            typed.append(answer[0])
+        return answer
+
+    monkeypatch.setattr(preprocess, "classify_side_types", recording)
+    t0 = time.perf_counter()
+    _, report = harness.solve(dense_side(k, p),
+                              harness.SolverConfig(profile="desk"))
+    return report, time.perf_counter() - t0, typed
+
+
+def report_labels(node):
+    """Each trace node's step, with its branch when it has one."""
+    branch = node["detail"].get("branch")
+    yield node["step"] + ("" if branch is None else f"/{branch}")
+    for child in node["children"]:
+        yield from report_labels(child)
+
+
+def test_dense_side_is_typed_exactly(monkeypatch):
+    """k=10: the block's side is typed within the search budget, as B, and
+    no step joins a side untyped."""
+    report, seconds, typed = solve_dense_side(monkeypatch, 10, 0.5)
+    assert (report.n, report.m) == (60, 87)
+    assert report.verified and seconds < 10
+    assert typed == ["B"]
+    assert not any(l.endswith("/untyped") for l in report_labels(report.trace))
+
+
+def test_dense_side_past_the_budget_is_joined_untyped(monkeypatch):
+    """k=14, p=0.6: typing the block's side runs past ``oracle.NODE_BUDGET``
+    and raises ``TooLarge``; the reducer joins the two sides as large ones,
+    under the branch label ``untyped``, and the answer verifies."""
+    report, seconds, typed = solve_dense_side(monkeypatch, 14, 0.6)
+    assert typed == [TooLarge]
+    assert "Remove2VC/untyped" in report_labels(report.trace)
+    assert report.verified and seconds < 10
 
 
 # -- branch coverage -----------------------------------------------------------
@@ -1018,8 +1101,10 @@ def test_short_cycle_vertex_sets_have_opt_size():
 # ---------------------------------------------------------------------------
 
 def reference_side_type_table(g, v1, cut):
-    """(minima, all_optima) of ``SideTypeTable`` by enumerating the side's
-    edges on the whole host G, each leaf typed by ``_shape_of`` there."""
+    """(minima, all_optima): for each type of the cut's order, its first
+    optimum and every optimum (every one only for a 3-vertex cut), in
+    include-first order, by enumerating every subset of the side's edges
+    on the whole host G, each leaf typed by ``_shape_of`` there."""
     verts = set(v1) | set(cut)
     order = T2_ORDER if len(cut) == 2 else T3_ORDER
     pool = sorted(e for e, (u, v) in enumerate(g.edges)
@@ -1068,29 +1153,79 @@ def reference_side_type_table(g, v1, cut):
             {t: alls.get(t, []) for t in order})
 
 
-def test_side_type_table_matches_whole_host_enumeration(monkeypatch):
+def reference_side_type(minima, all_optima, allowed):
+    """``classify_side_types``'s answer under ``allowed`` from a side's
+    ``reference_side_type_table``: the cheapest allowed type, ties to the
+    stronger, or B1 when it costs at most one edge more than a cheapest
+    other than A; with every optimum of C2 and C3, and the first of any
+    other type."""
+    sizes = {t: len(sol) for t, sol in minima.items()
+             if sol is not None and t in allowed}
+    if not sizes:
+        return None, []
+    typ = min(sizes, key=sizes.get)
+    if typ != "A" and sizes.get("B1", sizes[typ] + 2) <= sizes[typ] + 1:
+        typ = "B1"
+    return typ, all_optima[typ] if typ in ("C2", "C3") else [minima[typ]]
+
+
+def test_side_types_match_whole_host_enumeration(monkeypatch):
     """Every side ``classify_side_types`` meets while the ``vertex2_*`` and
-    ``vertex3_*`` gadgets are reduced gets, from the side's own graph, the
-    minima and optima (in order) of the enumeration on the whole host.  Both
-    cut sizes occur, and a side with two or more optima of a type."""
+    ``vertex3_*`` gadgets and the benchmark's ``reduce_exchange`` graphs
+    are reduced gets, from its bounded search on the side's own graph, the
+    answer of the exhaustive enumeration on the whole host: under the
+    side's real ``allowed``, and for each type of its order alone.  Both
+    cut sizes occur, a B1 taken over a cheaper type, and an answer with two
+    or more optima."""
     met = []
     real = preprocess.classify_side_types
 
-    def recording(g, v1, cut):
-        met.append((g, set(v1), list(cut)))
-        return real(g, v1, cut)
+    def recording(g, v1, cut, allowed):
+        met.append((g, set(v1), list(cut), set(allowed)))
+        return real(g, v1, cut, allowed)
 
     monkeypatch.setattr(preprocess, "classify_side_types", recording)
-    for name in gadgets.GADGETS:
-        if name.startswith(("vertex2_", "vertex3_")):
-            red(gadgets.GADGETS[name](), P, inner=inner_oracle)
+    graphs = [gadgets.GADGETS[name]() for name in gadgets.GADGETS
+              if name.startswith(("vertex2_", "vertex3_"))]
+    graphs += [g for name, g in reduce_exchange_graphs()
+               if not name.startswith(("hub_c4", "shortcut_ring"))]
+    for g in graphs:
+        red(g, P, inner=lambda sub: set(range(sub.m)))
+    assert len(met) == 22
     several = False
-    for g, v1, cut in met:
-        table = real(g, v1, cut)
-        assert (table.minima, table.all_optima) == \
-            reference_side_type_table(g, v1, cut)
-        several |= any(len(sols) > 1 for sols in table.all_optima.values())
-    assert {len(cut) for _, _, cut in met} == {2, 3} and several
+    for g, v1, cut, allowed in met:
+        minima, all_optima = reference_side_type_table(g, v1, cut)
+        for types in [allowed] + [{t} for t in minima]:
+            got = real(g, v1, cut, types)
+            assert got == reference_side_type(minima, all_optima, types)
+        several |= len(real(g, v1, cut, allowed)[1]) > 1
+    assert {len(cut) for _, _, cut, _ in met} == {2, 3} and several
+
+
+def test_side_types_match_enumeration_on_random_sides():
+    """Seeded random sides of 2- and 3-vertex cuts (simple graphs on 5-7
+    vertices, the cut first), each under a random set of allowed types,
+    get the exhaustive enumeration's answer, and on some of them B1 is
+    taken over a type one edge cheaper."""
+    rnd = random.Random(32)
+    types = sorted(set(T2_ORDER) | set(T3_ORDER))
+    checked = b1_over_cheaper = 0
+    for _ in range(400):
+        n, k = rnd.randint(5, 7), rnd.choice([2, 3])
+        pairs = {tuple(sorted(rnd.sample(range(n), 2)))
+                 for _ in range(rnd.randint(n + 1, 12))}
+        g = MultiGraph(n, sorted(pairs))
+        v1, cut = set(range(k, n)), list(range(k))
+        minima, all_optima = reference_side_type_table(g, v1, cut)
+        for _ in range(3):
+            allowed = set(rnd.sample(types, rnd.randint(1, len(types))))
+            got = classify_side_types(g, v1, cut, allowed)
+            assert got == reference_side_type(minima, all_optima, allowed)
+            checked += got[0] is not None
+            b1_over_cheaper += got[0] == "B1" and any(
+                minima[t] is not None and len(minima[t]) < len(got[1][0])
+                for t in allowed & set(minima))
+    assert checked > 100 and b1_over_cheaper > 5
 
 
 def reference_shape_of(g, eids, verts, cut):
